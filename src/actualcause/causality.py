@@ -31,7 +31,7 @@ from .formula import (
     is_intervention_free,
     validate_formula,
 )
-from .model import CausalModel, World, context_values, solve_values
+from .model import CausalModel, World, context_values, solve, solve_values
 
 __all__ = [
     "RuleVariant",
@@ -80,6 +80,10 @@ class SearchBudget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int = DEFAULT_SOLVE_BUDGET):
+        if limit < 1:
+            raise EngineError(
+                f"the search budget must be a positive integer, not {limit}"
+            )
         self.limit = limit
         self.used = 0
 
@@ -260,9 +264,16 @@ def _validate_witness(
 
 
 class _Query:
-    """Shared per-query state: indices, actual world, compiled effect."""
+    """One query session: a model, a context, an effect, a variant, a budget.
 
-    def __init__(self, model, context, cause, phi, variant, budget):
+    The constructor validates the inputs, compiles the effect and solves the
+    actual world, charging that solve to the budget.  `bind` gives the
+    session a candidate cause; a bound query shares the session's budget,
+    actual world and AC2 memo, so AC3 sub-searches and the candidates of
+    `find_all_causes` repeat none of that work.
+    """
+
+    def __init__(self, model, context, phi, variant, budget):
         self.base, self.order = _unwrap(model)
         self.variant = RuleVariant.coerce(variant)
         if self.variant is RuleVariant.EXTENDED and self.order is None:
@@ -270,16 +281,32 @@ class _Query:
                 "the extended variant needs a model with a normality order"
             )
         _require_event_phi(self.base, phi)
-        self.phi = phi
         self.phi_ok = compile_event_formula(self.base, phi)
-        self.cause = _normalize_cause(self.base, cause)
         self.budget = budget if budget is not None else SearchBudget()
         self.rt = self.base._runtime()
         self.exo = context_values(self.base, context)
         self.actual = self._solve(None)
-        self.actual_world = World(self.rt.endo_names, self.actual)
-        self.cause_idx = tuple(self.rt.endo_index[n] for n, _ in self.cause)
-        self.cause_vals = tuple(v for _, v in self.cause)
+        # only the extended variant compares witness worlds with this one
+        self.actual_world = (
+            World(self.rt.endo_names, self.actual)
+            if self.variant is RuleVariant.EXTENDED else None
+        )
+        # normalized cause -> whether it passes AC1 and has an AC2 witness
+        self.memo: dict[tuple[tuple[str, int], ...], bool] = {}
+
+    def bind(self, cause: Mapping[str, int]) -> "_Query":
+        """This session with `cause` as the candidate; all else is shared."""
+        # plain stores, not a dict copy, keep the fast attribute access of a
+        # normally built instance in the search loops
+        bound = object.__new__(_Query)
+        bound.base, bound.order, bound.variant = self.base, self.order, self.variant
+        bound.phi_ok, bound.budget, bound.rt = self.phi_ok, self.budget, self.rt
+        bound.exo, bound.actual = self.exo, self.actual
+        bound.actual_world, bound.memo = self.actual_world, self.memo
+        bound.cause = _normalize_cause(self.base, cause)
+        bound.cause_idx = tuple([self.rt.endo_index[n] for n, _ in bound.cause])
+        bound.cause_vals = tuple([v for _, v in bound.cause])
+        return bound
 
     def _solve(self, interventions) -> tuple[int, ...]:
         self.budget.tick()
@@ -288,9 +315,10 @@ class _Query:
     # -- AC conditions -----------------------------------------------------
 
     def ac1(self) -> bool:
+        actual = self.actual
         return (
-            all(self.actual[i] == v for i, v in zip(self.cause_idx, self.cause_vals))
-            and self.phi_ok(self.actual)
+            tuple([actual[i] for i in self.cause_idx]) == self.cause_vals
+            and self.phi_ok(actual)
         )
 
     def witness_iv(self, w_idx, w_vals, alt) -> dict[int, int]:
@@ -397,9 +425,7 @@ class _Query:
 
 
 def actual_world(model, context: Mapping[str, int]) -> World:
-    base, _ = _unwrap(model)
-    exo = context_values(base, context)
-    return World(base._runtime().endo_names, solve_values(base, exo))
+    return solve(_unwrap(model)[0], context)
 
 
 def witness_world(model, context, cause: Mapping[str, int], witness: Witness) -> World:
@@ -421,8 +447,14 @@ def witness_world(model, context, cause: Mapping[str, int], witness: Witness) ->
 
 def check_ac1(model, context, cause: Mapping[str, int], phi: CausalFormula) -> bool:
     """Both the candidate cause and the effect hold in the actual world."""
-    query = _Query(model, context, cause, phi, RuleVariant.UPDATED, None)
-    return query.ac1()
+    return _Query(model, context, phi, RuleVariant.UPDATED, None).bind(cause).ac1()
+
+
+def _witness_query(model, context, cause, phi, witness, variant):
+    """A query bound to `cause`, and the witness's contingency indices."""
+    query = _Query(model, context, phi, variant, None).bind(cause)
+    _validate_witness(query.base, query.cause, witness)
+    return query, tuple(query.rt.endo_index[n] for n in witness.vars)
 
 
 def check_ac2a(
@@ -435,9 +467,7 @@ def check_ac2a(
 ) -> bool:
     """The counterfactual clause; EXTENDED also tests witness-world normality,
     counting incomparability as failure."""
-    query = _Query(model, context, cause, phi, variant, None)
-    _validate_witness(query.base, query.cause, witness)
-    w_idx = tuple(query.rt.endo_index[n] for n in witness.vars)
+    query, w_idx = _witness_query(model, context, cause, phi, witness, variant)
     flips, normal_ok = query.ac2a(w_idx, witness.values, witness.alt)
     return flips and normal_ok
 
@@ -451,9 +481,7 @@ def check_ac2b(
     variant: RuleVariant | str = RuleVariant.UPDATED,
 ) -> bool:
     """The restore clause of the chosen variant."""
-    query = _Query(model, context, cause, phi, variant, None)
-    _validate_witness(query.base, query.cause, witness)
-    w_idx = tuple(query.rt.endo_index[n] for n in witness.vars)
+    query, w_idx = _witness_query(model, context, cause, phi, witness, variant)
     return query.ac2b(w_idx, witness.values)
 
 
@@ -466,20 +494,35 @@ def find_witnesses(
     budget: SearchBudget | None = None,
 ) -> list[Witness]:
     """Every witness passing AC2 under the variant, in canonical order."""
-    query = _Query(model, context, cause, phi, variant, budget)
+    query = _Query(model, context, phi, variant, budget).bind(cause)
     witnesses, _, _ = query.search(find_all=True)
     return witnesses
 
 
-def _has_ac2_witness(model, context, cause, phi, variant, budget, cache) -> bool:
-    key = (frozenset(cause.items()), RuleVariant.coerce(variant))
-    hit = cache.get(key) if cache is not None else None
+def _has_ac2_witness(query: _Query, cause: tuple[tuple[str, int], ...]) -> bool:
+    """AC1 and AC2 for a sub-conjunction in normalized order, memoized on
+    the session of `query`."""
+    hit = query.memo.get(cause)
     if hit is None:
-        query = _Query(model, context, cause, phi, variant, budget)
-        hit = bool(query.search(find_all=False)[0]) if query.ac1() else False
-        if cache is not None:
-            cache[key] = hit
+        sub = query.bind(dict(cause))
+        hit = query.memo[cause] = sub.ac1() and bool(sub.search(find_all=False)[0])
     return hit
+
+
+def _decide(query: _Query, find_all_witnesses: bool) -> Verdict:
+    """The three clauses for a bound query; records its AC2 outcome in the
+    session memo, where later AC3 checks of larger causes find it."""
+    witnesses, deepest, complete = (
+        query.search(find_all_witnesses) if query.ac1() else ([], "AC1", True)
+    )
+    query.memo[query.cause] = bool(witnesses)
+    if not witnesses:
+        return Verdict(False, (), deepest)
+    for size in range(1, len(query.cause)):
+        for sub in itertools.combinations(query.cause, size):
+            if _has_ac2_witness(query, sub):
+                return Verdict(False, tuple(witnesses), "AC3", sub, complete)
+    return Verdict(True, tuple(witnesses), None, None, complete)
 
 
 def is_actual_cause(
@@ -490,36 +533,15 @@ def is_actual_cause(
     variant: RuleVariant | str = RuleVariant.UPDATED,
     budget: SearchBudget | None = None,
     find_all_witnesses: bool = True,
-    _ac2_cache: dict | None = None,
 ) -> Verdict:
     """Decide the full three-clause definition under the chosen variant.
 
     The verdict lists every witness found (or at least one when the budget
-    truncated the scan).  Minimality is checked by recursively searching
-    every strict nonempty sub-conjunction.
+    truncated the scan).  Minimality is checked by searching every strict
+    nonempty sub-conjunction within the same query session.
     """
-    budget = budget if budget is not None else SearchBudget()
-    query = _Query(model, context, cause, phi, variant, budget)
-    if not query.ac1():
-        return Verdict(False, (), "AC1")
-    witnesses, deepest, complete = query.search(find_all_witnesses)
-    if not witnesses:
-        return Verdict(False, (), deepest)
-    if len(query.cause) > 1:
-        names = [n for n, _ in query.cause]
-        values = dict(query.cause)
-        for size in range(1, len(names)):
-            for subset in itertools.combinations(names, size):
-                sub = {n: values[n] for n in subset}
-                if _has_ac2_witness(model, context, sub, phi, variant, budget, _ac2_cache):
-                    return Verdict(
-                        False,
-                        tuple(witnesses),
-                        "AC3",
-                        tuple(sub.items()),
-                        complete,
-                    )
-    return Verdict(True, tuple(witnesses), None, None, complete)
+    query = _Query(model, context, phi, variant, budget).bind(cause)
+    return _decide(query, find_all_witnesses)
 
 
 def find_all_causes(
@@ -534,35 +556,30 @@ def find_all_causes(
 
     Candidates run over conjunctions of endogenous variables not mentioned
     by `phi`, by increasing conjunct count; supersets of a found cause are
-    pruned since they can only fail minimality.
+    pruned since they can only fail minimality.  Every candidate is decided
+    in one query session, whose memo answers the AC3 checks of larger
+    candidates from the verdicts of smaller ones.
     """
-    base, _ = _unwrap(model)
-    _require_event_phi(base, phi)
-    budget = budget if budget is not None else SearchBudget()
-    rt = base._runtime()
-    exo = context_values(base, context)
-    actual = solve_values(base, exo)
-    if not compile_event_formula(base, phi)(actual):
+    if max_conjuncts is not None and max_conjuncts < 1:
+        raise EngineError(
+            f"max_conjuncts must be a positive integer, not {max_conjuncts}"
+        )
+    session = _Query(model, context, phi, variant, budget)
+    if not session.phi_ok(session.actual):
         return []
+    rt = session.rt
     excluded = formula_variables(phi)
     eligible = [n for n in rt.endo_names if n not in excluded]
-    limit = min(max_conjuncts or len(eligible), len(eligible))
+    limit = len(eligible) if max_conjuncts is None else min(max_conjuncts, len(eligible))
     found: list[tuple[dict[str, int], Verdict]] = []
     cause_sets: list[frozenset[str]] = []
-    cache: dict = {}
     for size in range(1, limit + 1):
         for combo in itertools.combinations(eligible, size):
             combo_set = frozenset(combo)
             if any(s < combo_set for s in cause_sets):
                 continue
-            candidate = {n: actual[rt.endo_index[n]] for n in combo}
-            verdict = is_actual_cause(
-                model, context, candidate, phi, variant, budget, _ac2_cache=cache
-            )
-            # seed the minimality memo so supersets reuse this scan
-            cache[(frozenset(candidate.items()), RuleVariant.coerce(variant))] = bool(
-                verdict.witnesses
-            )
+            candidate = {n: session.actual[rt.endo_index[n]] for n in combo}
+            verdict = _decide(session.bind(candidate), True)
             if verdict.is_cause:
                 cause_sets.append(combo_set)
                 found.append((candidate, verdict))
@@ -585,7 +602,7 @@ def best_witnesses(
     base, order = _unwrap(model)
     if order is None:
         raise MissingNormalityOrder("witness grading needs a normality order")
-    query = _Query(base, context, cause, phi, RuleVariant.UPDATED, budget)
+    query = _Query(base, context, phi, RuleVariant.UPDATED, budget).bind(cause)
     if not query.ac1():
         raise NoWitness("the cause or the effect does not hold in the actual world")
     witnesses, _, _ = query.search(find_all=True)

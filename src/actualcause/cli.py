@@ -51,6 +51,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _load(path: str) -> ModelDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -127,9 +137,9 @@ def _build_parser() -> _Parser:
             choices=[v.value for v in RuleVariant],
         )
         p.add_argument("--json", action="store_true")
-        p.add_argument("--budget", type=int, default=None, help="solve-call cap")
+        p.add_argument("--budget", type=_positive_int, default=None, help="solve-call cap")
         if name == "causes":
-            p.add_argument("--max-conjuncts", type=int, default=None)
+            p.add_argument("--max-conjuncts", type=_positive_int, default=None)
 
     p = sub.add_parser("conservative", help="check a conservative extension")
     p.add_argument("-m1", "--base", required=True, help="base model file")
@@ -143,7 +153,7 @@ def _build_parser() -> _Parser:
     with_model(p)
     p.add_argument("--cause", required=True, help="single conjunct, e.g. 'A=1'")
     p.add_argument("--effect", required=True, help="single event, e.g. 'D=1'")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
 
     p = sub.add_parser("stability", help="emit a member of the alternating chain")
     p.add_argument("--n", type=int, required=True)
@@ -156,7 +166,7 @@ def _build_parser() -> _Parser:
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
     p_run = corpus_sub.add_parser("run", help="run every bundled case")
     p_run.add_argument("--include-heavy", action="store_true")
-    p_run.add_argument("--budget", type=int, default=None)
+    p_run.add_argument("--budget", type=_positive_int, default=None)
     corpus_sub.add_parser("list", help="list bundled models and cases")
     return parser
 
@@ -183,7 +193,7 @@ def _cmd_cause(args) -> int:
     subject = _subject(doc, variant)
     cause = parse_cause(args.cause, doc.model)
     effect = parse_formula(args.effect, doc.model)
-    budget = SearchBudget(args.budget) if args.budget else None
+    budget = SearchBudget(args.budget) if args.budget is not None else None
     verdict = is_actual_cause(
         subject, doc.context(args.context), cause, effect, variant, budget=budget
     )
@@ -199,7 +209,7 @@ def _cmd_causes(args) -> int:
     variant = RuleVariant.coerce(args.variant)
     subject = _subject(doc, variant)
     effect = parse_formula(args.effect, doc.model)
-    budget = SearchBudget(args.budget) if args.budget else None
+    budget = SearchBudget(args.budget) if args.budget is not None else None
     results = find_all_causes(
         subject, doc.context(args.context), effect, variant,
         budget=budget, max_conjuncts=args.max_conjuncts,
@@ -261,7 +271,7 @@ def _cmd_kill(args) -> int:
     doc = _load(args.model)
     cause = parse_cause(args.cause, doc.model)
     effect = parse_event(args.effect, doc.model)
-    budget = SearchBudget(args.budget) if args.budget else None
+    budget = SearchBudget(args.budget) if args.budget is not None else None
     result = kill_all_witnesses(
         doc.model, doc.context(args.context), cause, effect, budget=budget
     )

@@ -25,6 +25,7 @@ from ..causality import (
     is_actual_cause,
 )
 from ..dsl import ModelDocument, parse_cause, parse_formula, parse_model
+from ..errors import EngineError
 
 __all__ = [
     "CorpusCase",
@@ -278,7 +279,7 @@ def _run_case(case: CorpusCase, budget_limit: int | None) -> CaseResult:
         context = doc.context(case.context)
         cause = parse_cause(case.cause, doc.model)
         effect = parse_formula(case.effect, doc.model)
-        budget = SearchBudget(budget_limit) if budget_limit else SearchBudget()
+        budget = SearchBudget() if budget_limit is None else SearchBudget(budget_limit)
         if case.witness is not None:
             # verify the stated witness instead of searching: enough for a
             # positive verdict on a single-conjunct cause
@@ -310,6 +311,10 @@ def verify_corpus(
     include_heavy: bool = False, budget_limit: int | None = None
 ) -> CorpusReport:
     """Run every bundled case and report expected vs. actual verdicts."""
+    if budget_limit is not None and budget_limit < 1:
+        raise EngineError(
+            f"the budget limit must be a positive integer, not {budget_limit}"
+        )
     selected = [c for c in CASES if include_heavy or not c.heavy]
     results = tuple(_run_case(c, budget_limit) for c in selected)
     return CorpusReport(results)

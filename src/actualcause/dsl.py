@@ -45,6 +45,7 @@ from .model import (
     Var,
     World,
     check_recursive,
+    compile_expression,
     context_values,
     make_model,
 )
@@ -290,6 +291,7 @@ def _build_order(
             raise EngineError(f"normality block names unknown context {decl.context!r}")
         return normality_from_respect(model, contexts[decl.context], decl.variables)
     rt = model._runtime()
+    lookup = {n: f"v[{i}]" for n, i in rt.endo_index.items()}
     compiled = []
     for guard, rank in decl.arms:
         for ref in guard.variables():
@@ -297,16 +299,14 @@ def _build_order(
                 raise EngineError(
                     f"world pattern mentions {ref!r}, which is not endogenous"
                 )
-        compiled.append((guard, rank))
+        compiled.append((compile_expression(guard, lookup), rank))
     names = rt.endo_names
-    from .model import eval_expression
 
     def rank_of(world: World) -> int:
         if world.names != names:
             raise EngineError("world does not belong to this model")
-        env = world.as_dict()
         for guard, rank in compiled:
-            if eval_expression(guard, env) != 0:
+            if guard(world.values, ()) != 0:
                 return rank
         return decl.default
 

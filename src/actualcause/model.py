@@ -196,41 +196,10 @@ def _gen_code(expr: Expression, names: Mapping[str, str]) -> str:
     raise EngineError(f"cannot compile expression node {type(expr).__name__}")
 
 
-def eval_expression(expr: Expression, env: Mapping[str, int]) -> int:
-    """Evaluate an expression against a full variable environment."""
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return env[expr.name]
-        except KeyError:
-            raise UnknownVariable(expr.name) from None
-    if isinstance(expr, Cmp):
-        a = eval_expression(expr.lhs, env)
-        b = eval_expression(expr.rhs, env)
-        ok = {
-            "=": a == b,
-            "!=": a != b,
-            "<": a < b,
-            "<=": a <= b,
-            ">": a > b,
-            ">=": a >= b,
-        }[expr.op]
-        return 1 if ok else 0
-    if isinstance(expr, Not):
-        return 1 if eval_expression(expr.operand, env) == 0 else 0
-    if isinstance(expr, And):
-        return 1 if all(eval_expression(i, env) != 0 for i in expr.items) else 0
-    if isinstance(expr, Or):
-        return 1 if any(eval_expression(i, env) != 0 for i in expr.items) else 0
-    if isinstance(expr, Sum):
-        return sum(eval_expression(i, env) for i in expr.items)
-    if isinstance(expr, Case):
-        for cond, value in expr.arms:
-            if eval_expression(cond, env) != 0:
-                return eval_expression(value, env)
-        return eval_expression(expr.default, env)
-    raise EngineError(f"cannot evaluate expression node {type(expr).__name__}")
+def compile_expression(expr: Expression, names: Mapping[str, str]):
+    """Compile an expression into a function of `(v, u)`, the endogenous
+    value list and the exogenous tuple that `names` looks up into."""
+    return eval(f"lambda v, u: {_gen_code(expr, names)}", {"__builtins__": {}})
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +288,7 @@ class _Runtime:
         lookup = {n: f"u[{i}]" for n, i in self.exo_index.items()}
         lookup.update({n: f"v[{i}]" for n, i in self.endo_index.items()})
         eqs = dict(model.equations)
-        self.fns = []
-        for name in self.endo_names:
-            code = _gen_code(eqs[name], lookup)
-            self.fns.append(eval(f"lambda v, u: {code}", {"__builtins__": {}}))
+        self.fns = [compile_expression(eqs[name], lookup) for name in self.endo_names]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Actual-cause decisions: clause checks, verdicts, enumeration, grading."""
 
+import itertools
 import random
 
 import pytest
 
+from actualcause import causality
 from actualcause.causality import (
     ExtendedCausalModel,
     NormalityOrder,
@@ -19,12 +21,13 @@ from actualcause.causality import (
     witness_world,
 )
 from actualcause.errors import (
+    EngineError,
     MalformedPhi,
     MissingNormalityOrder,
     NoWitness,
     SearchBudgetExceeded,
 )
-from actualcause.formula import Held, PrimitiveEvent
+from actualcause.formula import And, Held, Or, PrimitiveEvent
 from actualcause.model import Var, World, make_model, solve
 from actualcause.transforms import build_stability_model
 from oracle import naive_is_cause, naive_witnesses, random_binary_model, random_context
@@ -130,6 +133,10 @@ def test_scanner_pair_only_in_middle_model(doc):
     assert is_actual_cause(middle, u, pair, phi, "extended").is_cause
     for single in ("B", "C"):
         assert not is_actual_cause(middle, u, {single: 1}, phi, "extended").is_cause
+    # enumeration decides the pair in the session that decided both scanners
+    assert [c for c, _ in find_all_causes(middle, u, phi, "extended")] == [
+        {"A": 1}, {"D": 1}, pair
+    ]
 
 
 def test_verdict_reports_updated_failure_stage(hopkins):
@@ -201,6 +208,50 @@ def test_budget_truncates_after_first_witness(rt_naive):
                               budget=SearchBudget(7))
     assert verdict.is_cause and not verdict.search_complete
     assert len(verdict.witnesses) >= 1
+
+
+@pytest.mark.parametrize("limit", [0, -5])
+def test_non_positive_budget_is_refused(limit):
+    with pytest.raises(EngineError, match="positive"):
+        SearchBudget(limit)
+
+
+def _count_solves(monkeypatch):
+    calls = [0]
+    real = causality.solve_values
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(causality, "solve_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_non_positive_max_conjuncts_is_refused_before_any_solve(
+    rt_naive, monkeypatch, limit
+):
+    calls = _count_solves(monkeypatch)
+    with pytest.raises(EngineError, match="positive"):
+        find_all_causes(rt_naive.model, {"U": 1}, BS1, max_conjuncts=limit)
+    assert calls[0] == 0
+
+
+def test_every_solve_is_charged_to_the_budget(doc, monkeypatch):
+    calls = _count_solves(monkeypatch)
+    ranch = doc("glymour_naive")
+    budget = SearchBudget()
+    find_all_causes(ranch.model, ranch.context("u"), PrimitiveEvent("O", 1), budget=budget)
+    assert calls[0] == budget.used
+
+    scanner = doc("scanner_vote")
+    calls[0] = 0
+    budget = SearchBudget()
+    verdict = is_actual_cause(scanner.extended(), scanner.context("u"), {"B": 1, "C": 1},
+                              PrimitiveEvent("WIN", 1), "extended", budget)
+    assert verdict.failure_reason == "AC3"
+    assert calls[0] == budget.used
 
 
 def test_witness_must_not_overlap_cause(hopkins):
@@ -357,6 +408,37 @@ def test_random_models_match_reference_brute_force():
                 got = is_actual_cause(model, ctx, cause, phi, variant).is_cause
                 want = naive_is_cause(model, ctx, cause, phi, original)
                 assert got == want, (model, ctx, cause, variant)
+
+
+def test_find_all_causes_matches_reference():
+    rng = random.Random(31)
+    for round_ in range(60):
+        model = random_binary_model(rng, max_endogenous=4)
+        ctx = random_context(rng, model)
+        world = solve(model, ctx)
+        names = model.endogenous_names
+        a, b = names[-1], names[-2]
+        if round_ % 3 == 0 or len(names) < 3:
+            # false in the actual world about half of the time
+            phi, eligible = PrimitiveEvent(a, rng.randint(0, 1)), names[:-1]
+        elif round_ % 3 == 1:
+            phi = And(PrimitiveEvent(a, world[a]), PrimitiveEvent(b, world[b]))
+            eligible = names[:-2]
+        else:
+            phi = Or(PrimitiveEvent(b, rng.randint(0, 1)), PrimitiveEvent(a, world[a]))
+            eligible = names[:-2]
+        candidates = [
+            {n: world[n] for n in combo}
+            for size in range(1, len(eligible) + 1)
+            for combo in itertools.combinations(eligible, size)
+        ]
+        for variant, original in (("original", True), ("updated", False)):
+            found = find_all_causes(model, ctx, phi, variant)
+            want = [c for c in candidates if naive_is_cause(model, ctx, c, phi, original)]
+            assert [c for c, _ in found] == want, (model, ctx, phi, variant)
+            for cause, verdict in found:
+                mine = {(w.vars, w.values, w.alt) for w in verdict.witnesses}
+                assert mine == set(naive_witnesses(model, ctx, cause, phi, original))
 
 
 def test_multi_conjunct_causes_match_reference():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from actualcause.cli import run_command
 from actualcause.corpus import model_path
 from actualcause.dsl import parse_model
@@ -140,3 +142,23 @@ def test_engine_error_is_2(capsys):
     code, _, err = run(capsys, "cause", "-m", HOPKINS, "-c", "u",
                        "--cause", "A=1", "--effect", "D=1", "--budget", "3")
     assert code == 2 and "budget" in err
+
+
+_CAUSE = ("cause", "-m", HOPKINS, "-c", "u", "--cause", "A=1", "--effect", "D=1")
+_CAUSES = ("causes", "-m", HOPKINS, "-c", "u", "--effect", "D=1")
+_KILL = ("kill-witnesses", "-m", HOPKINS, "-c", "u", "--cause", "A=1", "--effect", "D=1")
+
+
+@pytest.mark.parametrize("argv", [
+    (*_CAUSE, "--budget", "0"),
+    (*_CAUSE, "--budget", "-5"),
+    (*_CAUSES, "--budget", "0"),
+    (*_CAUSES, "--max-conjuncts", "0"),
+    (*_CAUSES, "--max-conjuncts", "-1"),
+    (*_KILL, "--budget", "0"),
+    ("corpus", "run", "--budget", "0"),
+])
+def test_non_positive_limits_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and "not a positive integer" in err
+    assert out == ""

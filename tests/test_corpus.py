@@ -1,5 +1,8 @@
 """Bundled corpus: every case reproduces its expected verdict."""
 
+import pytest
+
+from actualcause import causality
 from actualcause.corpus import (
     CASES,
     CONSERVATIVE_PAIRS,
@@ -7,6 +10,7 @@ from actualcause.corpus import (
     model_names,
     verify_corpus,
 )
+from actualcause.errors import EngineError
 from actualcause.transforms import is_conservative_extension
 
 
@@ -49,3 +53,13 @@ def test_heavy_cases_excluded_by_default():
     default_ids = {r.case.id for r in verify_corpus().results}
     assert "liv1720_v18" not in default_ids
     assert any(case.heavy for case in CASES)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_non_positive_budget_limit_is_refused_before_any_solve(monkeypatch, limit):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the budget limit")
+
+    monkeypatch.setattr(causality, "solve_values", no_solve)
+    with pytest.raises(EngineError, match="positive"):
+        verify_corpus(budget_limit=limit)

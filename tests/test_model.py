@@ -22,7 +22,7 @@ from actualcause.model import (
     Sum,
     Var,
     check_recursive,
-    eval_expression,
+    compile_expression,
     intervene,
     make_model,
     solve,
@@ -133,16 +133,22 @@ def test_out_of_range_equation_value_raises():
         solve(model, {"U": 1})
 
 
+def _compiled(expr, env):
+    names = list(env)
+    fn = compile_expression(expr, {n: f"v[{i}]" for i, n in enumerate(names)})
+    return fn([env[n] for n in names], ())
+
+
 def test_expression_evaluation_semantics():
     env = {"A": -1, "B": 0}
-    assert eval_expression(Not(Var("A")), env) == 0  # any nonzero is true
-    assert eval_expression(Not(Var("B")), env) == 1
-    assert eval_expression(And((Var("A"), Const(1))), env) == 1
-    assert eval_expression(Or((Var("B"), Const(0))), env) == 0
-    assert eval_expression(Cmp("<=", Var("A"), Var("B")), env) == 1
-    assert eval_expression(Sum((Var("A"), Const(2))), env) == 1
+    assert _compiled(Not(Var("A")), env) == 0  # any nonzero is true
+    assert _compiled(Not(Var("B")), env) == 1
+    assert _compiled(And((Var("A"), Const(1))), env) == 1
+    assert _compiled(Or((Var("B"), Const(0))), env) == 0
+    assert _compiled(Cmp("<=", Var("A"), Var("B")), env) == 1
+    assert _compiled(Sum((Var("A"), Const(2))), env) == 1
     picked = Case(arms=((Var("B"), Const(9)), (Const(1), Var("A"))), default=Const(7))
-    assert eval_expression(picked, env) == -1  # first true guard wins
+    assert _compiled(picked, env) == -1  # first true guard wins
 
 
 # -- invariants -------------------------------------------------------------
@@ -175,7 +181,23 @@ def test_solve_respects_every_equation():
             env = dict(ctx)
             env.update(world.as_dict())
             for name, expr in doc.model.equations:
-                assert eval_expression(expr, env) == world[name], (doc.name, name)
+                assert interpret(expr, env) == world[name], (doc.name, name)
+
+
+def test_normality_ranks_take_the_first_matching_arm():
+    from actualcause.corpus import load_document
+
+    for name in ("bogus_prevention", "livengood_normality", "scanner_vote"):
+        doc = load_document(name)
+        decl, order = doc.normality, doc.order()
+        assert decl.kind == "ranks", name
+        for world in doc.model.worlds():
+            env = world.as_dict()
+            want = next(
+                (rank for guard, rank in decl.arms if interpret(guard, env) != 0),
+                decl.default,
+            )
+            assert order.rank(world) == want, (name, world)
 
 
 def test_recursive_verdict_is_declaration_order_insensitive():
