@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     EngineError,
-    MalformedPhi,
     MissingNormalityOrder,
     NoWitness,
     SearchBudgetExceeded,
@@ -28,7 +27,6 @@ from .formula import (
     CausalFormula,
     compile_event_formula,
     formula_variables,
-    is_intervention_free,
     validate_formula,
 )
 from .model import CausalModel, World, context_values, solve, solve_values
@@ -233,12 +231,6 @@ def _normalize_cause(base: CausalModel, cause: Mapping[str, int]) -> tuple[tuple
     return tuple((n, cause[n]) for n in ordered)
 
 
-def _require_event_phi(base: CausalModel, phi: CausalFormula) -> None:
-    validate_formula(base, phi)
-    if not is_intervention_free(phi):
-        raise MalformedPhi("the effect formula must not contain interventions")
-
-
 def _validate_witness(
     base: CausalModel, cause: tuple[tuple[str, int], ...], witness: Witness
 ) -> None:
@@ -280,7 +272,7 @@ class _Query:
             raise MissingNormalityOrder(
                 "the extended variant needs a model with a normality order"
             )
-        _require_event_phi(self.base, phi)
+        validate_formula(self.base, phi)
         self.phi_ok = compile_event_formula(self.base, phi)
         self.budget = budget if budget is not None else SearchBudget()
         self.rt = self.base._runtime()
@@ -306,6 +298,10 @@ class _Query:
         bound.cause = _normalize_cause(self.base, cause)
         bound.cause_idx = tuple([self.rt.endo_index[n] for n, _ in bound.cause])
         bound.cause_vals = tuple([v for _, v in bound.cause])
+        cause_set = set(bound.cause_idx)
+        bound.non_cause = tuple(
+            [i for i in range(len(self.rt.endo_names)) if i not in cause_set]
+        )
         return bound
 
     def _solve(self, interventions) -> tuple[int, ...]:
@@ -318,7 +314,7 @@ class _Query:
         actual = self.actual
         return (
             tuple([actual[i] for i in self.cause_idx]) == self.cause_vals
-            and self.phi_ok(actual)
+            and self.phi_ok(actual, ()) != 0
         )
 
     def witness_iv(self, w_idx, w_vals, alt) -> dict[int, int]:
@@ -329,7 +325,7 @@ class _Query:
     def ac2a(self, w_idx, w_vals, alt) -> tuple[bool, bool]:
         """Returns (counterfactual holds, witness world passes normality)."""
         hypothetical = self._solve(self.witness_iv(w_idx, w_vals, alt))
-        if self.phi_ok(hypothetical):
+        if self.phi_ok(hypothetical, ()):
             return False, True
         if self.variant is not RuleVariant.EXTENDED:
             return True, True
@@ -347,11 +343,7 @@ class _Query:
         """
         base_iv = dict(zip(self.cause_idx, self.cause_vals))
         w_set = set(w_idx)
-        rest = [
-            i
-            for i in range(len(self.rt.endo_names))
-            if i not in w_set and i not in set(self.cause_idx)
-        ]
+        rest = [i for i in self.non_cause if i not in w_set]
         if self.variant is RuleVariant.ORIGINAL:
             w_subsets: Iterable[tuple[int, ...]] = (tuple(range(len(w_idx))),)
         else:
@@ -368,7 +360,7 @@ class _Query:
                     iv = dict(iv_w)
                     for i in reset:
                         iv[i] = self.actual[i]
-                    if not self.phi_ok(self._solve(iv)):
+                    if not self.phi_ok(self._solve(iv), ()):
                         return False
         return True
 
@@ -381,10 +373,8 @@ class _Query:
                 yield combo
 
     def contingency_candidates(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
-        cause_set = set(self.cause_idx)
-        rest = [i for i in range(len(self.rt.endo_names)) if i not in cause_set]
-        for size in range(len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
+        for size in range(len(self.non_cause) + 1):
+            for combo in itertools.combinations(self.non_cause, size):
                 ranges = [self.rt.endo_ranges[i] for i in combo]
                 for vals in itertools.product(*ranges):
                     yield combo, vals
@@ -565,7 +555,7 @@ def find_all_causes(
             f"max_conjuncts must be a positive integer, not {max_conjuncts}"
         )
     session = _Query(model, context, phi, variant, budget)
-    if not session.phi_ok(session.actual):
+    if not session.phi_ok(session.actual, ()):
         return []
     rt = session.rt
     excluded = formula_variables(phi)
@@ -608,7 +598,11 @@ def best_witnesses(
     witnesses, _, _ = query.search(find_all=True)
     if not witnesses:
         raise NoWitness("no witness satisfies the plain definition")
-    worlds = [witness_world(base, context, cause, w) for w in witnesses]
+    index = query.rt.endo_index
+    worlds = []
+    for w in witnesses:
+        iv = query.witness_iv([index[n] for n in w.vars], w.values, w.alt)
+        worlds.append(World(query.rt.endo_names, query._solve(iv)))
     best = []
     for w, s in zip(witnesses, worlds):
         if not any(order.strictly_more_normal(other, s) for other in worlds):

@@ -26,6 +26,7 @@ Query formulas use the same connectives plus intervention prefixes, as in
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -134,6 +135,15 @@ class _Parser:
         tok = self.peek()
         raise ParseError(tok.line, tok.column, message)
 
+    @contextmanager
+    def nesting_limit(self):
+        """Report input nested too deeply for the recursive descent as a
+        parse error at the token where the descent stopped."""
+        try:
+            yield
+        except RecursionError:
+            self.fail("input is nested too deeply")
+
     def accept_op(self, op: str) -> bool:
         tok = self.peek()
         if tok.kind == "op" and tok.value == op:
@@ -220,22 +230,23 @@ class _Parser:
 
     def _case(self) -> Expression:
         self.next()  # 'case'
+        return Case(*self.arms(self._disj))
+
+    def arms(self, value):
+        """`{ guard -> value; ...; default -> value }` as the guarded arms
+        and the default, each value read by `value`."""
         self.expect_op("{")
         arms = []
-        default = None
-        while True:
-            if self.accept_keyword("default"):
-                self.expect_op("->")
-                default = self._disj()
-                self.accept_op(";")
-                break
+        while not self.accept_keyword("default"):
             guard = self._disj()
             self.expect_op("->")
-            value = self._disj()
-            arms.append((guard, value))
+            arms.append((guard, value()))
             self.expect_op(";")
+        self.expect_op("->")
+        default = value()
+        self.accept_op(";")
         self.expect_op("}")
-        return Case(tuple(arms), default)
+        return tuple(arms), default
 
 
 # ---------------------------------------------------------------------------
@@ -291,24 +302,22 @@ def _build_order(
             raise EngineError(f"normality block names unknown context {decl.context!r}")
         return normality_from_respect(model, contexts[decl.context], decl.variables)
     rt = model._runtime()
-    lookup = {n: f"v[{i}]" for n, i in rt.endo_index.items()}
-    compiled = []
-    for guard, rank in decl.arms:
+    for guard, _ in decl.arms:
         for ref in guard.variables():
             if ref not in rt.endo_index:
                 raise EngineError(
                     f"world pattern mentions {ref!r}, which is not endogenous"
                 )
-        compiled.append((compile_expression(guard, lookup), rank))
+    table = Case(
+        tuple((guard, Const(rank)) for guard, rank in decl.arms), Const(decl.default)
+    )
+    ranks = compile_expression(table, rt.names)
     names = rt.endo_names
 
     def rank_of(world: World) -> int:
         if world.names != names:
             raise EngineError("world does not belong to this model")
-        for guard, rank in compiled:
-            if guard(world.values, ()) != 0:
-                return rank
-        return decl.default
+        return ranks(world.values, ())
 
     return NormalityOrder.from_ranks(rank_of)
 
@@ -351,7 +360,8 @@ def parse_model(text: str) -> ModelDocument:
             parser.expect_op(":")
             endogenous[var] = parse_range()
             parser.expect_op("=")
-            equations[var] = parser.expression()
+            with parser.nesting_limit():
+                equations[var] = parser.expression()
         elif parser.accept_keyword("context"):
             ctx_name = parser.expect_name("a context name")
             if ctx_name in contexts:
@@ -368,22 +378,8 @@ def parse_model(text: str) -> ModelDocument:
             if normality is not None:
                 parser.fail("only one normality block is allowed")
             if parser.accept_keyword("ranks"):
-                parser.expect_op("{")
-                arms = []
-                default = None
-                while True:
-                    if parser.accept_keyword("default"):
-                        parser.expect_op("->")
-                        default = parser.expect_int()
-                        parser.accept_op(";")
-                        break
-                    guard = parser.expression()
-                    parser.expect_op("->")
-                    rank = parser.expect_int()
-                    arms.append((guard, rank))
-                    parser.expect_op(";")
-                parser.expect_op("}")
-                normality = NormalityDecl("ranks", tuple(arms), default)
+                with parser.nesting_limit():
+                    normality = NormalityDecl("ranks", *parser.arms(parser.expect_int))
             elif parser.accept_keyword("respect_equations"):
                 parser.expect_op("(")
                 ctx_name = parser.expect_name("a context name")
@@ -462,7 +458,8 @@ def _parse_formula(parser: _Parser) -> fm.CausalFormula:
 def parse_formula(text: str, model: CausalModel | None = None) -> fm.CausalFormula:
     """Parse a query formula; validates against the model when given."""
     parser = _Parser(text)
-    out = _parse_formula(parser)
+    with parser.nesting_limit():
+        out = _parse_formula(parser)
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(tok.line, tok.column, f"trailing input {tok.value!r}")
@@ -475,19 +472,13 @@ def parse_cause(text: str, model: CausalModel | None = None) -> dict[str, int]:
     """Parse `A=1` or `A=1 & B=0` into a candidate-cause mapping."""
     parsed = parse_formula(text, model)
     out: dict[str, int] = {}
-
-    def walk(f):
-        if isinstance(f, fm.PrimitiveEvent):
-            if f.var in out:
-                raise EngineError(f"cause lists {f.var!r} twice")
-            out[f.var] = f.value
-        elif isinstance(f, fm.And):
-            walk(f.left)
-            walk(f.right)
-        else:
+    for node, _ in fm._walk(parsed):
+        if isinstance(node, fm.PrimitiveEvent):
+            if node.var in out:
+                raise EngineError(f"cause lists {node.var!r} twice")
+            out[node.var] = node.value
+        elif not isinstance(node, fm.And):
             raise EngineError("a cause is a conjunction of events like 'A=1 & B=0'")
-
-    walk(parsed)
     return out
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .errors import MalformedPhi, UnknownVariable, ValueOutOfRange
+from . import model as mx
+from .errors import EngineError, MalformedPhi, UnknownVariable, ValueOutOfRange
 from .model import CausalModel, context_values, solve_values
 
 __all__ = [
@@ -78,51 +79,56 @@ def events_conj(events: Iterable[tuple[str, int]]) -> CausalFormula:
     return out
 
 
+def _walk(formula: CausalFormula) -> Iterator[tuple[CausalFormula, Held | None]]:
+    """Every node in pre-order, left before right, with the intervention
+    prefix that encloses it (None outside any).  Iterative, so chains of any
+    length are walked; a node of unknown type is yielded as a leaf."""
+    stack: list[tuple[CausalFormula, Held | None]] = [(formula, None)]
+    while stack:
+        node, prefix = stack.pop()
+        yield node, prefix
+        if isinstance(node, Not):
+            stack.append((node.operand, prefix))
+        elif isinstance(node, (And, Or)):
+            stack += ((node.right, prefix), (node.left, prefix))
+        elif isinstance(node, Held):
+            stack.append((node.body, node))
+
+
 def formula_variables(formula: CausalFormula) -> frozenset[str]:
     """Endogenous variables mentioned anywhere in the formula."""
-    if isinstance(formula, PrimitiveEvent):
-        return frozenset((formula.var,))
-    if isinstance(formula, Not):
-        return formula_variables(formula.operand)
-    if isinstance(formula, (And, Or)):
-        return formula_variables(formula.left) | formula_variables(formula.right)
-    if isinstance(formula, Held):
-        names = frozenset(n for n, _ in formula.settings)
-        return names | formula_variables(formula.body)
-    raise MalformedPhi(f"unknown formula node {type(formula).__name__}")
+    names = set()
+    for node, _ in _walk(formula):
+        if isinstance(node, PrimitiveEvent):
+            names.add(node.var)
+        elif isinstance(node, Held):
+            names.update(n for n, _ in node.settings)
+        elif not isinstance(node, (Not, And, Or)):
+            raise MalformedPhi(f"unknown formula node {type(node).__name__}")
+    return frozenset(names)
 
 
 def is_intervention_free(formula: CausalFormula) -> bool:
-    if isinstance(formula, PrimitiveEvent):
-        return True
-    if isinstance(formula, Not):
-        return is_intervention_free(formula.operand)
-    if isinstance(formula, (And, Or)):
-        return is_intervention_free(formula.left) and is_intervention_free(formula.right)
-    return False
+    return all(
+        isinstance(node, (PrimitiveEvent, Not, And, Or)) for node, _ in _walk(formula)
+    )
 
 
 def validate_formula(model: CausalModel, formula: CausalFormula) -> None:
     """Check variable names, ranges, and the no-nested-prefix rule."""
     rt = model._runtime()
-
-    def check(f: CausalFormula, inside_prefix: bool) -> None:
-        if isinstance(f, PrimitiveEvent):
-            idx = rt.endo_index.get(f.var)
+    for node, prefix in _walk(formula):
+        if isinstance(node, PrimitiveEvent):
+            idx = rt.endo_index.get(node.var)
             if idx is None:
-                raise UnknownVariable(f.var, "events test endogenous variables only")
-            if f.value not in rt.endo_range_sets[idx]:
-                raise ValueOutOfRange(f.var, f.value)
-        elif isinstance(f, Not):
-            check(f.operand, inside_prefix)
-        elif isinstance(f, (And, Or)):
-            check(f.left, inside_prefix)
-            check(f.right, inside_prefix)
-        elif isinstance(f, Held):
-            if inside_prefix:
+                raise UnknownVariable(node.var, "events test endogenous variables only")
+            if node.value not in rt.endo_range_sets[idx]:
+                raise ValueOutOfRange(node.var, node.value)
+        elif isinstance(node, Held):
+            if prefix is not None:
                 raise MalformedPhi("intervention prefixes do not nest")
             seen = set()
-            for name, value in f.settings:
+            for name, value in node.settings:
                 idx = rt.endo_index.get(name)
                 if idx is None:
                     raise UnknownVariable(name, "interventions target endogenous variables")
@@ -131,35 +137,33 @@ def validate_formula(model: CausalModel, formula: CausalFormula) -> None:
                 if name in seen:
                     raise MalformedPhi(f"variable {name!r} intervened twice")
                 seen.add(name)
-            check(f.body, True)
+        elif not isinstance(node, (Not, And, Or)):
+            raise MalformedPhi(f"unknown formula node {type(node).__name__}")
+
+
+def compile_event_formula(model: CausalModel, formula: CausalFormula):
+    """Compile an intervention-free formula into a function of `(v, u)`
+    that returns 1 when it holds in the world with value tuple `v`, else 0.
+
+    The expression is built bottom-up: the walk reversed meets every node
+    after its operands.  A chain of one connective becomes one n-ary node,
+    so the code generated for a long conjunction is flat.
+    """
+    built: list[mx.Expression] = []
+    for node, _ in reversed(list(_walk(formula))):
+        if isinstance(node, PrimitiveEvent):
+            built.append(mx.Cmp("=", mx.Var(node.var), mx.Const(node.value)))
+        elif isinstance(node, Not):
+            built.append(mx.Not(built.pop()))
+        elif isinstance(node, (And, Or)):
+            kind = mx.And if isinstance(node, And) else mx.Or
+            items: tuple[mx.Expression, ...] = ()
+            for part in (built.pop(), built.pop()):  # the left operand, then the right
+                items += part.items if type(part) is kind else (part,)
+            built.append(kind(items))
         else:
-            raise MalformedPhi(f"unknown formula node {type(f).__name__}")
-
-    check(formula, False)
-
-
-def compile_event_formula(
-    model: CausalModel, formula: CausalFormula
-) -> Callable[[tuple[int, ...]], bool]:
-    """Turn an intervention-free formula into a predicate on value tuples."""
-    rt = model._runtime()
-
-    def build(f: CausalFormula) -> Callable[[tuple[int, ...]], bool]:
-        if isinstance(f, PrimitiveEvent):
-            i, x = rt.endo_index[f.var], f.value
-            return lambda w: w[i] == x
-        if isinstance(f, Not):
-            g = build(f.operand)
-            return lambda w: not g(w)
-        if isinstance(f, And):
-            a, b = build(f.left), build(f.right)
-            return lambda w: a(w) and b(w)
-        if isinstance(f, Or):
-            a, b = build(f.left), build(f.right)
-            return lambda w: a(w) or b(w)
-        raise MalformedPhi("formula is not intervention-free")
-
-    return build(formula)
+            raise MalformedPhi("the effect formula must not contain interventions")
+    return mx.compile_expression(built.pop(), model._runtime().names)
 
 
 def _eval_checked(
@@ -189,7 +193,10 @@ def _eval_checked(
             return ev(f.body, f.settings)
         raise MalformedPhi(f"unknown formula node {type(f).__name__}")
 
-    return ev(formula, ())
+    try:
+        return ev(formula, ())
+    except RecursionError:
+        raise EngineError("formula is nested too deeply to evaluate") from None
 
 
 def eval_formula(

@@ -198,8 +198,12 @@ def _gen_code(expr: Expression, names: Mapping[str, str]) -> str:
 
 def compile_expression(expr: Expression, names: Mapping[str, str]):
     """Compile an expression into a function of `(v, u)`, the endogenous
-    value list and the exogenous tuple that `names` looks up into."""
-    return eval(f"lambda v, u: {_gen_code(expr, names)}", {"__builtins__": {}})
+    value list and the exogenous tuple that `names` looks up into.
+    Nesting deeper than Python can compile is an `EngineError`."""
+    try:
+        return eval(f"lambda v, u: {_gen_code(expr, names)}", {"__builtins__": {}})
+    except (SyntaxError, RecursionError):
+        raise EngineError("expression is nested too deeply to compile") from None
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ class _Runtime:
     __slots__ = (
         "exo_names", "exo_index", "exo_ranges",
         "endo_names", "endo_index", "endo_ranges", "endo_range_sets",
-        "order", "fns",
+        "order", "names", "fns",
     )
 
     def __init__(self, model: "CausalModel"):
@@ -285,10 +289,11 @@ class _Runtime:
         order_names = check_recursive(model)
         self.order = tuple(self.endo_index[n] for n in order_names)
 
-        lookup = {n: f"u[{i}]" for n, i in self.exo_index.items()}
-        lookup.update({n: f"v[{i}]" for n, i in self.endo_index.items()})
+        # variable name -> its lookup in the code `compile_expression` makes
+        self.names = {n: f"u[{i}]" for n, i in self.exo_index.items()}
+        self.names.update({n: f"v[{i}]" for n, i in self.endo_index.items()})
         eqs = dict(model.equations)
-        self.fns = [compile_expression(eqs[name], lookup) for name in self.endo_names]
+        self.fns = [compile_expression(eqs[name], self.names) for name in self.endo_names]
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,14 @@ def test_every_solve_is_charged_to_the_budget(doc, monkeypatch):
     assert verdict.failure_reason == "AC3"
     assert calls[0] == budget.used
 
+    # witness grading solves each witness world once more, on the same budget
+    bogus = doc("bogus_prevention")
+    calls[0] = 0
+    budget = SearchBudget()
+    best = best_witnesses(bogus.extended(), bogus.context("u"), {"B": 1},
+                          PrimitiveEvent("VS", 1), budget)
+    assert best and calls[0] == budget.used
+
 
 def test_witness_must_not_overlap_cause(hopkins):
     from actualcause.errors import EngineError

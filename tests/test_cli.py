@@ -144,6 +144,16 @@ def test_engine_error_is_2(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_over_deep_equation_is_an_engine_error(capsys, tmp_path):
+    arms = " ".join(f"U = {i} -> 1;" for i in range(250))
+    path = tmp_path / "deep.cm"
+    path.write_text("model deep\nexogenous U: {0,1}\n"
+                    f"endogenous A: {{0,1}} = case {{ {arms} default -> 0 }}\n"
+                    "context u { U = 1 }\n")
+    code, out, err = run(capsys, "solve", "-m", str(path), "-c", "u")
+    assert code == 2 and "nested too deeply" in err and out == ""
+
+
 _CAUSE = ("cause", "-m", HOPKINS, "-c", "u", "--cause", "A=1", "--effect", "D=1")
 _CAUSES = ("causes", "-m", HOPKINS, "-c", "u", "--effect", "D=1")
 _KILL = ("kill-witnesses", "-m", HOPKINS, "-c", "u", "--cause", "A=1", "--effect", "D=1")

@@ -18,7 +18,7 @@ from actualcause.errors import (
     ParseError,
     UnknownVariable,
 )
-from actualcause.formula import And, Held, Not, PrimitiveEvent
+from actualcause.formula import And, Held, Not, PrimitiveEvent, formula_variables
 from actualcause.model import solve
 
 
@@ -179,3 +179,17 @@ context u { U = -1 }
 """
     doc = parse_model(source)
     assert solve(doc.model, doc.context("u"))["L"] == 1
+
+
+def test_over_deep_nesting_is_a_parse_error(rt_naive):
+    with pytest.raises(ParseError, match=r"^1:\d+: input is nested too deeply"):
+        parse_formula("!(" * 200 + "BS=1" + ")" * 200, rt_naive.model)
+    header = "model deep\nexogenous U: {0,1}\nendogenous A: {0,1} = "
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_model(header + "(" * 200 + "U" + ")" * 200 + "\n")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_model(header + "U\nnormality ranks { " + "(" * 200 + "A = 1" + ")" * 200
+                    + " -> 1; default -> 0 }\n")
+    # a long chain is not deep: it parses and validates
+    chain = parse_formula(" & ".join(["BS=1"] * 1000), rt_naive.model)
+    assert formula_variables(chain) == {"BS"}

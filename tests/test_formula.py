@@ -4,21 +4,25 @@ import random
 
 import pytest
 
-from actualcause.errors import MalformedPhi, UnknownVariable, ValueOutOfRange
+from actualcause.causality import is_actual_cause
+from actualcause.corpus import model_names
+from actualcause.errors import EngineError, MalformedPhi, UnknownVariable, ValueOutOfRange
 from actualcause.formula import (
     And,
     Held,
     Not,
     Or,
     PrimitiveEvent,
+    compile_event_formula,
     eval_formula,
     events_conj,
     valid_in_model,
     validate_formula,
 )
+from actualcause.dsl import parse_formula
 from actualcause.model import Var, make_model
 from actualcause.transforms import random_causal_formula, random_event_formula
-from oracle import naive_formula_holds
+from oracle import event_holds, naive_formula_holds
 
 
 def test_hopkins_counterfactual(hopkins):
@@ -126,3 +130,44 @@ def test_validation_rejects_bad_formulas(hopkins):
         )
     with pytest.raises(MalformedPhi):
         validate_formula(model, Held((("A", 1), ("A", 0)), PrimitiveEvent("D", 1)))
+
+
+def test_compiled_effect_matches_reference(doc):
+    """The compiled effect is 1 exactly where the oracle says it holds, on
+    every world of each corpus model with at most six endogenous variables."""
+    rng = random.Random(23)
+    checked = 0
+    for name in model_names():
+        model = doc(name).model
+        if len(model.endogenous_names) > 6:
+            continue
+        formulas = [random_event_formula(rng, model) for _ in range(12)]
+        compiled = [compile_event_formula(model, f) for f in formulas]
+        for world in model.worlds():
+            for f, holds in zip(formulas, compiled):
+                assert holds(world.values, ()) == int(event_holds(world, f))
+        checked += 1
+    assert checked >= 10
+
+
+def test_long_and_deep_effects(rt_naive):
+    model = rt_naive.model
+    # a chain of one connective compiles flat, however long
+    chain = parse_formula(" & ".join(["BS=1"] * 300), model)
+    assert is_actual_cause(model, {"U": 1}, {"ST": 1}, chain).is_cause
+
+    deep = PrimitiveEvent("BS", 1)
+    for level in range(150):
+        deep = Not(deep) if level % 2 else And(deep, PrimitiveEvent("ST", 1))
+    holds = compile_event_formula(model, deep)
+    for world in model.worlds():
+        assert holds(world.values, ()) == int(event_holds(world, deep))
+
+    too_deep = PrimitiveEvent("BS", 1)
+    for _ in range(5000):
+        too_deep = Not(too_deep)
+    validate_formula(model, too_deep)
+    with pytest.raises(EngineError, match="nested too deeply"):
+        compile_event_formula(model, too_deep)
+    with pytest.raises(EngineError, match="nested too deeply"):
+        eval_formula(model, {"U": 1}, too_deep)
