@@ -262,7 +262,8 @@ class _Query:
     actual world, charging that solve to the budget.  `bind` gives the
     session a candidate cause; a bound query shares the session's budget,
     actual world and AC2 memo, so AC3 sub-searches and the candidates of
-    `find_all_causes` repeat none of that work.
+    `find_all_causes` repeat none of that work; it keeps the restore
+    outcomes of its own cause (see `ac2b`).
     """
 
     def __init__(self, model, context, phi, variant, budget):
@@ -278,6 +279,10 @@ class _Query:
         self.rt = self.base._runtime()
         self.exo = context_values(self.base, context)
         self.actual = self._solve(None)
+        # the variables that can change the effect: its own and their ancestors
+        self.phi_anc = 0
+        for name in formula_variables(phi):
+            self.phi_anc |= self.rt.anc[self.rt.endo_index[name]]
         # only the extended variant compares witness worlds with this one
         self.actual_world = (
             World(self.rt.endo_names, self.actual)
@@ -295,6 +300,7 @@ class _Query:
         bound.phi_ok, bound.budget, bound.rt = self.phi_ok, self.budget, self.rt
         bound.exo, bound.actual = self.exo, self.actual
         bound.actual_world, bound.memo = self.actual_world, self.memo
+        bound.phi_anc = self.phi_anc
         bound.cause = _normalize_cause(self.base, cause)
         bound.cause_idx = tuple([self.rt.endo_index[n] for n, _ in bound.cause])
         bound.cause_vals = tuple([v for _, v in bound.cause])
@@ -302,6 +308,16 @@ class _Query:
         bound.non_cause = tuple(
             [i for i in range(len(self.rt.endo_names)) if i not in cause_set]
         )
+        # AC2(b) state: the effect's ancestors outside X, the descendants of
+        # the conjuncts X = x moves off their actual values, and the effect's
+        # outcome per restore intervention
+        bound.resettable = self.phi_anc
+        bound.x_moved_desc = 0
+        for i, value in zip(bound.cause_idx, bound.cause_vals):
+            bound.resettable &= ~(1 << i)
+            if value != self.actual[i]:
+                bound.x_moved_desc |= self.rt.desc[i]
+        bound.restore_memo = {}
         return bound
 
     def _solve(self, interventions) -> tuple[int, ...]:
@@ -335,15 +351,32 @@ class _Query:
         return True, ok
 
     def ac2b(self, w_idx, w_vals) -> bool:
-        """Restore condition at the actual cause values.
+        """Restore condition with the cause at its stated values x.
 
-        UPDATED/EXTENDED range over every subset of the contingency set;
-        ORIGINAL fixes it whole.  Both range over every subset of the
-        remaining variables reset to their actual values.
+        UPDATED/EXTENDED range over every subset W' of the contingency set
+        W; ORIGINAL fixes it whole.  Under X = x and W' = w', φ must hold
+        whatever subset of the variables outside W ∪ X is reset to its
+        actual values.  Only reset sets that can change φ are tried, drawn
+        from desc(M) ∩ anc(φ) outside W ∪ X, where M holds the variables of
+        W' and X forced to a value other than their actual one:
+
+        - a variable outside desc(M) keeps its actual value in every
+          restore world, so resetting it is a no-op: if it is forced, it is
+          forced to its actual value; if not, its parents lie outside
+          desc(M) too and, by induction along the dependency order, keep
+          their actual values;
+        - a variable outside anc(φ) cannot change the variables of φ, so
+          it cannot change φ.
+
+        When M is empty the restore world is the actual world and no solve
+        is made.  φ's outcome is memoized on the bound query per restore
+        intervention (the W' items and the reset set), so repeated calls
+        across alternate values x' and contingencies sharing a W' reuse it.
         """
-        base_iv = dict(zip(self.cause_idx, self.cause_vals))
-        w_set = set(w_idx)
-        rest = [i for i in self.non_cause if i not in w_set]
+        actual, desc, outcomes = self.actual, self.rt.desc, self.restore_memo
+        resettable = self.resettable
+        for i in w_idx:
+            resettable &= ~(1 << i)
         if self.variant is RuleVariant.ORIGINAL:
             w_subsets: Iterable[tuple[int, ...]] = (tuple(range(len(w_idx))),)
         else:
@@ -352,15 +385,28 @@ class _Query:
                 for k in range(len(w_idx) + 1)
             )
         for chosen in w_subsets:
-            iv_w = dict(base_iv)
-            for pos in chosen:
-                iv_w[w_idx[pos]] = w_vals[pos]
-            for k in range(len(rest) + 1):
-                for reset in itertools.combinations(rest, k):
-                    iv = dict(iv_w)
-                    for i in reset:
-                        iv[i] = self.actual[i]
-                    if not self.phi_ok(self._solve(iv), ()):
+            items = tuple([(w_idx[pos], w_vals[pos]) for pos in chosen])
+            moved = self.x_moved_desc
+            for i, value in items:
+                if value != actual[i]:
+                    moved |= desc[i]
+            if not moved:
+                if not self.phi_ok(actual, ()):
+                    return False
+                continue
+            pool_mask = moved & resettable
+            pool = [i for i in range(pool_mask.bit_length()) if pool_mask >> i & 1]
+            for k in range(len(pool) + 1):
+                for reset in itertools.combinations(pool, k):
+                    key = (items, reset)
+                    ok = outcomes.get(key)
+                    if ok is None:
+                        iv = dict(zip(self.cause_idx, self.cause_vals))
+                        iv.update(items)
+                        for i in reset:
+                            iv[i] = actual[i]
+                        ok = outcomes[key] = self.phi_ok(self._solve(iv), ()) != 0
+                    if not ok:
                         return False
         return True
 

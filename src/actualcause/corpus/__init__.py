@@ -3,8 +3,8 @@
 Every case names a model file, a declared context, a query and the verdict
 the engine must reproduce.  Cases marked heavy are skipped by default: the
 full-size plurality model is far beyond exhaustive search, so its case
-checks one stated witness instead of searching, and even that takes a
-while.
+checks one stated witness instead of searching, a check of a few hundred
+solves.
 """
 
 from __future__ import annotations

@@ -588,11 +588,13 @@ def print_formula(formula: fm.CausalFormula) -> str:
             if isinstance(f.operand, fm.Held):
                 return f"!{go(f.operand)[0]}", 3
             return f"!({go(f.operand)[0]})", 3
-        if isinstance(f, fm.And):
-            # parsing is left-associative, so right-nested chains keep parens
-            return f"{wrap(f.left, 2)} & {wrap(f.right, 3)}", 2
-        if isinstance(f, fm.Or):
-            return f"{wrap(f.left, 1)} | {wrap(f.right, 2)}", 1
+        if isinstance(f, (fm.And, fm.Or)):
+            # parsing is left-associative: a chain of one connective prints
+            # flat, and right-nested operands keep parens
+            op, level = (" & ", 2) if isinstance(f, fm.And) else (" | ", 1)
+            first, *rest = fm._chain_operands(f)
+            parts = [wrap(first, level)] + [wrap(g, level + 1) for g in rest]
+            return op.join(parts), level
         if isinstance(f, fm.Held):
             body, _ = go(f.body)
             settings = ", ".join(f"{n} <- {v}" for n, v in f.settings)

@@ -95,6 +95,19 @@ def _walk(formula: CausalFormula) -> Iterator[tuple[CausalFormula, Held | None]]
             stack.append((node.body, node))
 
 
+def _chain_operands(formula: And | Or) -> list[CausalFormula]:
+    """The operands, left to right, of a chain of one connective nested to
+    the left, as the parser builds `a & b & c`; found by a loop, so chains
+    of any length are taken apart."""
+    kind, operands = type(formula), []
+    while isinstance(formula, kind):
+        operands.append(formula.right)
+        formula = formula.left
+    operands.append(formula)
+    operands.reverse()
+    return operands
+
+
 def formula_variables(formula: CausalFormula) -> frozenset[str]:
     """Endogenous variables mentioned anywhere in the formula."""
     names = set()
@@ -170,27 +183,40 @@ def _eval_checked(
     model: CausalModel, exo: tuple[int, ...], formula: CausalFormula
 ) -> bool:
     rt = model._runtime()
+    index = rt.endo_index
+    # intervention as sorted (index, value) pairs -> the world it yields
     worlds: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
 
-    def world_under(settings: tuple[tuple[str, int], ...]) -> tuple[int, ...]:
-        iv = tuple(sorted((rt.endo_index[n], x) for n, x in settings))
+    def world_under(iv: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
         found = worlds.get(iv)
         if found is None:
             found = solve_values(model, exo, dict(iv) if iv else None)
             worlds[iv] = found
         return found
 
-    def ev(f: CausalFormula, settings: tuple[tuple[str, int], ...]) -> bool:
+    def ev(f: CausalFormula, iv: tuple[tuple[int, int], ...]) -> bool:
         if isinstance(f, PrimitiveEvent):
-            return world_under(settings)[rt.endo_index[f.var]] == f.value
+            return world_under(iv)[index[f.var]] == f.value
         if isinstance(f, Not):
-            return not ev(f.operand, settings)
+            return not ev(f.operand, iv)
+        # a chain of one connective is decided operand by operand from the
+        # left, with the short circuit of the nested form
         if isinstance(f, And):
-            return ev(f.left, settings) and ev(f.right, settings)
+            if not isinstance(f.left, And):
+                return ev(f.left, iv) and ev(f.right, iv)
+            for g in _chain_operands(f):
+                if not ev(g, iv):
+                    return False
+            return True
         if isinstance(f, Or):
-            return ev(f.left, settings) or ev(f.right, settings)
+            if not isinstance(f.left, Or):
+                return ev(f.left, iv) or ev(f.right, iv)
+            for g in _chain_operands(f):
+                if ev(g, iv):
+                    return True
+            return False
         if isinstance(f, Held):
-            return ev(f.body, f.settings)
+            return ev(f.body, tuple(sorted((index[n], x) for n, x in f.settings)))
         raise MalformedPhi(f"unknown formula node {type(f).__name__}")
 
     try:

@@ -273,7 +273,7 @@ class _Runtime:
     __slots__ = (
         "exo_names", "exo_index", "exo_ranges",
         "endo_names", "endo_index", "endo_ranges", "endo_range_sets",
-        "order", "names", "fns",
+        "order", "names", "fns", "anc", "desc",
     )
 
     def __init__(self, model: "CausalModel"):
@@ -286,7 +286,7 @@ class _Runtime:
         self.endo_range_sets = tuple(frozenset(r) for r in self.endo_ranges)
         self.endo_index = {n: i for i, n in enumerate(self.endo_names)}
 
-        order_names = check_recursive(model)
+        order_names, deps = _dependency_order(model)
         self.order = tuple(self.endo_index[n] for n in order_names)
 
         # variable name -> its lookup in the code `compile_expression` makes
@@ -294,6 +294,19 @@ class _Runtime:
         self.names.update({n: f"v[{i}]" for n, i in self.endo_index.items()})
         eqs = dict(model.equations)
         self.fns = [compile_expression(eqs[name], self.names) for name in self.endo_names]
+
+        # ancestor and descendant closures as bitmasks over endogenous
+        # indices, each variable counted in its own closures
+        parents = [[self.endo_index[d] for d in deps[name]] for name in self.endo_names]
+        anc = [1 << i for i in range(len(parents))]
+        desc = list(anc)
+        for i in self.order:
+            for p in parents[i]:
+                anc[i] |= anc[p]
+        for i in reversed(self.order):
+            for p in parents[i]:
+                desc[p] |= desc[i]
+        self.anc, self.desc = tuple(anc), tuple(desc)
 
 
 @dataclass(frozen=True)
@@ -402,6 +415,12 @@ def check_recursive(model: CausalModel) -> list[str]:
     broken by declaration order, so solve traces are reproducible.
     Raises `CyclicModel` with a concrete cycle when no order exists.
     """
+    return _dependency_order(model)[0]
+
+
+def _dependency_order(model: CausalModel) -> tuple[list[str], dict[str, list[str]]]:
+    """`check_recursive`'s order, and the endogenous variables each
+    equation mentions."""
     endo_names = [n for n, _ in model.signature.endogenous]
     index = {n: i for i, n in enumerate(endo_names)}
     eqs = dict(model.equations)
@@ -445,7 +464,7 @@ def check_recursive(model: CausalModel) -> list[str]:
                 raise CyclicModel(sorted(cycle, key=index.__getitem__))
             trail.append(nxt)
             seen.add(nxt)
-    return order
+    return order, deps
 
 
 def context_values(model: CausalModel, context: Mapping[str, int]) -> tuple[int, ...]:

@@ -96,15 +96,13 @@ def naive_formula_holds(model, context, phi):
     raise TypeError(type(phi).__name__)
 
 
-def _ac2_holds(model, context, cause, phi, contingency, w_values, alt, original):
+def naive_restore_holds(model, context, cause, phi, contingency, w_values, original):
+    """The restore clause read literally: with the cause at its stated values,
+    the off-path set (all of it under the original rules, any part of it
+    otherwise) re-imposed, and any set of the remaining variables reset to
+    its actual values, the effect holds."""
     actual = naive_solve(model, context)
-    flip = dict(zip(contingency, w_values))
-    flip.update(zip(cause.keys(), alt))
-    if event_holds(naive_solve(model, context, flip), phi):
-        return False
-    # restore clause: the off-path set partially re-imposed, everything on
-    # the path available for resetting to its actual value
-    z_vars = [n for n in model.endogenous_names if n not in contingency]
+    z_vars = [n for n in model.endogenous_names if n not in contingency and n not in cause]
     w_choices = (
         [tuple(contingency)]
         if original
@@ -123,6 +121,19 @@ def _ac2_holds(model, context, cause, phi, contingency, w_values, alt, original)
                 if not event_holds(naive_solve(model, context, iv), phi):
                     return False
     return True
+
+
+def naive_witness_world(model, context, cause, contingency, w_values, alt):
+    """The world with the contingency and the alternate cause values imposed."""
+    flip = dict(zip(contingency, w_values))
+    flip.update(zip(cause.keys(), alt))
+    return naive_solve(model, context, flip)
+
+
+def _ac2_holds(model, context, cause, phi, contingency, w_values, alt, original):
+    if event_holds(naive_witness_world(model, context, cause, contingency, w_values, alt), phi):
+        return False
+    return naive_restore_holds(model, context, cause, phi, contingency, w_values, original)
 
 
 def naive_witnesses(model, context, cause, phi, original):
@@ -200,6 +211,79 @@ def random_binary_model(rng: random.Random, max_endogenous=5, max_exogenous=2):
         allowed = list(exogenous) + names[:i]
         equations[name] = random_boolean_expression(rng, allowed, depth=3)
     return md.make_model(exogenous, {n: (0, 1) for n in names}, equations)
+
+
+def _random_guard(rng: random.Random, parents, ranges, depth):
+    """A 0/1-valued test on parent values: comparisons with constants or
+    with a sum of two parents, under boolean connectives."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.5:
+        op = rng.choice(("=", "!=", "<", "<=", ">", ">="))
+        if len(parents) > 1 and rng.random() < 0.25:
+            a, b = rng.sample(parents, 2)
+            low = min(ranges[a]) + min(ranges[b])
+            high = max(ranges[a]) + max(ranges[b])
+            return md.Cmp(op, md.Sum((md.Var(a), md.Var(b))), md.Const(rng.randint(low, high)))
+        var = rng.choice(parents)
+        return md.Cmp(op, md.Var(var), md.Const(rng.choice(ranges[var])))
+    if roll < 0.65:
+        return md.Not(_random_guard(rng, parents, ranges, depth - 1))
+    kind = md.And if roll < 0.85 else md.Or
+    return kind((
+        _random_guard(rng, parents, ranges, depth - 1),
+        _random_guard(rng, parents, ranges, depth - 1),
+    ))
+
+
+def random_multivalued_model(rng: random.Random, max_endogenous=4, max_exogenous=2):
+    """A random model whose variables range over two or three integers.
+
+    Each equation is a first-match `case` whose arms yield constants of the
+    variable's range or the value of a parent with a range inside it, so
+    every equation stays in range under every intervention.
+    """
+    choices = ((0, 1), (0, 1, 2), (-1, 0, 1), (1, 2))
+    n_endo = rng.randint(2, max_endogenous)
+    n_exo = rng.randint(1, max_exogenous)
+    ranges = {f"U{i}": rng.choice(choices) for i in range(1, n_exo + 1)}
+    exogenous = dict(ranges)
+    names = [f"V{i}" for i in range(1, n_endo + 1)]
+    endogenous, equations = {}, {}
+    for name in names:
+        own = rng.choice(choices)
+        parents = list(ranges)
+        copyable = [p for p in parents if set(ranges[p]) <= set(own)]
+
+        def value():
+            if copyable and rng.random() < 0.4:
+                return md.Var(rng.choice(copyable))
+            return md.Const(rng.choice(own))
+
+        arms = tuple(
+            (_random_guard(rng, parents, ranges, 2), value())
+            for _ in range(rng.randint(1, 2))
+        )
+        equations[name] = md.Case(arms=arms, default=value())
+        endogenous[name] = own
+        ranges[name] = own
+    return md.make_model(exogenous, endogenous, equations)
+
+
+def random_effect(rng: random.Random, model, names, depth=2):
+    """A random boolean combination of events over the given variables,
+    agreements `a <-> b` of two events among them."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.4:
+        var = rng.choice(names)
+        return fm.PrimitiveEvent(var, rng.choice(model.range_of(var)))
+    if roll < 0.5:
+        a, b = (random_effect(rng, model, names, 0) for _ in range(2))
+        return fm.Or(fm.And(a, b), fm.And(fm.Not(a), fm.Not(b)))
+    if roll < 0.6:
+        return fm.Not(random_effect(rng, model, names, depth - 1))
+    kind = fm.And if roll < 0.8 else fm.Or
+    return kind(random_effect(rng, model, names, depth - 1),
+                random_effect(rng, model, names, depth - 1))
 
 
 def random_context(rng: random.Random, model):

@@ -30,7 +30,16 @@ from actualcause.errors import (
 from actualcause.formula import And, Held, Or, PrimitiveEvent
 from actualcause.model import Var, World, make_model, solve
 from actualcause.transforms import build_stability_model
-from oracle import naive_is_cause, naive_witnesses, random_binary_model, random_context
+from oracle import (
+    naive_is_cause,
+    naive_restore_holds,
+    naive_witness_world,
+    naive_witnesses,
+    random_binary_model,
+    random_context,
+    random_effect,
+    random_multivalued_model,
+)
 
 BS1 = PrimitiveEvent("BS", 1)
 D1 = PrimitiveEvent("D", 1)
@@ -484,3 +493,100 @@ def test_updated_witnesses_pass_original_restore_clause(doc):
                 # singleton causes carry over wholesale
                 if is_actual_cause(model, ctx, cause, phi, "updated").is_cause:
                     assert is_actual_cause(model, ctx, cause, phi, "original").is_cause
+
+
+# -- AC2(b) pruning and memo against the reference ----------------------------
+#
+# The restore check only tries reset sets among the descendants of what the
+# restore intervention moves and the ancestors of the effect; these models
+# have multi-valued ranges, so values move in more than one direction.
+
+def _random_case(rng):
+    """A random multi-valued model, context and effect over its last two
+    variables, with the actual world."""
+    model = random_multivalued_model(rng)
+    ctx = random_context(rng, model)
+    world = solve(model, ctx)
+    phi = random_effect(rng, model, model.endogenous_names[-2:])
+    return model, ctx, world, phi
+
+
+def _triples(witnesses):
+    return [(w.vars, w.values, w.alt) for w in witnesses]
+
+
+def test_multivalued_witnesses_match_reference():
+    rng = random.Random(4041)
+    for _ in range(40):
+        model, ctx, world, phi = _random_case(rng)
+        names = model.endogenous_names
+        causes = [{n: world[n]} for n in names[:-1]]
+        if len(names) > 2:
+            pair = rng.sample(names[:-1], 2)
+            causes.append({n: world[n] for n in names if n in pair})
+        for cause in causes:
+            for variant, original in (("original", True), ("updated", False)):
+                mine = _triples(find_witnesses(model, ctx, cause, phi, variant))
+                assert mine == naive_witnesses(model, ctx, cause, phi, original), (
+                    model, ctx, cause, phi, variant)
+
+
+def test_extended_witnesses_match_filtered_reference():
+    rng = random.Random(4042)
+    for _ in range(30):
+        model, ctx, world, phi = _random_case(rng)
+        names = model.endogenous_names
+        ranks = {w: rng.randint(0, 2) for w in model.worlds()}
+        extended = ExtendedCausalModel(model, NormalityOrder.from_ranks(ranks))
+        actual_rank = ranks[world]
+        # the last cause is not at its actual value: X = x moves the world
+        moved = rng.choice(names[:-1])
+        causes = [{n: world[n]} for n in names[:-1]]
+        causes.append({moved: rng.choice([v for v in model.range_of(moved)
+                                          if v != world[moved]])})
+        for cause in causes:
+            want = []
+            for contingency, w_values, alt in naive_witnesses(model, ctx, cause, phi, False):
+                flipped = naive_witness_world(model, ctx, cause, contingency, w_values, alt)
+                if ranks[World(names, tuple(flipped[n] for n in names))] <= actual_rank:
+                    want.append((contingency, w_values, alt))
+            mine = _triples(find_witnesses(extended, ctx, cause, phi, "extended"))
+            assert mine == want, (model, ctx, cause, phi)
+
+
+def test_restore_check_of_a_moved_cause_matches_literal_check():
+    # a cause whose stated values are not the actual ones moves its own
+    # descendants, so resets among them must be tried even with W' empty
+    rng = random.Random(4043)
+    checked = 0
+    for _ in range(60):
+        model, ctx, world, phi = _random_case(rng)
+        names = model.endogenous_names
+        picked = rng.sample(names[:-1], min(2, len(names) - 1))
+        # in declaration order, the order of the witness's alternate values
+        cause = {n: rng.choice(model.range_of(n)) for n in names if n in picked}
+        if all(cause[n] == world[n] for n in cause):
+            continue
+        others = [n for n in names if n not in cause]
+        for size in range(min(2, len(others)) + 1):
+            for contingency in itertools.combinations(others, size):
+                w_values = tuple(rng.choice(model.range_of(n)) for n in contingency)
+                witness = Witness(contingency, w_values, tuple(world[n] for n in cause))
+                for variant, original in (("original", True), ("updated", False)):
+                    got = check_ac2b(model, ctx, cause, phi, witness, variant)
+                    want = naive_restore_holds(model, ctx, cause, phi, contingency,
+                                               w_values, original)
+                    assert got == want, (model, ctx, cause, phi, witness, variant)
+                    checked += 1
+    assert checked > 200
+
+
+def test_certifying_the_stated_plurality_witness_is_cheap(doc, monkeypatch):
+    # only the moved voters' descendants can undo the outcome, so the
+    # restore check is 2^8 subsets of the contingency, not 2^19 reset sets
+    calls = _count_solves(monkeypatch)
+    plurality = doc("livengood_17_2_0")
+    witness = Witness(tuple(f"V{i}" for i in range(1, 9)), (2,) * 8, (2,))
+    assert check_ac2b(plurality.model, plurality.context("u"), {"V18": 1},
+                      PrimitiveEvent("O", 0), witness)
+    assert calls[0] <= 1024

@@ -154,6 +154,23 @@ def test_over_deep_equation_is_an_engine_error(capsys, tmp_path):
     assert code == 2 and "nested too deeply" in err and out == ""
 
 
+def test_eval_decides_a_long_chain(capsys):
+    # a chain of one connective is walked, not recursed into, operand by operand
+    conjunction = " & ".join(["BS=1"] * 1000)
+    code, out, _ = run(capsys, "eval", "-m", RT, "-c", "u1", "-f", conjunction)
+    assert code == 0 and out.strip() == "true"
+    code, out, _ = run(capsys, "eval", "-m", RT, "-c", "u1",
+                       "-f", conjunction + " & BH=1")
+    assert code == 1 and out.strip() == "false"
+    # true by its last operand only; false once Suzy does not throw
+    disjunction = " | ".join(["BS=0"] * 999 + ["SH=1"])
+    code, out, _ = run(capsys, "eval", "-m", RT, "-c", "u1", "-f", disjunction)
+    assert code == 0 and out.strip() == "true"
+    code, out, _ = run(capsys, "eval", "-m", RT, "-c", "u1",
+                       "-f", f"[ST<-0]({disjunction})")
+    assert code == 1 and out.strip() == "false"
+
+
 _CAUSE = ("cause", "-m", HOPKINS, "-c", "u", "--cause", "A=1", "--effect", "D=1")
 _CAUSES = ("causes", "-m", HOPKINS, "-c", "u", "--effect", "D=1")
 _KILL = ("kill-witnesses", "-m", HOPKINS, "-c", "u", "--cause", "A=1", "--effect", "D=1")

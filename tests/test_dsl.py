@@ -134,6 +134,24 @@ def test_formula_print_round_trip(hopkins):
         assert parse_formula(printed, hopkins.model) == formula, printed
 
 
+def test_long_chain_print_round_trip(rt_naive):
+    for op in (" & ", " | "):
+        chain = parse_formula(op.join(["BS=1", "ST=0"] * 500), rt_naive.model)
+        printed = print_formula(chain)
+        assert printed == op.join(["BS = 1", "ST = 0"] * 500)
+        # dataclass equality recurses, so compare the left spines
+        assert _left_spine(parse_formula(printed, rt_naive.model)) == _left_spine(chain)
+
+
+def _left_spine(formula):
+    """The operands of a left-nested chain of one connective, left to right."""
+    kind, operands = type(formula), []
+    while isinstance(formula, kind):
+        operands.append(formula.right)
+        formula = formula.left
+    return [kind, formula] + operands[::-1]
+
+
 def test_cause_and_event_parsing(hopkins):
     assert parse_cause("A=1", hopkins.model) == {"A": 1}
     assert parse_cause("A=1 & B=0", hopkins.model) == {"A": 1, "B": 0}
