@@ -280,9 +280,10 @@ class _Query:
         self.exo = context_values(self.base, context)
         self.actual = self._solve(None)
         # the variables that can change the effect: its own and their ancestors
+        anc, self.desc = self.rt.closures()
         self.phi_anc = 0
         for name in formula_variables(phi):
-            self.phi_anc |= self.rt.anc[self.rt.endo_index[name]]
+            self.phi_anc |= anc[self.rt.endo_index[name]]
         # only the extended variant compares witness worlds with this one
         self.actual_world = (
             World(self.rt.endo_names, self.actual)
@@ -300,7 +301,7 @@ class _Query:
         bound.phi_ok, bound.budget, bound.rt = self.phi_ok, self.budget, self.rt
         bound.exo, bound.actual = self.exo, self.actual
         bound.actual_world, bound.memo = self.actual_world, self.memo
-        bound.phi_anc = self.phi_anc
+        bound.phi_anc, bound.desc = self.phi_anc, self.desc
         bound.cause = _normalize_cause(self.base, cause)
         bound.cause_idx = tuple([self.rt.endo_index[n] for n, _ in bound.cause])
         bound.cause_vals = tuple([v for _, v in bound.cause])
@@ -316,7 +317,7 @@ class _Query:
         for i, value in zip(bound.cause_idx, bound.cause_vals):
             bound.resettable &= ~(1 << i)
             if value != self.actual[i]:
-                bound.x_moved_desc |= self.rt.desc[i]
+                bound.x_moved_desc |= self.desc[i]
         bound.restore_memo = {}
         return bound
 
@@ -373,7 +374,7 @@ class _Query:
         intervention (the W' items and the reset set), so repeated calls
         across alternate values x' and contingencies sharing a W' reuse it.
         """
-        actual, desc, outcomes = self.actual, self.rt.desc, self.restore_memo
+        actual, desc, outcomes = self.actual, self.desc, self.restore_memo
         resettable = self.resettable
         for i in w_idx:
             resettable &= ~(1 << i)

@@ -202,15 +202,11 @@ def _eval_checked(
         # a chain of one connective is decided operand by operand from the
         # left, with the short circuit of the nested form
         if isinstance(f, And):
-            if not isinstance(f.left, And):
-                return ev(f.left, iv) and ev(f.right, iv)
             for g in _chain_operands(f):
                 if not ev(g, iv):
                     return False
             return True
         if isinstance(f, Or):
-            if not isinstance(f.left, Or):
-                return ev(f.left, iv) or ev(f.right, iv)
             for g in _chain_operands(f):
                 if ev(g, iv):
                     return True

@@ -273,7 +273,7 @@ class _Runtime:
     __slots__ = (
         "exo_names", "exo_index", "exo_ranges",
         "endo_names", "endo_index", "endo_ranges", "endo_range_sets",
-        "order", "names", "fns", "anc", "desc",
+        "order", "names", "fns", "deps", "_closures",
     )
 
     def __init__(self, model: "CausalModel"):
@@ -286,7 +286,8 @@ class _Runtime:
         self.endo_range_sets = tuple(frozenset(r) for r in self.endo_ranges)
         self.endo_index = {n: i for i, n in enumerate(self.endo_names)}
 
-        order_names, deps = _dependency_order(model)
+        # variable name -> the endogenous variables its equation mentions
+        order_names, self.deps = _dependency_order(model)
         self.order = tuple(self.endo_index[n] for n in order_names)
 
         # variable name -> its lookup in the code `compile_expression` makes
@@ -294,19 +295,24 @@ class _Runtime:
         self.names.update({n: f"v[{i}]" for n, i in self.endo_index.items()})
         eqs = dict(model.equations)
         self.fns = [compile_expression(eqs[name], self.names) for name in self.endo_names]
+        self._closures: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
-        # ancestor and descendant closures as bitmasks over endogenous
-        # indices, each variable counted in its own closures
-        parents = [[self.endo_index[d] for d in deps[name]] for name in self.endo_names]
-        anc = [1 << i for i in range(len(parents))]
-        desc = list(anc)
-        for i in self.order:
-            for p in parents[i]:
-                anc[i] |= anc[p]
-        for i in reversed(self.order):
-            for p in parents[i]:
-                desc[p] |= desc[i]
-        self.anc, self.desc = tuple(anc), tuple(desc)
+    def closures(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Ancestor and descendant closures as bitmasks over endogenous
+        indices, each variable counted in its own closures.  Built on first
+        use: only the cause search reads them."""
+        if self._closures is None:
+            parents = [[self.endo_index[d] for d in self.deps[n]] for n in self.endo_names]
+            anc = [1 << i for i in range(len(parents))]
+            desc = list(anc)
+            for i in self.order:
+                for p in parents[i]:
+                    anc[i] |= anc[p]
+            for i in reversed(self.order):
+                for p in parents[i]:
+                    desc[p] |= desc[i]
+            self._closures = (tuple(anc), tuple(desc))
+        return self._closures
 
 
 @dataclass(frozen=True)
