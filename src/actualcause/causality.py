@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -310,8 +311,9 @@ class _Query:
             [i for i in range(len(self.rt.endo_names)) if i not in cause_set]
         )
         # AC2(b) state: the effect's ancestors outside X, the descendants of
-        # the conjuncts X = x moves off their actual values, and the effect's
-        # outcome per restore intervention
+        # the conjuncts X = x moves off their actual values, the effect's
+        # outcome per restore intervention, and the failed restore
+        # interventions learned so far (see `search`)
         bound.resettable = self.phi_anc
         bound.x_moved_desc = 0
         for i, value in zip(bound.cause_idx, bound.cause_vals):
@@ -319,6 +321,7 @@ class _Query:
             if value != self.actual[i]:
                 bound.x_moved_desc |= self.desc[i]
         bound.restore_memo = {}
+        bound.nogoods = []
         return bound
 
     def _solve(self, interventions) -> tuple[int, ...]:
@@ -371,8 +374,10 @@ class _Query:
 
         When M is empty the restore world is the actual world and no solve
         is made.  φ's outcome is memoized on the bound query per restore
-        intervention (the W' items and the reset set), so repeated calls
-        across alternate values x' and contingencies sharing a W' reuse it.
+        intervention (the W' items and the reset set), so contingencies
+        sharing a W' reuse it.  Under UPDATED/EXTENDED the first failing
+        restore intervention (W' = w', reset set Z') is also kept as a
+        nogood; `search` skips every later contingency it refutes.
         """
         actual, desc, outcomes = self.actual, self.desc, self.restore_memo
         resettable = self.resettable
@@ -393,7 +398,7 @@ class _Query:
                     moved |= desc[i]
             if not moved:
                 if not self.phi_ok(actual, ()):
-                    return False
+                    return self._refuted(items, ())
                 continue
             pool_mask = moved & resettable
             pool = [i for i in range(pool_mask.bit_length()) if pool_mask >> i & 1]
@@ -408,23 +413,27 @@ class _Query:
                             iv[i] = actual[i]
                         ok = outcomes[key] = self.phi_ok(self._solve(iv), ()) != 0
                     if not ok:
-                        return False
+                        return self._refuted(items, reset)
         return True
+
+    def _refuted(self, items, reset) -> bool:
+        """Record a failed restore intervention as a nogood of bit masks of
+        its W' variables and reset set Z', with its W' items; return False.
+        ORIGINAL fixes W' = W, so its failures refute no other contingency."""
+        if self.variant is not RuleVariant.ORIGINAL:
+            w_mask = z_mask = 0
+            for i, _ in items:
+                w_mask |= 1 << i
+            for i in reset:
+                z_mask |= 1 << i
+            self.nogoods.append((w_mask, items, z_mask))
+        return False
 
     # -- enumeration ---------------------------------------------------------
 
-    def alt_tuples(self) -> Iterable[tuple[int, ...]]:
+    def alt_tuples(self) -> list[tuple[int, ...]]:
         ranges = [self.rt.endo_ranges[i] for i in self.cause_idx]
-        for combo in itertools.product(*ranges):
-            if combo != self.cause_vals:
-                yield combo
-
-    def contingency_candidates(self) -> Iterable[tuple[tuple[int, ...], tuple[int, ...]]]:
-        for size in range(len(self.non_cause) + 1):
-            for combo in itertools.combinations(self.non_cause, size):
-                ranges = [self.rt.endo_ranges[i] for i in combo]
-                for vals in itertools.product(*ranges):
-                    yield combo, vals
+        return [c for c in itertools.product(*ranges) if c != self.cause_vals]
 
     def search(self, find_all: bool) -> tuple[list[Witness], str, bool]:
         """Canonical witness scan.
@@ -432,33 +441,83 @@ class _Query:
         Returns the witnesses found, the deepest condition that failed when
         none was found, and whether the scan ran to completion (a budget
         exhausted after at least one hit truncates instead of failing).
+
+        The restore check does not depend on the alternate value x', so its
+        outcome is decided once per contingency (W, w), and a failure ends
+        that contingency's alternate values.  A contingency is skipped,
+        before any AC2(a) solve, when a nogood learned by `ac2b` refutes it:
+        a failed restore intervention W' = w' with reset set Z' such that
+        W' = w' is part of W = w and Z' misses W.  (W', Z') is then one of
+        the choices AC2(b) quantifies over for (W, w): W' ⊆ W, and Z' lies
+        outside W ∪ X, since it was drawn outside X.  It imposes the same
+        intervention, so φ fails again, `ac2b(W, w)` is False and no x' makes
+        a witness.  Nor can the skip change the deepest failing clause: a
+        nogood exists only after an AC2(b) failure, the deepest label there
+        is.  The nogoods that can apply to a contingency set W (W' variables
+        inside W, Z' outside it) are picked once per W; one with an empty
+        W' refutes the whole set.
         """
         witnesses: list[Witness] = []
         deepest = "AC2(a)"
-        names = self.rt.endo_names
+        names, ranges = self.rt.endo_names, self.rt.endo_ranges
+        learned, alts = self.nogoods, self.alt_tuples()
         try:
-            for w_idx, w_vals in self.contingency_candidates():
-                for alt in self.alt_tuples():
-                    flips, normal_ok = self.ac2a(w_idx, w_vals, alt)
-                    if not flips:
+            for size in range(len(self.non_cause) + 1):
+                for w_idx in itertools.combinations(self.non_cause, size):
+                    w_mask, pos = 0, {}
+                    for p, i in enumerate(w_idx):
+                        w_mask |= 1 << i
+                        pos[i] = p
+                    tests = _refuting(learned, w_mask, pos)
+                    if tests is None:
                         continue
-                    if not normal_ok:
-                        if deepest == "AC2(a)":
-                            deepest = "AC2(a+)"
-                        continue
-                    if self.ac2b(w_idx, w_vals):
-                        witnesses.append(
-                            Witness(tuple(names[i] for i in w_idx), w_vals, alt)
-                        )
-                        if not find_all:
-                            return witnesses, "", True
-                    else:
-                        deepest = self.variant.restore_label
+                    for w_vals in itertools.product(*[ranges[i] for i in w_idx]):
+                        if tests is None or any(get(w_vals) in refuted for get, refuted in tests):
+                            continue
+                        restored = None
+                        for alt in alts:
+                            flips, normal_ok = self.ac2a(w_idx, w_vals, alt)
+                            if not flips:
+                                continue
+                            if not normal_ok:
+                                if deepest == "AC2(a)":
+                                    deepest = "AC2(a+)"
+                                continue
+                            if restored is None:
+                                restored = self.ac2b(w_idx, w_vals)
+                            if not restored:
+                                deepest = self.variant.restore_label
+                                # what `ac2b` just learned refutes (W, w)
+                                # itself, so it applies to the rest of W
+                                tests = _refuting(learned, w_mask, pos)
+                                break
+                            witnesses.append(
+                                Witness(tuple(names[i] for i in w_idx), w_vals, alt)
+                            )
+                            if not find_all:
+                                return witnesses, "", True
         except SearchBudgetExceeded:
             if not witnesses:
                 raise
             return witnesses, "", False
         return witnesses, deepest, True
+
+
+def _refuting(nogoods, w_mask: int, pos: dict[int, int]):
+    """Tests on the value tuples of a contingency set W for the nogoods that
+    can refute them: W' variables inside W, reset set Z' outside it.  Each
+    test pairs a getter of the W' positions with the refuted W' values.
+    None when a nogood with an empty W' refutes every tuple."""
+    groups: dict[tuple[int, ...], set] = {}
+    for vars_mask, items, z_mask in nogoods:
+        if vars_mask & ~w_mask or z_mask & w_mask:
+            continue
+        if not items:
+            return None
+        key = tuple([pos[i] for i, _ in items])
+        value = tuple([v for _, v in items]) if len(items) > 1 else items[0][1]
+        groups.setdefault(key, set()).add(value)
+    return [(itemgetter(*key), refuted) for key, refuted in groups.items()]
 
 
 def actual_world(model, context: Mapping[str, int]) -> World:

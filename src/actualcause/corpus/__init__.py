@@ -19,9 +19,7 @@ from ..causality import (
     RuleVariant,
     SearchBudget,
     Witness,
-    check_ac1,
-    check_ac2a,
-    check_ac2b,
+    _witness_query,
     is_actual_cause,
 )
 from ..dsl import ModelDocument, parse_cause, parse_formula, parse_model
@@ -281,12 +279,15 @@ def _run_case(case: CorpusCase, budget_limit: int | None) -> CaseResult:
         effect = parse_formula(case.effect, doc.model)
         budget = SearchBudget() if budget_limit is None else SearchBudget(budget_limit)
         if case.witness is not None:
-            # verify the stated witness instead of searching: enough for a
-            # positive verdict on a single-conjunct cause
+            # verify the stated witness instead of searching, in one session
+            # bound to the cause: enough for a positive verdict on a
+            # single-conjunct cause
+            witness = case.witness
+            query, w_idx = _witness_query(subject, context, cause, effect, witness, variant)
             certified = (
-                check_ac1(subject, context, cause, effect)
-                and check_ac2a(subject, context, cause, effect, case.witness, variant)
-                and check_ac2b(subject, context, cause, effect, case.witness, variant)
+                query.ac1()
+                and all(query.ac2a(w_idx, witness.values, witness.alt))
+                and query.ac2b(w_idx, witness.values)
                 and len(cause) == 1
             )
             actual = "cause" if certified else "not-cause"

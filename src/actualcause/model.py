@@ -159,10 +159,10 @@ def disj(items: Iterable[Expression]) -> Expression:
 
 
 def _gen_code(expr: Expression, names: Mapping[str, str]) -> str:
-    """Translate an expression into a Python source fragment.
+    """Translate an expression into a Python source fragment for its value.
 
     `names` maps variable names to lookups into the endogenous value list
-    `v` or the exogenous tuple `u`.
+    `v` or the exogenous tuple `u`.  Comparisons and connectives yield 0/1.
     """
     if isinstance(expr, Const):
         return repr(expr.value)
@@ -171,29 +171,32 @@ def _gen_code(expr: Expression, names: Mapping[str, str]) -> str:
             return names[expr.name]
         except KeyError:
             raise UnknownVariable(expr.name) from None
-    if isinstance(expr, Cmp):
-        lhs = _gen_code(expr.lhs, names)
-        rhs = _gen_code(expr.rhs, names)
-        return f"(1 if {lhs} {_PY_OPS[expr.op]} {rhs} else 0)"
-    if isinstance(expr, Not):
-        return f"(1 if {_gen_code(expr.operand, names)} == 0 else 0)"
-    if isinstance(expr, And):
-        body = " and ".join(f"{_gen_code(i, names)} != 0" for i in expr.items)
-        return f"(1 if {body} else 0)"
-    if isinstance(expr, Or):
-        body = " or ".join(f"{_gen_code(i, names)} != 0" for i in expr.items)
-        return f"(1 if {body} else 0)"
+    if isinstance(expr, (Cmp, Not, And, Or)):
+        return f"(1 if {_gen_test(expr, names)} else 0)"
     if isinstance(expr, Sum):
         return "(" + " + ".join(_gen_code(i, names) for i in expr.items) + ")"
     if isinstance(expr, Case):
         code = _gen_code(expr.default, names)
         for cond, value in reversed(expr.arms):
-            code = (
-                f"({_gen_code(value, names)} if {_gen_code(cond, names)} != 0 "
-                f"else {code})"
-            )
+            code = f"({_gen_code(value, names)} if {_gen_test(cond, names)} else {code})"
         return code
     raise EngineError(f"cannot compile expression node {type(expr).__name__}")
+
+
+def _gen_test(expr: Expression, names: Mapping[str, str]) -> str:
+    """Translate an expression into a Python test that is true when its
+    value is nonzero: comparisons and connectives stay bare tests, any
+    other value is compared with 0."""
+    if isinstance(expr, Cmp):
+        lhs = _gen_code(expr.lhs, names)
+        rhs = _gen_code(expr.rhs, names)
+        return f"({lhs} {_PY_OPS[expr.op]} {rhs})"
+    if isinstance(expr, Not):
+        return f"(not {_gen_test(expr.operand, names)})"
+    if isinstance(expr, (And, Or)):
+        joiner = " and " if isinstance(expr, And) else " or "
+        return "(" + joiner.join(_gen_test(i, names) for i in expr.items) + ")"
+    return f"({_gen_code(expr, names)} != 0)"
 
 
 def compile_expression(expr: Expression, names: Mapping[str, str]):

@@ -31,8 +31,10 @@ from actualcause.formula import And, Held, Or, PrimitiveEvent
 from actualcause.model import Var, World, make_model, solve
 from actualcause.transforms import build_stability_model
 from oracle import (
+    event_holds,
     naive_is_cause,
     naive_restore_holds,
+    naive_solve,
     naive_witness_world,
     naive_witnesses,
     random_binary_model,
@@ -590,3 +592,115 @@ def test_certifying_the_stated_plurality_witness_is_cheap(doc, monkeypatch):
     assert check_ac2b(plurality.model, plurality.context("u"), {"V18": 1},
                       PrimitiveEvent("O", 0), witness)
     assert calls[0] <= 1024
+
+
+# -- AC2(b) nogoods against the reference ---------------------------------------
+#
+# A failed restore world refutes every later contingency that contains its
+# W' = w' and misses its reset set, so the search skips those before their
+# AC2(a) solve.  Skips must leave the witness lists and the deepest failing
+# clause exactly as the literal definition gives them.
+
+def _reference_scan(model, ctx, cause, phi, original, rank=None):
+    """Witnesses in canonical order and the deepest failing clause, read off
+    the oracle's clauses; `rank` (world -> rank) adds the normality test."""
+    names = model.endogenous_names
+    actual = naive_solve(model, ctx)
+    witnesses, deepest = [], "AC2(a)"
+    for contingency, w_values, alt in _all_candidates(model, cause):
+        flipped = naive_witness_world(model, ctx, cause, contingency, w_values, alt)
+        if event_holds(flipped, phi):
+            continue
+        if rank is not None and rank(flipped) > rank(actual):
+            deepest = "AC2(a+)" if deepest == "AC2(a)" else deepest
+            continue
+        if naive_restore_holds(model, ctx, cause, phi, contingency, w_values, original):
+            witnesses.append((contingency, w_values, alt))
+        else:
+            deepest = "AC2(b')" if original else "AC2(b)"
+    return witnesses, deepest
+
+
+def _all_candidates(model, cause):
+    rest = [n for n in model.endogenous_names if n not in cause]
+    for k in range(len(rest) + 1):
+        for contingency in itertools.combinations(rest, k):
+            for w_values in itertools.product(*[model.range_of(n) for n in contingency]):
+                for alt in itertools.product(*[model.range_of(n) for n in cause]):
+                    if alt != tuple(cause.values()):
+                        yield contingency, w_values, alt
+
+
+def _reference_reason(model, ctx, cause, phi, original, rank):
+    actual = naive_solve(model, ctx)
+    if any(actual[n] != v for n, v in cause.items()) or not event_holds(actual, phi):
+        return "AC1"
+    witnesses, deepest = _reference_scan(model, ctx, cause, phi, original, rank)
+    if not witnesses:
+        return deepest
+    for size in range(1, len(cause)):
+        for sub in itertools.combinations(cause, size):
+            sub_cause = {n: cause[n] for n in sub}
+            if _reference_scan(model, ctx, sub_cause, phi, original, rank)[0]:
+                return "AC3"
+    return None
+
+
+def test_nogood_skips_match_reference():
+    rng = random.Random(4044)
+    for round_ in range(36):
+        if round_ % 2:
+            model, ctx, world, phi = _random_case(rng)
+        else:
+            model = random_binary_model(rng, max_endogenous=4)
+            ctx = random_context(rng, model)
+            world = solve(model, ctx)
+            phi = random_effect(rng, model, model.endogenous_names[-2:])
+        names = model.endogenous_names
+        causes = [{n: world[n]} for n in names[:-1]]
+        if len(names) > 2:
+            pair = rng.sample(names[:-1], 2)
+            causes.append({n: world[n] for n in names if n in pair})
+            # a pair with one conjunct moved off its actual value
+            causes.append({n: (rng.choice(model.range_of(n)) if n == pair[0] else world[n])
+                           for n in names if n in pair})
+        moved = rng.choice(names[:-1])
+        causes.append({moved: rng.choice([v for v in model.range_of(moved)
+                                          if v != world[moved]])})
+        ranks = {w.values: rng.randint(0, 2) for w in model.worlds()}
+        extended = ExtendedCausalModel(
+            model, NormalityOrder.from_ranks(lambda w: ranks[w.values]))
+        for cause in causes:
+            for variant in ("original", "updated", "extended"):
+                subject = extended if variant == "extended" else model
+                original = variant == "original"
+                rank = (lambda w: ranks[tuple(w[n] for n in names)]) if variant == "extended" else None
+                want, _ = _reference_scan(model, ctx, cause, phi, original, rank)
+                mine = _triples(find_witnesses(subject, ctx, cause, phi, variant))
+                assert mine == want, (model, ctx, cause, phi, variant)
+                verdict = is_actual_cause(subject, ctx, cause, phi, variant)
+                assert verdict.failure_reason == _reference_reason(
+                    model, ctx, cause, phi, original, rank), (model, ctx, cause, phi, variant)
+
+
+def test_nogood_reset_set_must_miss_the_contingency():
+    # with A moved to 1, resetting B to its actual 0 refutes W = {} but not
+    # W = {B}, where B is held at 1 and cannot be reset
+    model = make_model({"U": (0, 1)}, {"A": (0, 1), "B": (0, 1)},
+                       {"A": Var("U"), "B": Var("A")})
+    phi = And(PrimitiveEvent("A", 1), PrimitiveEvent("B", 1))
+    for variant, original in (("original", True), ("updated", False)):
+        mine = _triples(find_witnesses(model, {"U": 0}, {"A": 1}, phi, variant))
+        assert mine == naive_witnesses(model, {"U": 0}, {"A": 1}, phi, original)
+        assert mine == [(("B",), (1,), (0,))]
+
+
+def test_negative_glymour_verdict_is_cheap(doc, monkeypatch):
+    # the restore worlds that refute A4's contingencies are learned once and
+    # skip the contingencies they refute before their AC2(a) solve
+    calls = _count_solves(monkeypatch)
+    mechanisms = doc("glymour_mechanisms")
+    verdict = is_actual_cause(mechanisms.model, mechanisms.context("u"), {"A4": 0},
+                              PrimitiveEvent("O", 1), "updated")
+    assert not verdict.is_cause and verdict.failure_reason == "AC2(b)"
+    assert calls[0] <= 3000

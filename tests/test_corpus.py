@@ -6,6 +6,7 @@ from actualcause import causality
 from actualcause.corpus import (
     CASES,
     CONSERVATIVE_PAIRS,
+    _run_case,
     load_document,
     model_names,
     verify_corpus,
@@ -63,3 +64,20 @@ def test_non_positive_budget_limit_is_refused_before_any_solve(monkeypatch, limi
     monkeypatch.setattr(causality, "solve_values", no_solve)
     with pytest.raises(EngineError, match="positive"):
         verify_corpus(budget_limit=limit)
+
+
+def test_heavy_case_solves_its_actual_world_once(monkeypatch):
+    # the stated witness is certified in one session bound to the cause
+    actual_solves = [0]
+    real = causality.solve_values
+
+    def counted(base, exo, interventions=None):
+        if not interventions:
+            actual_solves[0] += 1
+        return real(base, exo, interventions)
+
+    monkeypatch.setattr(causality, "solve_values", counted)
+    (heavy,) = [case for case in CASES if case.heavy]
+    result = _run_case(heavy, None)
+    assert result.ok and result.actual == "cause", result.error
+    assert actual_solves[0] == 1
