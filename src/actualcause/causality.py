@@ -546,9 +546,9 @@ def check_ac1(model, context, cause: Mapping[str, int], phi: CausalFormula) -> b
     return _Query(model, context, phi, RuleVariant.UPDATED, None).bind(cause).ac1()
 
 
-def _witness_query(model, context, cause, phi, witness, variant):
+def _witness_query(model, context, cause, phi, witness, variant, budget=None):
     """A query bound to `cause`, and the witness's contingency indices."""
-    query = _Query(model, context, phi, variant, None).bind(cause)
+    query = _Query(model, context, phi, variant, budget).bind(cause)
     _validate_witness(query.base, query.cause, witness)
     return query, tuple(query.rt.endo_index[n] for n in witness.vars)
 

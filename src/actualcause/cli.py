@@ -87,6 +87,8 @@ def _verdict_json(verdict: Verdict, variant, model, context) -> dict:
         "is_cause": verdict.is_cause,
         "witnesses": [_witness_json(w) for w in verdict.witnesses],
         "failure_reason": verdict.failure_reason,
+        "ac3_violation": verdict.ac3_violation,  # [name, value] pairs in JSON, or null
+        "search_complete": verdict.search_complete,
         "variant": RuleVariant.coerce(variant).value,
         "model": model,
         "context": context,

@@ -283,7 +283,8 @@ def _run_case(case: CorpusCase, budget_limit: int | None) -> CaseResult:
             # bound to the cause: enough for a positive verdict on a
             # single-conjunct cause
             witness = case.witness
-            query, w_idx = _witness_query(subject, context, cause, effect, witness, variant)
+            query, w_idx = _witness_query(subject, context, cause, effect, witness,
+                                          variant, budget)
             certified = (
                 query.ac1()
                 and all(query.ac2a(w_idx, witness.values, witness.alt))

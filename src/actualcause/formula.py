@@ -179,62 +179,76 @@ def compile_event_formula(model: CausalModel, formula: CausalFormula):
     return mx.compile_expression(built.pop(), model._runtime().names)
 
 
-def _eval_checked(
-    model: CausalModel, exo: tuple[int, ...], formula: CausalFormula
-) -> bool:
-    rt = model._runtime()
-    index = rt.endo_index
-    # intervention as sorted (index, value) pairs -> the world it yields
-    worlds: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
+class _Session:
+    """Formula evaluation in one model, shared by every formula put to it.
 
-    def world_under(iv: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-        found = worlds.get(iv)
-        if found is None:
-            found = solve_values(model, exo, dict(iv) if iv else None)
-            worlds[iv] = found
-        return found
+    `lower` validates a formula once and rewrites it over indices: an event
+    becomes `("=", prefix, index, value)`, its prefix the enclosing
+    intervention as sorted `(index, value)` pairs (empty outside any); a
+    negation `("!", operand)`; a chain of one connective one `("&", operands)`
+    or `("|", operands)` node.  `holds` decides a lowered formula in a context
+    and keeps every world it solves, keyed by (context, prefix).
+    """
 
-    def ev(f: CausalFormula, iv: tuple[tuple[int, int], ...]) -> bool:
-        if isinstance(f, PrimitiveEvent):
-            return world_under(iv)[index[f.var]] == f.value
-        if isinstance(f, Not):
-            return not ev(f.operand, iv)
-        # a chain of one connective is decided operand by operand from the
-        # left, with the short circuit of the nested form
-        if isinstance(f, And):
-            for g in _chain_operands(f):
-                if not ev(g, iv):
-                    return False
-            return True
-        if isinstance(f, Or):
-            for g in _chain_operands(f):
-                if ev(g, iv):
-                    return True
-            return False
-        if isinstance(f, Held):
-            return ev(f.body, tuple(sorted((index[n], x) for n, x in f.settings)))
-        raise MalformedPhi(f"unknown formula node {type(f).__name__}")
+    def __init__(self, model: CausalModel):
+        self.model = model
+        # context -> prefix -> the world solved under that prefix
+        self.worlds: dict[tuple[int, ...], dict[tuple, tuple[int, ...]]] = {}
 
-    try:
-        return ev(formula, ())
-    except RecursionError:
-        raise EngineError("formula is nested too deeply to evaluate") from None
+    def lower(self, formula: CausalFormula) -> tuple:
+        validate_formula(self.model, formula)
+        index = self.model._runtime().endo_index
+        # the walk reversed meets every node after its operands
+        built: list[tuple] = []
+        for node, held in reversed(list(_walk(formula))):
+            if isinstance(node, PrimitiveEvent):
+                prefix = tuple(sorted((index[n], x) for n, x in held.settings)) if held else ()
+                built.append(("=", prefix, index[node.var], node.value))
+            elif isinstance(node, Not):
+                built.append(("!", built.pop()))
+            elif isinstance(node, (And, Or)):
+                kind = "&" if isinstance(node, And) else "|"
+                left, right = built.pop(), built.pop()
+                operands = left[1] if left[0] == kind else [left]
+                operands += right[1] if right[0] == kind else [right]
+                built.append((kind, operands))
+        return built.pop()
+
+    def holds(self, lowered: tuple, exo: tuple[int, ...]) -> bool:
+        try:
+            return self._holds(lowered, exo, self.worlds.setdefault(exo, {}))
+        except RecursionError:
+            raise EngineError("formula is nested too deeply to evaluate") from None
+
+    def _holds(self, node: tuple, exo: tuple[int, ...], worlds: dict) -> bool:
+        kind = node[0]
+        if kind == "=":
+            world = worlds.get(node[1])
+            if world is None:
+                world = worlds[node[1]] = solve_values(self.model, exo, dict(node[1]))
+            return world[node[2]] == node[3]
+        if kind == "!":
+            return not self._holds(node[1], exo, worlds)
+        # a chain is decided operand by operand from the left, with the short
+        # circuit of the nested form
+        stop = kind == "|"
+        for operand in node[1]:
+            if self._holds(operand, exo, worlds) is stop:
+                return stop
+        return not stop
 
 
 def eval_formula(
     model: CausalModel, context: Mapping[str, int], formula: CausalFormula
 ) -> bool:
     """Decide whether the formula holds in the model under the context."""
-    validate_formula(model, formula)
-    exo = context_values(model, context)
-    return _eval_checked(model, exo, formula)
+    session = _Session(model)
+    return session.holds(session.lower(formula), context_values(model, context))
 
 
 def valid_in_model(model: CausalModel, formula: CausalFormula) -> bool:
     """True when the formula holds in every context of the model."""
-    validate_formula(model, formula)
-    rt = model._runtime()
-    return all(
-        _eval_checked(model, exo, formula)
-        for exo in itertools.product(*rt.exo_ranges)
-    )
+    session = _Session(model)
+    lowered = session.lower(formula)
+    contexts = itertools.product(*model._runtime().exo_ranges)
+    return all(session.holds(lowered, exo) for exo in contexts)

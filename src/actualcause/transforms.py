@@ -120,19 +120,19 @@ def is_conservative_extension(
     base_rt = base._runtime()
     ext_rt = extension._runtime()
     base_names = base_rt.endo_names
+    # per X, built once: the other base variables and their indices in each model
+    plans = []
+    for x_name in base_names:
+        others = [n for n in base_names if n != x_name]
+        base_idx = [base_rt.endo_index[n] for n in others]
+        plans.append((x_name, others, [base_rt.endo_ranges[i] for i in base_idx], base_idx,
+                      [ext_rt.endo_index[n] for n in others]))
     for exo in itertools.product(*base_rt.exo_ranges):
-        for x_name in base_names:
-            others = [n for n in base_names if n != x_name]
-            ranges = [base_rt.endo_ranges[base_rt.endo_index[n]] for n in others]
+        for x_name, others, ranges, base_idx, ext_idx in plans:
+            x_base, x_ext = base_rt.endo_index[x_name], ext_rt.endo_index[x_name]
             for setting in itertools.product(*ranges):
-                iv_base = {
-                    base_rt.endo_index[n]: v for n, v in zip(others, setting)
-                }
-                iv_ext = {
-                    ext_rt.endo_index[n]: v for n, v in zip(others, setting)
-                }
-                got_base = solve_values(base, exo, iv_base)[base_rt.endo_index[x_name]]
-                got_ext = solve_values(extension, exo, iv_ext)[ext_rt.endo_index[x_name]]
+                got_base = solve_values(base, exo, dict(zip(base_idx, setting)))[x_base]
+                got_ext = solve_values(extension, exo, dict(zip(ext_idx, setting)))[x_ext]
                 if got_base != got_ext:
                     return ExtensionReport(
                         False,
@@ -209,12 +209,19 @@ def check_formula_agreement(
     over the base variables, in every context."""
     _require_extension_signature(extension, base)
     rng = random.Random(seed)
-    contexts = list(base.contexts())
+    # one formula session per model, so each (context, prefix) world is
+    # solved once across all the samples
+    base_s, ext_s = fm._Session(base), fm._Session(extension)
+    contexts = [
+        (ctx, context_values(base, ctx), context_values(extension, ctx))
+        for ctx in base.contexts()
+    ]
     for _ in range(samples):
         candidate = random_causal_formula(rng, base)
-        for ctx in contexts:
-            in_base = fm.eval_formula(base, ctx, candidate)
-            in_ext = fm.eval_formula(extension, ctx, candidate)
+        lowered_base, lowered_ext = base_s.lower(candidate), ext_s.lower(candidate)
+        for ctx, exo_base, exo_ext in contexts:
+            in_base = base_s.holds(lowered_base, exo_base)
+            in_ext = ext_s.holds(lowered_ext, exo_ext)
             if in_base != in_ext:
                 return AgreementReport(
                     False, samples, candidate, ctx, in_base, in_ext

@@ -55,9 +55,11 @@ def test_cause_json_schema(capsys):
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {
-        "is_cause", "witnesses", "failure_reason", "variant", "model", "context"
+        "is_cause", "witnesses", "failure_reason", "ac3_violation",
+        "search_complete", "variant", "model", "context",
     }
     assert payload["is_cause"] is True
+    assert payload["ac3_violation"] is None and payload["search_complete"] is True
     assert payload["variant"] == "original"
     assert payload["model"] == "hopkins_pearl" and payload["context"] == "u"
     assert payload["witnesses"] == [{"vars": ["B", "C"], "values": [1, 0], "alt": [0]}]
@@ -142,6 +144,22 @@ def test_engine_error_is_2(capsys):
     code, _, err = run(capsys, "cause", "-m", HOPKINS, "-c", "u",
                        "--cause", "A=1", "--effect", "D=1", "--budget", "3")
     assert code == 2 and "budget" in err
+
+
+def test_json_reports_the_smaller_cause_and_completeness(capsys):
+    scanner = str(model_path("scanner_vote"))
+    query = ("-m", scanner, "-c", "u", "--effect", "WIN=1", "--variant", "extended")
+    code, out, _ = run(capsys, "cause", *query, "--cause", "B=1 & C=1")
+    assert code == 1 and "smaller cause: B=1" in out
+    code, out, _ = run(capsys, "cause", *query, "--cause", "B=1 & C=1", "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["failure_reason"] == "AC3"
+    assert payload["ac3_violation"] == [["B", 1]]
+    assert payload["search_complete"] is True
+    code, out, _ = run(capsys, "causes", *query, "--json")
+    entries = json.loads(out)
+    assert code == 0 and len(entries) == 3
+    assert all(e["ac3_violation"] is None and e["search_complete"] for e in entries)
 
 
 def test_over_deep_equation_is_an_engine_error(capsys, tmp_path):

@@ -81,3 +81,11 @@ def test_heavy_case_solves_its_actual_world_once(monkeypatch):
     result = _run_case(heavy, None)
     assert result.ok and result.actual == "cause", result.error
     assert actual_solves[0] == 1
+
+
+def test_heavy_case_certification_is_charged_to_the_budget():
+    # the stated witness is certified under the case's budget, not a default one
+    (heavy,) = [case for case in CASES if case.heavy]
+    result = _run_case(heavy, 5)
+    assert not result.ok and result.actual == "error"
+    assert "SearchBudgetExceeded" in result.error

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from actualcause import formula
 from actualcause.causality import is_actual_cause
 from actualcause.corpus import model_names
 from actualcause.errors import EngineError, MalformedPhi, UnknownVariable, ValueOutOfRange
@@ -21,7 +22,11 @@ from actualcause.formula import (
 )
 from actualcause.dsl import parse_formula
 from actualcause.model import Var, make_model
-from actualcause.transforms import random_causal_formula, random_event_formula
+from actualcause.transforms import (
+    check_formula_agreement,
+    random_causal_formula,
+    random_event_formula,
+)
 from oracle import event_holds, naive_formula_holds
 
 
@@ -171,3 +176,19 @@ def test_long_and_deep_effects(rt_naive):
         compile_event_formula(model, too_deep)
     with pytest.raises(EngineError, match="nested too deeply"):
         eval_formula(model, {"U": 1}, too_deep)
+
+
+def test_agreement_solves_each_context_and_prefix_once(monkeypatch, rt_naive, rt_detailed):
+    # one formula session per model: a world is solved once per (context,
+    # prefix) across all 200 formulas, not once per formula
+    solved = []
+    real = formula.solve_values
+
+    def counted(model, exo, interventions=None):
+        solved.append((model, exo, tuple(sorted((interventions or {}).items()))))
+        return real(model, exo, interventions)
+
+    monkeypatch.setattr(formula, "solve_values", counted)
+    report = check_formula_agreement(rt_detailed.model, rt_naive.model, samples=200, seed=7)
+    assert report.agrees
+    assert len(solved) == len(set(solved)) <= 150

@@ -1,9 +1,11 @@
 """Model surgery: conservative extensions, witness killing, stability."""
 
 import itertools
+import random
 
 import pytest
 
+from actualcause import model as md
 from actualcause.causality import (
     ExtendedCausalModel,
     NormalityOrder,
@@ -22,6 +24,7 @@ from actualcause.errors import (
 from actualcause.formula import Held, PrimitiveEvent, eval_formula
 from actualcause.model import solve
 from actualcause.transforms import (
+    AgreementReport,
     build_stability_model,
     check_formula_agreement,
     deviating_variables,
@@ -30,8 +33,10 @@ from actualcause.transforms import (
     kill_all_witnesses,
     kill_witness,
     normality_from_respect,
+    random_causal_formula,
     respects_equations,
 )
+from oracle import naive_formula_holds, random_multivalued_model
 
 
 # -- conservative extensions ---------------------------------------------------
@@ -108,6 +113,47 @@ def test_formula_agreement_flags_the_cheat(doc):
         doc("rock_throwing_cheat").model, report.context, report.formula
     ) == report.value_extension
     assert report.value_base != report.value_extension
+
+
+def _naive_agreement(extension, base, samples, seed):
+    """`check_formula_agreement` read literally: the same formulas, each
+    decided from scratch by the oracle in every context."""
+    rng = random.Random(seed)
+    for _ in range(samples):
+        candidate = random_causal_formula(rng, base)
+        for ctx in base.contexts():
+            in_base = naive_formula_holds(base, ctx, candidate)
+            in_ext = naive_formula_holds(extension, ctx, candidate)
+            if in_base != in_ext:
+                return AgreementReport(False, samples, candidate, ctx, in_base, in_ext)
+    return AgreementReport(True, samples)
+
+
+def _with_equations(model, changes, extra=()):
+    endogenous = dict(model.signature.endogenous)
+    endogenous.update((name, (0, 1)) for name in extra)
+    return md.make_model(
+        dict(model.signature.exogenous), endogenous, {**dict(model.equations), **changes}
+    )
+
+
+def test_formula_agreement_matches_oracle_on_random_pairs():
+    """Conservative pairs (one extra isolated variable) and perturbed pairs
+    (one equation replaced by a constant) give the report, first
+    disagreeing formula and context included, that the oracle gives."""
+    disagreements = 0
+    for seed in range(40):
+        rng = random.Random(9000 + seed)
+        base = random_multivalued_model(rng)
+        isolated = _with_equations(base, {"Z": md.Const(1)}, extra=("Z",))
+        name = rng.choice(base.endogenous_names)
+        perturbed = _with_equations(base, {name: md.Const(rng.choice(base.range_of(name)))})
+        for extension in (isolated, perturbed):
+            report = check_formula_agreement(extension, base, samples=30, seed=seed)
+            assert report == _naive_agreement(extension, base, 30, seed), seed
+            assert report.agrees or extension is perturbed
+            disagreements += not report.agrees
+    assert disagreements >= 20, disagreements
 
 
 def test_extended_conservativity_scanner_chain(doc):
