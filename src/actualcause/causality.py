@@ -3,9 +3,12 @@
 Three rule variants are supported.  `UPDATED` quantifies the restore
 condition over every subset of the contingency set; `ORIGINAL` fixes the
 full contingency set; `EXTENDED` is `UPDATED` plus a normality test on the
-witness world.  Witnesses are enumerated canonically (contingency sets by
-size then declaration order, value tuples lexicographically), so results
-are reproducible regardless of how the search is parallelised or resumed.
+witness world.  Witnesses are listed canonically (contingency sets by size
+then declaration order, value tuples lexicographically, then alternate
+cause values), so results are reproducible.  The search skips a
+contingency, or copies its witnesses, only where a nogood or a smaller
+contingency already decides it (see `_Query.search`), which leaves that
+order intact.
 """
 
 from __future__ import annotations
@@ -281,10 +284,10 @@ class _Query:
         self.exo = context_values(self.base, context)
         self.actual = self._solve(None)
         # the variables that can change the effect: its own and their ancestors
-        anc, self.desc = self.rt.closures()
+        self.anc, self.desc = self.rt.closures()
         self.phi_anc = 0
         for name in formula_variables(phi):
-            self.phi_anc |= anc[self.rt.endo_index[name]]
+            self.phi_anc |= self.anc[self.rt.endo_index[name]]
         # only the extended variant compares witness worlds with this one
         self.actual_world = (
             World(self.rt.endo_names, self.actual)
@@ -302,7 +305,7 @@ class _Query:
         bound.phi_ok, bound.budget, bound.rt = self.phi_ok, self.budget, self.rt
         bound.exo, bound.actual = self.exo, self.actual
         bound.actual_world, bound.memo = self.actual_world, self.memo
-        bound.phi_anc, bound.desc = self.phi_anc, self.desc
+        bound.phi_anc, bound.anc, bound.desc = self.phi_anc, self.anc, self.desc
         bound.cause = _normalize_cause(self.base, cause)
         bound.cause_idx = tuple([self.rt.endo_index[n] for n, _ in bound.cause])
         bound.cause_vals = tuple([v for _, v in bound.cause])
@@ -456,11 +459,48 @@ class _Query:
         is.  The nogoods that can apply to a contingency set W (W' variables
         inside W, Z' outside it) are picked once per W; one with an empty
         W' refutes the whole set.
+
+        No solve is spent on a no-op item either.  Let D be the union of
+        desc(X), for all of X, and of desc(i) for every W item (i, v) with
+        v ≠ actual[i].  An item (i, v) with v = actual[i] and i ∉ D is a
+        no-op: i keeps its actual value whether or not it is forced, in the
+        AC2(a) world under any x' and in every restore world, by the
+        induction of the `ac2b` docstring (every variable outside D is
+        either forced to its actual value or has all its parents outside
+        D).  Dropping the no-op items therefore leaves the AC2(a) world,
+        and with it the normality test, unchanged; and it maps the restore
+        worlds of (W, w) onto those of the reduced contingency, since
+        forcing, freeing or resetting i to its actual value yields one
+        world.  So (W, w, x') is a witness exactly when the reduced
+        contingency, with the same x', is one.  That contingency is
+        strictly smaller, so the scan has already visited it (or a nogood
+        has refuted it), and the deepest failing clause cannot change.
+
+        A position of W outside desc(X) with no other W variable among its
+        ancestors is a no-op at its actual value whatever the other values
+        are, so that value is left out of its range.  This removes every
+        contingency with a no-op item: for an item at its actual value
+        outside desc(X) with W variables among its ancestors, the topmost
+        of them (with no W variable above it) lies outside desc(X) too, so
+        its range lacks its actual value, it moves, and the item lies in D.
+        The contingencies left out are thus exactly those with no-op items,
+        and only those whose reduced contingency has witnesses add to the
+        list.  Each is the reduced contingency (R, r), kept with its
+        witnesses' alternate values, extended by actual values over W ∖ R,
+        where none of W ∖ R may lie in D; its witnesses are copied, without
+        any solve, at its canonical place among the value tuples of W.  A
+        first-witness scan keeps nothing, so it copies nothing.
         """
         witnesses: list[Witness] = []
         deepest = "AC2(a)"
         names, ranges = self.rt.endo_names, self.rt.endo_ranges
         learned, alts = self.nogoods, self.alt_tuples()
+        actual, desc, x_desc = self.actual, self.desc, 0
+        for i in self.cause_idx:
+            x_desc |= desc[i]
+        # contingency set mask -> (its items, D, alternate values) per
+        # contingency with witnesses
+        found: dict[int, list[tuple[dict[int, int], int, list[tuple[int, ...]]]]] = {}
         try:
             for size in range(len(self.non_cause) + 1):
                 for w_idx in itertools.combinations(self.non_cause, size):
@@ -471,10 +511,36 @@ class _Query:
                     tests = _refuting(learned, w_mask, pos)
                     if tests is None:
                         continue
-                    for w_vals in itertools.product(*[ranges[i] for i in w_idx]):
+                    w_ranges = [
+                        [v for v in ranges[i] if v != actual[i]]
+                        if not x_desc >> i & 1 and self.anc[i] & w_mask == 1 << i
+                        else ranges[i]
+                        for i in w_idx
+                    ]
+                    w_names = tuple([names[i] for i in w_idx])
+                    # the no-op contingencies of W with witnesses, by
+                    # canonical rank, last first
+                    copies = []
+                    if found:
+                        rank = [{v: k for k, v in enumerate(ranges[i])} for i in w_idx]
+                        for r_mask, kept in found.items():
+                            if r_mask & ~w_mask:
+                                continue
+                            for held, d_mask, hits in kept:
+                                if d_mask & w_mask & ~r_mask == 0:
+                                    w_vals = tuple([held.get(i, actual[i]) for i in w_idx])
+                                    key = [rank[p][v] for p, v in enumerate(w_vals)]
+                                    copies.append((key, w_vals, hits))
+                        copies.sort(reverse=True)
+                    for w_vals in itertools.product(*w_ranges):
+                        if copies:
+                            key = [rank[p][v] for p, v in enumerate(w_vals)]
+                            while copies and copies[-1][0] < key:
+                                _, c_vals, hits = copies.pop()
+                                witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
                         if tests is None or any(get(w_vals) in refuted for get, refuted in tests):
                             continue
-                        restored = None
+                        restored, first = None, len(witnesses)
                         for alt in alts:
                             flips, normal_ok = self.ac2a(w_idx, w_vals, alt)
                             if not flips:
@@ -491,11 +557,20 @@ class _Query:
                                 # itself, so it applies to the rest of W
                                 tests = _refuting(learned, w_mask, pos)
                                 break
-                            witnesses.append(
-                                Witness(tuple(names[i] for i in w_idx), w_vals, alt)
-                            )
+                            witnesses.append(Witness(w_names, w_vals, alt))
                             if not find_all:
                                 return witnesses, "", True
+                        if len(witnesses) > first:
+                            d_mask = x_desc
+                            for i, v in zip(w_idx, w_vals):
+                                if v != actual[i]:
+                                    d_mask |= desc[i]
+                            found.setdefault(w_mask, []).append(
+                                (dict(zip(w_idx, w_vals)), d_mask,
+                                 [w.alt for w in witnesses[first:]])
+                            )
+                    for _, c_vals, hits in reversed(copies):
+                        witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
         except SearchBudgetExceeded:
             if not witnesses:
                 raise

@@ -107,6 +107,15 @@ def _require_extension_signature(extension: CausalModel, base: CausalModel) -> N
             raise SignatureMismatch(f"range of {name!r} differs between the models")
 
 
+def _context_pairs(extension: CausalModel, base: CausalModel):
+    """Every context, as the base's exogenous values in the base's
+    declaration order and in the extension's, which may differ."""
+    base_rt = base._runtime()
+    where = [base_rt.exo_index[n] for n in extension._runtime().exo_names]
+    for exo in itertools.product(*base_rt.exo_ranges):
+        yield exo, tuple([exo[k] for k in where])
+
+
 def is_conservative_extension(
     extension: CausalModel, base: CausalModel
 ) -> ExtensionReport:
@@ -127,12 +136,12 @@ def is_conservative_extension(
         base_idx = [base_rt.endo_index[n] for n in others]
         plans.append((x_name, others, [base_rt.endo_ranges[i] for i in base_idx], base_idx,
                       [ext_rt.endo_index[n] for n in others]))
-    for exo in itertools.product(*base_rt.exo_ranges):
+    for exo, exo_ext in _context_pairs(extension, base):
         for x_name, others, ranges, base_idx, ext_idx in plans:
             x_base, x_ext = base_rt.endo_index[x_name], ext_rt.endo_index[x_name]
             for setting in itertools.product(*ranges):
                 got_base = solve_values(base, exo, dict(zip(base_idx, setting)))[x_base]
-                got_ext = solve_values(extension, exo, dict(zip(ext_idx, setting)))[x_ext]
+                got_ext = solve_values(extension, exo_ext, dict(zip(ext_idx, setting)))[x_ext]
                 if got_base != got_ext:
                     return ExtensionReport(
                         False,
@@ -243,9 +252,9 @@ def is_conservative_extension_extended(
         return report
     b, e = base.base, extension.base
     b_rt, e_rt = b._runtime(), e._runtime()
-    for exo in itertools.product(*b_rt.exo_ranges):
+    for exo, exo_ext in _context_pairs(e, b):
         s_u_base = World(b_rt.endo_names, solve_values(b, exo))
-        s_u_ext = World(e_rt.endo_names, solve_values(e, exo))
+        s_u_ext = World(e_rt.endo_names, solve_values(e, exo_ext))
         for size in range(len(b_rt.endo_names) + 1):
             for combo in itertools.combinations(b_rt.endo_names, size):
                 ranges = [b_rt.endo_ranges[b_rt.endo_index[n]] for n in combo]
@@ -253,7 +262,7 @@ def is_conservative_extension_extended(
                     iv_b = {b_rt.endo_index[n]: v for n, v in zip(combo, vals)}
                     iv_e = {e_rt.endo_index[n]: v for n, v in zip(combo, vals)}
                     s_b = World(b_rt.endo_names, solve_values(b, exo, iv_b))
-                    s_e = World(e_rt.endo_names, solve_values(e, exo, iv_e))
+                    s_e = World(e_rt.endo_names, solve_values(e, exo_ext, iv_e))
                     normal_b = base.order.at_least_as_normal(s_b, s_u_base)
                     normal_e = extension.order.at_least_as_normal(s_e, s_u_ext)
                     if normal_b != normal_e:

@@ -704,3 +704,116 @@ def test_negative_glymour_verdict_is_cheap(doc, monkeypatch):
                               PrimitiveEvent("O", 1), "updated")
     assert not verdict.is_cause and verdict.failure_reason == "AC2(b)"
     assert calls[0] <= 3000
+
+
+# -- no-op contingency items against the reference ------------------------------
+#
+# A W item held at its actual value outside desc(X) and outside the
+# descendants of every moved W item changes no world: the search never
+# builds such a contingency, and the all-witness scan copies into its place
+# the witnesses of the contingency without it.  Items at their actual value
+# inside those descendants cut a path, so they must still be searched.
+
+def _actual_item_kinds(model, world, cause, contingency, w_values):
+    """Where the contingency's items at their actual values lie: inside
+    desc(X), inside the descendants of a moved W item, or outside both."""
+    anc = {}
+    for name, expr in model.equations:  # random models list parents first
+        anc[name] = {name}.union(*(anc[p] for p in expr.variables() if p in anc))
+    moved = {n for n, v in zip(contingency, w_values) if v != world[n]}
+    kinds = set()
+    for name, value in zip(contingency, w_values):
+        if value == world[name]:
+            kinds.add("desc(X)" if anc[name] & set(cause)
+                      else "desc(moved W)" if anc[name] & moved else "no-op")
+    return kinds
+
+
+def test_no_op_items_match_reference():
+    rng = random.Random(4045)
+    seen = set()
+    for round_ in range(30):
+        if round_ % 2:
+            model, ctx, world, phi = _random_case(rng)
+        else:
+            model = random_binary_model(rng, max_endogenous=5)
+            ctx = random_context(rng, model)
+            world = solve(model, ctx)
+            phi = random_effect(rng, model, model.endogenous_names[-2:])
+        names = model.endogenous_names
+        causes = [{n: world[n]} for n in names[:-1]]
+        if len(names) > 2:
+            pair = rng.sample(names[:-1], 2)
+            causes.append({n: world[n] for n in names if n in pair})
+            causes.append({n: (rng.choice([v for v in model.range_of(n) if v != world[n]])
+                               if n == pair[0] else world[n])
+                           for n in names if n in pair})
+        moved = rng.choice(names[:-1])
+        causes.append({moved: rng.choice([v for v in model.range_of(moved)
+                                          if v != world[moved]])})
+        ranks = {w.values: rng.randint(0, 2) for w in model.worlds()}
+        extended = ExtendedCausalModel(
+            model, NormalityOrder.from_ranks(lambda w: ranks[w.values]))
+        for cause in causes:
+            for variant in ("original", "updated", "extended"):
+                subject = extended if variant == "extended" else model
+                original = variant == "original"
+                if variant == "extended":
+                    rank = lambda w: ranks[tuple(w[n] for n in names)]
+                    want, _ = _reference_scan(model, ctx, cause, phi, original, rank)
+                else:
+                    rank = None
+                    want = naive_witnesses(model, ctx, cause, phi, original)
+                reason = _reference_reason(model, ctx, cause, phi, original, rank)
+                assert _triples(find_witnesses(subject, ctx, cause, phi, variant)) == want
+                for find_all in (True, False):
+                    verdict = is_actual_cause(subject, ctx, cause, phi, variant,
+                                              find_all_witnesses=find_all)
+                    listed = [] if reason == "AC1" else want if find_all else want[:1]
+                    assert verdict.failure_reason == reason, (model, ctx, cause, phi, variant)
+                    assert _triples(verdict.witnesses) == listed, (model, ctx, cause, phi, variant)
+                for contingency, w_values, _ in want:
+                    seen |= _actual_item_kinds(model, world, cause, contingency, w_values)
+    assert seen == {"desc(X)", "desc(moved W)", "no-op"}
+
+
+@pytest.mark.parametrize("name, ctx, cause, effect, variant, bound", [
+    # the mechanism variables outside desc(A4) sit at their actual values in
+    # most contingencies (1,544 solves when each was solved)
+    ("glymour_mechanisms", "u", {"A4": 0}, PrimitiveEvent("O", 1), "updated", 300),
+    # the voters outside desc(Jack) likewise (11,638 solves)
+    ("livengood_normality", "u1", {"Jack": 0}, PrimitiveEvent("O", 2), "extended", 2500),
+], ids=["glymour_mech_a4", "liv_norm_jack"])
+def test_no_op_contingencies_cost_no_solves(doc, monkeypatch, name, ctx, cause, effect,
+                                            variant, bound):
+    calls = _count_solves(monkeypatch)
+    document = doc(name)
+    subject = document.extended() if variant == "extended" else document.model
+    verdict = is_actual_cause(subject, document.context(ctx), cause, effect, variant,
+                              find_all_witnesses=False)
+    assert not verdict.is_cause and verdict.failure_reason == "AC2(b)"
+    assert calls[0] <= bound
+
+
+def test_budget_keeps_its_contract_over_copied_witnesses(doc):
+    # 44 of A1's 50 witnesses copy a smaller contingency's alternate values;
+    # under every limit the verdict is exact, a canonical prefix marked
+    # truncated, or a budget error
+    ranch = doc("glymour_naive")
+    args = (ranch.model, ranch.context("u"), {"A1": 1}, PrimitiveEvent("O", 1))
+    budget = SearchBudget()
+    full = is_actual_cause(*args, budget=budget)
+    assert full.is_cause and full.search_complete and len(full.witnesses) == 50
+    truncated = 0
+    for limit in range(1, budget.used + 2):
+        try:
+            verdict = is_actual_cause(*args, budget=SearchBudget(limit))
+        except SearchBudgetExceeded:
+            continue
+        if verdict.search_complete:
+            assert verdict == full, limit
+        else:
+            truncated += 1
+            assert verdict.is_cause and verdict.witnesses
+            assert verdict.witnesses == full.witnesses[:len(verdict.witnesses)], limit
+    assert truncated

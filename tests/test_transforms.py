@@ -81,6 +81,28 @@ def test_signature_mismatch_detected(doc):
         )
 
 
+def test_conservativity_reads_contexts_in_each_models_exogenous_order():
+    # one model, its exogenous variables declared in the other order
+    base = md.make_model({"U": (0, 1), "V": (0, 1)}, {"A": (0, 1)}, {"A": md.Var("U")})
+    swapped = md.make_model({"V": (0, 1), "U": (0, 1)}, {"A": (0, 1)}, {"A": md.Var("U")})
+    assert is_conservative_extension(swapped, base).is_conservative
+    by_a = NormalityOrder.from_ranks(lambda w: w["A"])
+    assert is_conservative_extension_extended(
+        ExtendedCausalModel(swapped, by_a), ExtendedCausalModel(base, by_a)
+    ).is_conservative
+    # a real difference is still found, its context named in the base's order
+    other = md.make_model({"V": (0, 1), "U": (0, 1)}, {"A": (0, 1)}, {"A": md.Var("V")})
+    for report in (
+        is_conservative_extension(other, base),
+        is_conservative_extension_extended(
+            ExtendedCausalModel(other, by_a), ExtendedCausalModel(base, by_a)),
+    ):
+        assert not report.is_conservative
+        ce = report.counterexample
+        assert list(ce.context.items()) == [("U", 0), ("V", 1)]
+        assert (ce.variable, ce.value_base, ce.value_extension) == ("A", 0, 1)
+
+
 def test_formula_agreement_on_conservative_pairs(doc):
     report = check_formula_agreement(
         doc("rock_throwing_detailed").model, doc("rock_throwing_naive").model,
