@@ -186,14 +186,20 @@ class _Session:
     becomes `("=", prefix, index, value)`, its prefix the enclosing
     intervention as sorted `(index, value)` pairs (empty outside any); a
     negation `("!", operand)`; a chain of one connective one `("&", operands)`
-    or `("|", operands)` node.  `holds` decides a lowered formula in a context
-    and keeps every world it solves, keyed by (context, prefix).
+    or `("|", operands)` node.  `holds` decides a lowered formula in a context;
+    `world` solves the world of a (context, prefix) and keeps it for the life
+    of the session.
     """
 
     def __init__(self, model: CausalModel):
         self.model = model
-        # context -> prefix -> the world solved under that prefix
-        self.worlds: dict[tuple[int, ...], dict[tuple, tuple[int, ...]]] = {}
+        # (context, prefix) -> the world solved under that prefix
+        self.worlds: dict[tuple[tuple[int, ...], tuple], tuple[int, ...]] = {}
+
+    def prefix(self, settings: Iterable[tuple[str, int]]) -> tuple:
+        """An intervention as the prefix of a lowered event."""
+        index = self.model._runtime().endo_index
+        return tuple(sorted((index[n], x) for n, x in settings))
 
     def lower(self, formula: CausalFormula) -> tuple:
         validate_formula(self.model, formula)
@@ -202,7 +208,7 @@ class _Session:
         built: list[tuple] = []
         for node, held in reversed(list(_walk(formula))):
             if isinstance(node, PrimitiveEvent):
-                prefix = tuple(sorted((index[n], x) for n, x in held.settings)) if held else ()
+                prefix = self.prefix(held.settings) if held else ()
                 built.append(("=", prefix, index[node.var], node.value))
             elif isinstance(node, Not):
                 built.append(("!", built.pop()))
@@ -214,26 +220,43 @@ class _Session:
                 built.append((kind, operands))
         return built.pop()
 
+    @staticmethod
+    def prefixes(lowered: tuple) -> set[tuple]:
+        """The distinct prefixes of the events of a lowered formula."""
+        found, stack = set(), [lowered]
+        while stack:
+            node = stack.pop()
+            if node[0] == "=":
+                found.add(node[1])
+            elif node[0] == "!":
+                stack.append(node[1])
+            else:
+                stack += node[1]
+        return found
+
+    def world(self, exo: tuple[int, ...], prefix: tuple) -> tuple[int, ...]:
+        world = self.worlds.get((exo, prefix))
+        if world is None:
+            world = self.worlds[exo, prefix] = solve_values(self.model, exo, dict(prefix))
+        return world
+
     def holds(self, lowered: tuple, exo: tuple[int, ...]) -> bool:
         try:
-            return self._holds(lowered, exo, self.worlds.setdefault(exo, {}))
+            return self._holds(lowered, exo)
         except RecursionError:
             raise EngineError("formula is nested too deeply to evaluate") from None
 
-    def _holds(self, node: tuple, exo: tuple[int, ...], worlds: dict) -> bool:
+    def _holds(self, node: tuple, exo: tuple[int, ...]) -> bool:
         kind = node[0]
         if kind == "=":
-            world = worlds.get(node[1])
-            if world is None:
-                world = worlds[node[1]] = solve_values(self.model, exo, dict(node[1]))
-            return world[node[2]] == node[3]
+            return self.world(exo, node[1])[node[2]] == node[3]
         if kind == "!":
-            return not self._holds(node[1], exo, worlds)
+            return not self._holds(node[1], exo)
         # a chain is decided operand by operand from the left, with the short
         # circuit of the nested form
         stop = kind == "|"
         for operand in node[1]:
-            if self._holds(operand, exo, worlds) is stop:
+            if self._holds(operand, exo) is stop:
                 return stop
         return not stop
 

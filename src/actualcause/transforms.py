@@ -8,6 +8,7 @@ equations abnormal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .errors import (
     PreconditionViolated,
     SignatureMismatch,
     UnknownVariable,
+    ValueOutOfRange,
     WitnessEqualsActual,
 )
 from .model import (
@@ -124,18 +126,32 @@ def is_conservative_extension(
     For every context, every base variable X, and every total setting of the
     other base variables, X must take the same value in both models (new
     variables simply follow their equations under those interventions).
+
+    Only the settings that can matter are enumerated.  With the other base
+    variables set, the two solves compute X and the new variables, so their
+    values and any `ValueOutOfRange` depend only on the set of base
+    variables R read by X's equation in either model or by a new equation.
+    A variable outside R takes only the first value of its range: the first
+    setting, in lexicographic order, with a counterexample or an error has
+    every variable outside R at its first value, since moving them there
+    gives a setting no later with the same outcome.
     """
     _require_extension_signature(extension, base)
     base_rt = base._runtime()
     ext_rt = extension._runtime()
     base_names = base_rt.endo_names
-    # per X, built once: the other base variables and their indices in each model
+    new_reads = {d for n in ext_rt.endo_names if n not in base_rt.endo_index
+                 for d in ext_rt.deps[n]}
+    # per X, built once: the other base variables, their ranges restricted
+    # to the first value outside R, and their indices in each model
     plans = []
     for x_name in base_names:
+        reads = new_reads.union(base_rt.deps[x_name], ext_rt.deps[x_name])
         others = [n for n in base_names if n != x_name]
         base_idx = [base_rt.endo_index[n] for n in others]
-        plans.append((x_name, others, [base_rt.endo_ranges[i] for i in base_idx], base_idx,
-                      [ext_rt.endo_index[n] for n in others]))
+        ranges = [base_rt.endo_ranges[i] if n in reads else base_rt.endo_ranges[i][:1]
+                  for n, i in zip(others, base_idx)]
+        plans.append((x_name, others, ranges, base_idx, [ext_rt.endo_index[n] for n in others]))
     for exo, exo_ext in _context_pairs(extension, base):
         for x_name, others, ranges, base_idx, ext_idx in plans:
             x_base, x_ext = base_rt.endo_index[x_name], ext_rt.endo_index[x_name]
@@ -215,7 +231,21 @@ def check_formula_agreement(
     seed: int = 0,
 ) -> AgreementReport:
     """Randomized spot check that the two models satisfy the same formulas
-    over the base variables, in every context."""
+    over the base variables, in every context.
+
+    Decided by comparing worlds: every event tests a base variable in the
+    world of its prefix, so a formula has one truth value in both models
+    wherever the two worlds of each of its prefixes agree on the base
+    variables.  Each prefix is solved once per context in both models into
+    a mask of the contexts where they differ, and a formula is evaluated
+    only in the contexts its prefixes flag, in order, which finds the same
+    first disagreement.  A prefix with an unsolvable world (`ValueOutOfRange`)
+    flags every context, so its formulas are decided, or raise, as by
+    evaluation everywhere.  Formulas are lowered against the base alone:
+    the extension has every base variable with the same range.
+    """
+    if samples < 1:
+        raise EngineError(f"the sample count must be a positive integer, not {samples}")
     _require_extension_signature(extension, base)
     rng = random.Random(seed)
     # one formula session per model, so each (context, prefix) world is
@@ -225,10 +255,34 @@ def check_formula_agreement(
         (ctx, context_values(base, ctx), context_values(extension, ctx))
         for ctx in base.contexts()
     ]
+    names = base._runtime().endo_names
+    to_ext = [extension._runtime().endo_index[n] for n in names]
+
+    @functools.cache
+    def differing(prefix: tuple) -> int:
+        """Bit k set: the worlds differ in context k.  All set: one does not solve."""
+        ext_prefix = ext_s.prefix((names[i], x) for i, x in prefix)
+        mask = 0
+        try:
+            for k, (_, exo_base, exo_ext) in enumerate(contexts):
+                in_base = base_s.world(exo_base, prefix)
+                in_ext = ext_s.world(exo_ext, ext_prefix)
+                if in_base != tuple([in_ext[j] for j in to_ext]):
+                    mask |= 1 << k
+        except ValueOutOfRange:
+            mask = (1 << len(contexts)) - 1
+        return mask
+
     for _ in range(samples):
         candidate = random_causal_formula(rng, base)
-        lowered_base, lowered_ext = base_s.lower(candidate), ext_s.lower(candidate)
-        for ctx, exo_base, exo_ext in contexts:
+        lowered_base = base_s.lower(candidate)
+        flagged = functools.reduce(int.__or__, map(differing, base_s.prefixes(lowered_base)))
+        if not flagged:
+            continue
+        lowered_ext = ext_s.lower(candidate)
+        for k, (ctx, exo_base, exo_ext) in enumerate(contexts):
+            if not flagged >> k & 1:
+                continue
             in_base = base_s.holds(lowered_base, exo_base)
             in_ext = ext_s.holds(lowered_ext, exo_ext)
             if in_base != in_ext:
@@ -520,6 +574,8 @@ def kill_all_witnesses(
     updated rules; each round kills the canonically first surviving witness,
     and the loop ends when no witness is left.
     """
+    if max_rounds < 1:
+        raise EngineError(f"the round limit must be a positive integer, not {max_rounds}")
     y_name, y_val = _effect_pair(effect)
     phi = fm.PrimitiveEvent(y_name, y_val)
     budget = budget if budget is not None else SearchBudget()

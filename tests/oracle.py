@@ -46,6 +46,14 @@ def interpret(expr, env):
 
 def naive_solve(model, context, interventions=None):
     """Unique world by filtering all assignments against the equations."""
+    solutions = naive_worlds(model, context, interventions)
+    assert len(solutions) == 1, f"expected a unique world, found {len(solutions)}"
+    return solutions[0]
+
+
+def naive_worlds(model, context, interventions=None):
+    """Every assignment that satisfies the equations: one world in a
+    recursive model, none when an equation leaves its variable's range."""
     iv = dict(interventions or {})
     names = model.endogenous_names
     equations = dict(model.equations)
@@ -62,8 +70,7 @@ def naive_solve(model, context, interventions=None):
                 break
         if ok:
             solutions.append(dict(zip(names, combo)))
-    assert len(solutions) == 1, f"expected a unique world, found {len(solutions)}"
-    return solutions[0]
+    return solutions
 
 
 def event_holds(world, phi):
@@ -288,3 +295,63 @@ def random_effect(rng: random.Random, model, names, depth=2):
 
 def random_context(rng: random.Random, model):
     return {n: rng.choice(model.range_of(n)) for n in model.exogenous_names}
+
+
+EXTENSION_KINDS = ("faithful", "rewired", "overflow")
+
+
+def random_extension_pair(rng: random.Random, kind: str, max_endogenous=3):
+    """A random multi-valued base model and an extension of it of one kind.
+
+    - "faithful": one base equation is routed through a new copy variable
+      that carries it, which keeps every base relation;
+    - "rewired": one base equation is overridden when a new variable that
+      reads the base is 1 and a test of the base holds, which usually
+      changes some relation;
+    - "overflow": a new variable `Sum`s two others under a guard into the
+      range (0, 1), which it can leave, and one base equation is routed
+      through a copy variable or rewired to read the sum.
+
+    New variables sit at random places among the endogenous variables, and
+    the exogenous variables are declared in a random order.
+    """
+    if kind not in EXTENSION_KINDS:
+        raise ValueError(kind)
+    base = random_multivalued_model(rng, max_endogenous=max_endogenous)
+    ranges = dict(base.signature.exogenous + base.signature.endogenous)
+    names = list(base.endogenous_names)
+    equations = dict(base.equations)
+    target = rng.choice(names)
+    # the variables a new equation may read without closing a cycle
+    upstream = list(base.exogenous_names) + names[:names.index(target)]
+    new = {}
+    if kind == "faithful":
+        new["N1"] = (ranges[target], equations[target])
+        equations[target] = md.Var("N1")
+    else:
+        guard = _random_guard(rng, upstream, ranges, 1)
+        if kind == "rewired":
+            when = md.Const(1)
+        else:
+            when = md.Sum(tuple(md.Var(rng.choice(upstream)) for _ in range(2)))
+        new["N1"] = ((0, 1), md.Case(arms=((guard, when),), default=md.Const(0)))
+        if kind == "overflow" and rng.random() < 0.5:
+            new["N2"] = (ranges[target], equations[target])
+            equations[target] = md.Var("N2")
+        else:
+            # the test also reads the base directly, perhaps a variable that
+            # the base equation does not read
+            tested = names[:names.index(target)] or upstream
+            on = md.And((md.Cmp("=", md.Var("N1"), md.Const(1)),
+                         _random_guard(rng, tested, ranges, 0)))
+            value = md.Const(rng.choice(ranges[target]))
+            equations[target] = md.Case(arms=((on, value),), default=equations[target])
+    order = list(names)
+    for name in new:
+        order.insert(rng.randrange(len(order) + 1), name)
+    endogenous = {n: new[n][0] if n in new else ranges[n] for n in order}
+    equations.update((n, eq) for n, (_, eq) in new.items())
+    exogenous = list(base.signature.exogenous)
+    rng.shuffle(exogenous)
+    extension = md.make_model(dict(exogenous), endogenous, {n: equations[n] for n in order})
+    return base, extension

@@ -14,17 +14,22 @@ from actualcause.causality import (
     find_witnesses,
     is_actual_cause,
 )
+from actualcause import formula as fm
+from actualcause import transforms
 from actualcause.errors import (
     EngineError,
     NotAWitness,
     PreconditionViolated,
     SignatureMismatch,
+    ValueOutOfRange,
     WitnessEqualsActual,
 )
 from actualcause.formula import Held, PrimitiveEvent, eval_formula
 from actualcause.model import solve
 from actualcause.transforms import (
     AgreementReport,
+    Counterexample,
+    ExtensionReport,
     build_stability_model,
     check_formula_agreement,
     deviating_variables,
@@ -36,7 +41,13 @@ from actualcause.transforms import (
     random_causal_formula,
     respects_equations,
 )
-from oracle import naive_formula_holds, random_multivalued_model
+from oracle import (
+    EXTENSION_KINDS,
+    naive_formula_holds,
+    naive_worlds,
+    random_extension_pair,
+    random_multivalued_model,
+)
 
 
 # -- conservative extensions ---------------------------------------------------
@@ -137,15 +148,16 @@ def test_formula_agreement_flags_the_cheat(doc):
     assert report.value_base != report.value_extension
 
 
-def _naive_agreement(extension, base, samples, seed):
+def _naive_agreement(extension, base, samples, seed, holds=naive_formula_holds):
     """`check_formula_agreement` read literally: the same formulas, each
-    decided from scratch by the oracle in every context."""
+    decided from scratch in every context, by the oracle unless `holds`
+    names another evaluator."""
     rng = random.Random(seed)
     for _ in range(samples):
         candidate = random_causal_formula(rng, base)
         for ctx in base.contexts():
-            in_base = naive_formula_holds(base, ctx, candidate)
-            in_ext = naive_formula_holds(extension, ctx, candidate)
+            in_base = holds(base, ctx, candidate)
+            in_ext = holds(extension, ctx, candidate)
             if in_base != in_ext:
                 return AgreementReport(False, samples, candidate, ctx, in_base, in_ext)
     return AgreementReport(True, samples)
@@ -176,6 +188,136 @@ def test_formula_agreement_matches_oracle_on_random_pairs():
             assert report.agrees or extension is perturbed
             disagreements += not report.agrees
     assert disagreements >= 20, disagreements
+
+
+def _naive_conservativity(extension, base):
+    """`is_conservative_extension` read literally on the oracle: every
+    context, base variable and total setting of the other base variables,
+    each world found by filtering assignments.  No world means an equation
+    left its range."""
+    def world(model, ctx, setting):
+        found = naive_worlds(model, ctx, setting)
+        if not found:
+            raise ValueOutOfRange("some variable", "a value outside its range")
+        return found[0]
+
+    names = base.endogenous_names
+    for values in itertools.product(*map(base.range_of, base.exogenous_names)):
+        ctx = dict(zip(base.exogenous_names, values))
+        for x in names:
+            others = [n for n in names if n != x]
+            for setting in itertools.product(*map(base.range_of, others)):
+                iv = dict(zip(others, setting))
+                got_base, got_ext = world(base, ctx, iv)[x], world(extension, ctx, iv)[x]
+                if got_base != got_ext:
+                    return ExtensionReport(False, Counterexample(ctx, x, iv, got_base, got_ext))
+    return ExtensionReport(True)
+
+
+def _outcome(check, *args):
+    """The report, or the type of the error raised."""
+    try:
+        return check(*args)
+    except EngineError as exc:
+        return type(exc)
+
+
+def _looped_agreement(extension, base, samples, seed):
+    """Every formula evaluated by `eval_formula` in both models in every
+    context, with no masks."""
+    return _naive_agreement(extension, base, samples, seed, holds=eval_formula)
+
+
+def test_surgery_checks_match_references_on_random_extension_pairs():
+    """Both checks give the reports, first counterexample and first
+    disagreeing formula and context included, and raise the errors that the
+    references give, on faithful, rewired and out-of-range pairs."""
+    seen = set()
+    for seed in range(150):
+        kind = EXTENSION_KINDS[seed % 3]
+        base, extension = random_extension_pair(random.Random(7000 + seed), kind)
+        report = _outcome(is_conservative_extension, extension, base)
+        assert report == _outcome(_naive_conservativity, extension, base), (seed, kind)
+        agreement = _outcome(check_formula_agreement, extension, base, 40, seed)
+        assert agreement == _outcome(_looped_agreement, extension, base, 40, seed), (seed, kind)
+        seen.add(("conservative", getattr(report, "is_conservative", report)))
+        seen.add(("agreement", getattr(agreement, "agrees", agreement)))
+    assert seen == {
+        (check, result)
+        for check in ("conservative", "agreement")
+        for result in (True, False, ValueOutOfRange)
+    }, seen
+
+
+def test_agreement_with_an_unsolvable_prefix_decides_as_before():
+    """The extension cannot solve any world in context U=1, so every mask
+    is full.  With seed 4 the first formula disagrees in U=0 and is reported
+    before U=1 is reached, where solving every context up front would
+    raise; with seed 0 the first formula agrees in U=0 and evaluating it in
+    U=1 raises."""
+    base = md.make_model(
+        {"U": (0, 1)}, {"A": (0, 1), "B": (0, 1)}, {"A": md.Var("U"), "B": md.Var("A")}
+    )
+    extension = md.make_model(
+        {"U": (0, 1)},
+        {"A": (0, 1), "B": (0, 1), "N": (0, 1)},
+        {"A": md.Var("U"), "B": md.Not(md.Var("A")), "N": md.Sum((md.Var("U"), md.Var("U")))},
+    )
+    expected = _looped_agreement(extension, base, 20, 4)
+    assert not expected.agrees and expected.context == {"U": 0}
+    assert check_formula_agreement(extension, base, 20, 4) == expected
+    with pytest.raises(ValueOutOfRange):
+        check_formula_agreement(extension, base, 20, 0)
+    assert is_conservative_extension(extension, base) == _naive_conservativity(extension, base)
+
+
+def test_agreement_lowers_each_formula_once_on_a_conservative_pair(doc, monkeypatch):
+    lowered = []
+    real = fm._Session.lower
+    monkeypatch.setattr(fm._Session, "lower", lambda s, f: lowered.append(f) or real(s, f))
+    report = check_formula_agreement(
+        doc("rock_throwing_detailed").model, doc("rock_throwing_naive").model,
+        samples=50, seed=3,
+    )
+    assert report.agrees and len(lowered) == 50
+
+
+def test_conservativity_enumerates_only_the_settings_that_matter(doc, monkeypatch):
+    calls = []
+    real = transforms.solve_values
+    monkeypatch.setattr(
+        transforms, "solve_values", lambda *a: calls.append(None) or real(*a)
+    )
+    report = is_conservative_extension(
+        doc("glymour_mechanisms").model, doc("glymour_naive").model
+    )
+    # every total setting of the other variables would be 12,288 solves
+    assert report.is_conservative and len(calls) <= 7168, len(calls)
+
+
+def test_conservativity_enumerates_what_the_extension_reads():
+    """C reads only A in the base, but in the extension B too, directly or
+    through a new variable N, so B's values must be enumerated for C: the
+    models differ only at B = 1."""
+    exogenous, endogenous = {"U": (0, 1)}, {"A": (0, 1), "B": (0, 1), "C": (0, 1)}
+    equations = {"A": md.Var("U"), "B": md.Var("U")}
+    base = md.make_model(exogenous, endogenous, {**equations, "C": md.Var("A")})
+    for reads in ("B", "N"):
+        test = md.Cmp("=", md.Var(reads), md.Const(1))
+        extension = md.make_model(exogenous, {**endogenous, "N": (0, 1)}, {
+            **equations, "N": md.Var("B") if reads == "N" else md.Const(0),
+            "C": md.Case(arms=((test, md.Const(0)),), default=md.Var("A")),
+        })
+        report = is_conservative_extension(extension, base)
+        assert report == _naive_conservativity(extension, base)
+        assert report.counterexample == Counterexample({"U": 0}, "C", {"A": 1, "B": 1}, 1, 0)
+
+
+def test_agreement_refuses_a_sample_count_below_one(doc):
+    base, ext = doc("rock_throwing_naive").model, doc("rock_throwing_detailed").model
+    for samples in (0, -3):
+        with pytest.raises(EngineError, match="sample count"):
+            check_formula_agreement(ext, base, samples=samples)
 
 
 def test_extended_conservativity_scanner_chain(doc):
@@ -430,6 +572,18 @@ def test_kill_all_witnesses_preconditions(doc, rt_naive):
 
 
 # -- stability family -------------------------------------------------------------
+
+def test_kill_all_witnesses_refuses_a_round_limit_below_one(hopkins, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking the round limit")
+
+    monkeypatch.setattr(transforms, "is_actual_cause", no_search)
+    for rounds in (0, -1):
+        with pytest.raises(EngineError, match="round limit"):
+            kill_all_witnesses(
+                hopkins.model, hopkins.context("u"), {"A": 1}, ("D", 1), max_rounds=rounds
+            )
+
 
 def test_stability_members_have_expected_shape():
     m0, ctxs = build_stability_model(0)
