@@ -24,8 +24,7 @@ from .errors import (
     MissingNormalityOrder,
     NoWitness,
     SearchBudgetExceeded,
-    UnknownVariable,
-    ValueOutOfRange,
+    _check_count,
 )
 from .formula import (
     CausalFormula,
@@ -33,7 +32,7 @@ from .formula import (
     formula_variables,
     validate_formula,
 )
-from .model import CausalModel, World, context_values, solve, solve_values
+from .model import CausalModel, World, _setting_index, context_values, solve, solve_values
 
 __all__ = [
     "RuleVariant",
@@ -82,10 +81,7 @@ class SearchBudget:
     __slots__ = ("limit", "used")
 
     def __init__(self, limit: int = DEFAULT_SOLVE_BUDGET):
-        if limit < 1:
-            raise EngineError(
-                f"the search budget must be a positive integer, not {limit}"
-            )
+        _check_count(limit, 1, "the search budget must be a positive integer, not {}")
         self.limit = limit
         self.used = 0
 
@@ -226,37 +222,34 @@ def _normalize_cause(base: CausalModel, cause: Mapping[str, int]) -> tuple[tuple
         raise EngineError("a candidate cause needs at least one conjunct")
     rt = base._runtime()
     for name, value in cause.items():
-        idx = rt.endo_index.get(name)
-        if idx is None:
-            raise UnknownVariable(name, "cause conjuncts are endogenous")
-        if value not in rt.endo_range_sets[idx]:
-            raise ValueOutOfRange(name, value)
+        _setting_index(rt, name, value, "cause conjuncts are endogenous")
     ordered = sorted(cause, key=rt.endo_index.__getitem__)
     return tuple((n, cause[n]) for n in ordered)
 
 
 def _validate_witness(
     base: CausalModel, cause: tuple[tuple[str, int], ...], witness: Witness
-) -> None:
+) -> tuple[int, ...]:
+    """Check a witness against a normalized cause; return the endogenous
+    indices of its contingency variables."""
     rt = base._runtime()
     cause_vars = {n for n, _ in cause}
     seen = set()
+    w_idx = []
     for name, value in zip(witness.vars, witness.values):
-        idx = rt.endo_index.get(name)
-        if idx is None:
-            raise UnknownVariable(name, "contingency variables are endogenous")
+        # an unknown name is never in the cause or seen, so checking overlap
+        # and repetition before the name and range changes no error
         if name in cause_vars:
             raise EngineError(f"contingency variable {name!r} overlaps the cause")
         if name in seen:
             raise EngineError(f"contingency variable {name!r} repeated")
         seen.add(name)
-        if value not in rt.endo_range_sets[idx]:
-            raise ValueOutOfRange(name, value)
+        w_idx.append(_setting_index(rt, name, value, "contingency variables are endogenous"))
     if len(witness.alt) != len(cause):
         raise EngineError("alternate cause values do not match the cause arity")
     for (name, _), alt in zip(cause, witness.alt):
-        if alt not in rt.endo_range_sets[rt.endo_index[name]]:
-            raise ValueOutOfRange(name, alt)
+        _setting_index(rt, name, alt, "cause conjuncts are endogenous")
+    return tuple(w_idx)
 
 
 class _Query:
@@ -604,10 +597,10 @@ def witness_world(model, context, cause: Mapping[str, int], witness: Witness) ->
     alternate cause values."""
     base, _ = _unwrap(model)
     cause_items = _normalize_cause(base, cause)
-    _validate_witness(base, cause_items, witness)
+    w_idx = _validate_witness(base, cause_items, witness)
     rt = base._runtime()
     iv = {rt.endo_index[n]: a for (n, _), a in zip(cause_items, witness.alt)}
-    iv.update({rt.endo_index[n]: v for n, v in zip(witness.vars, witness.values)})
+    iv.update(zip(w_idx, witness.values))
     exo = context_values(base, context)
     return World(rt.endo_names, solve_values(base, exo, iv))
 
@@ -624,8 +617,17 @@ def check_ac1(model, context, cause: Mapping[str, int], phi: CausalFormula) -> b
 def _witness_query(model, context, cause, phi, witness, variant, budget=None):
     """A query bound to `cause`, and the witness's contingency indices."""
     query = _Query(model, context, phi, variant, budget).bind(cause)
-    _validate_witness(query.base, query.cause, witness)
-    return query, tuple(query.rt.endo_index[n] for n in witness.vars)
+    return query, _validate_witness(query.base, query.cause, witness)
+
+
+def _certifies(query: _Query, w_idx: tuple[int, ...], witness: Witness) -> bool:
+    """AC1, AC2(a) and AC2(b), in that order, for a stated witness on a
+    query bound to its cause (see `_witness_query`)."""
+    return (
+        query.ac1()
+        and all(query.ac2a(w_idx, witness.values, witness.alt))
+        and query.ac2b(w_idx, witness.values)
+    )
 
 
 def check_ac2a(
@@ -731,10 +733,8 @@ def find_all_causes(
     in one query session, whose memo answers the AC3 checks of larger
     candidates from the verdicts of smaller ones.
     """
-    if max_conjuncts is not None and max_conjuncts < 1:
-        raise EngineError(
-            f"max_conjuncts must be a positive integer, not {max_conjuncts}"
-        )
+    if max_conjuncts is not None:
+        _check_count(max_conjuncts, 1, "max_conjuncts must be a positive integer, not {}")
     session = _Query(model, context, phi, variant, budget)
     if not session.phi_ok(session.actual, ()):
         return []

@@ -19,11 +19,12 @@ from ..causality import (
     RuleVariant,
     SearchBudget,
     Witness,
+    _certifies,
     _witness_query,
     is_actual_cause,
 )
 from ..dsl import ModelDocument, parse_cause, parse_formula, parse_model
-from ..errors import EngineError
+from ..errors import _check_count
 
 __all__ = [
     "CorpusCase",
@@ -282,15 +283,9 @@ def _run_case(case: CorpusCase, budget_limit: int | None) -> CaseResult:
             # verify the stated witness instead of searching, in one session
             # bound to the cause: enough for a positive verdict on a
             # single-conjunct cause
-            witness = case.witness
-            query, w_idx = _witness_query(subject, context, cause, effect, witness,
+            query, w_idx = _witness_query(subject, context, cause, effect, case.witness,
                                           variant, budget)
-            certified = (
-                query.ac1()
-                and all(query.ac2a(w_idx, witness.values, witness.alt))
-                and query.ac2b(w_idx, witness.values)
-                and len(cause) == 1
-            )
+            certified = _certifies(query, w_idx, case.witness) and len(cause) == 1
             actual = "cause" if certified else "not-cause"
         else:
             verdict = is_actual_cause(
@@ -313,10 +308,8 @@ def verify_corpus(
     include_heavy: bool = False, budget_limit: int | None = None
 ) -> CorpusReport:
     """Run every bundled case and report expected vs. actual verdicts."""
-    if budget_limit is not None and budget_limit < 1:
-        raise EngineError(
-            f"the budget limit must be a positive integer, not {budget_limit}"
-        )
+    if budget_limit is not None:
+        _check_count(budget_limit, 1, "the budget limit must be a positive integer, not {}")
     selected = [c for c in CASES if include_heavy or not c.heavy]
     results = tuple(_run_case(c, budget_limit) for c in selected)
     return CorpusReport(results)

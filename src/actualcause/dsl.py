@@ -45,6 +45,7 @@ from .model import (
     Sum,
     Var,
     World,
+    _own_values,
     check_recursive,
     compile_expression,
     context_values,
@@ -312,12 +313,9 @@ def _build_order(
         tuple((guard, Const(rank)) for guard, rank in decl.arms), Const(decl.default)
     )
     ranks = compile_expression(table, rt.names)
-    names = rt.endo_names
 
     def rank_of(world: World) -> int:
-        if world.names != names:
-            raise EngineError("world does not belong to this model")
-        return ranks(world.values, ())
+        return ranks(_own_values(rt, world), ())
 
     return NormalityOrder.from_ranks(rank_of)
 

@@ -80,3 +80,9 @@ class ParseError(EngineError):
         self.column = column
         self.message = message
         super().__init__(f"{line}:{column}: {message}")
+
+
+def _check_count(value, least: int, message: str) -> None:
+    """Refuse a bool, a non-int or an int below `least`: `EngineError(message.format(value))`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise EngineError(message.format(value))

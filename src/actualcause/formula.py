@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from . import model as mx
-from .errors import EngineError, MalformedPhi, UnknownVariable, ValueOutOfRange
-from .model import CausalModel, context_values, solve_values
+from .errors import EngineError, MalformedPhi
+from .model import CausalModel, _setting_index, context_values, solve_values
 
 __all__ = [
     "CausalFormula",
@@ -132,21 +132,13 @@ def validate_formula(model: CausalModel, formula: CausalFormula) -> None:
     rt = model._runtime()
     for node, prefix in _walk(formula):
         if isinstance(node, PrimitiveEvent):
-            idx = rt.endo_index.get(node.var)
-            if idx is None:
-                raise UnknownVariable(node.var, "events test endogenous variables only")
-            if node.value not in rt.endo_range_sets[idx]:
-                raise ValueOutOfRange(node.var, node.value)
+            _setting_index(rt, node.var, node.value, "events test endogenous variables only")
         elif isinstance(node, Held):
             if prefix is not None:
                 raise MalformedPhi("intervention prefixes do not nest")
             seen = set()
             for name, value in node.settings:
-                idx = rt.endo_index.get(name)
-                if idx is None:
-                    raise UnknownVariable(name, "interventions target endogenous variables")
-                if value not in rt.endo_range_sets[idx]:
-                    raise ValueOutOfRange(name, value)
+                _setting_index(rt, name, value, "interventions target endogenous variables")
                 if name in seen:
                     raise MalformedPhi(f"variable {name!r} intervened twice")
                 seen.add(name)

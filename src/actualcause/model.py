@@ -323,8 +323,9 @@ class CausalModel:
     """A signature plus one structural equation per endogenous variable.
 
     Construction validates structure (names, ranges, equation keys and
-    references); recursiveness is checked by `check_recursive`, which `solve`
-    invokes and caches.
+    references).  Recursiveness is checked, and the equations compiled, when
+    the cached runtime is first built: by `check_recursive`, `solve` or any
+    query.
     """
 
     signature: Signature
@@ -422,9 +423,11 @@ def check_recursive(model: CausalModel) -> list[str]:
     X comes before Y whenever Y's equation mentions X, counting mentions
     inside unreachable case branches (dependency is syntactic).  Ties are
     broken by declaration order, so solve traces are reproducible.
-    Raises `CyclicModel` with a concrete cycle when no order exists.
+    Raises `CyclicModel` with a concrete cycle when no order exists.  It is
+    the cached runtime's order: building the runtime compiles the equations.
     """
-    return _dependency_order(model)[0]
+    rt = model._runtime()
+    return [rt.endo_names[i] for i in rt.order]
 
 
 def _dependency_order(model: CausalModel) -> tuple[list[str], dict[str, list[str]]]:
@@ -534,25 +537,30 @@ def solve(model: CausalModel, context: Mapping[str, int]) -> World:
     return World(rt.endo_names, solve_values(model, exo))
 
 
-def intervention_indices(
-    model: CausalModel, settings: Mapping[str, int]
-) -> dict[int, int]:
-    """Validate an intervention and key it by endogenous index."""
-    rt = model._runtime()
-    out = {}
-    for name, value in settings.items():
-        idx = rt.endo_index.get(name)
-        if idx is None:
-            raise UnknownVariable(name, "not an endogenous variable")
-        if value not in rt.endo_range_sets[idx]:
-            raise ValueOutOfRange(name, value)
-        out[idx] = value
-    return out
+def _setting_index(rt: _Runtime, name: str, value: int | None, detail: str) -> int:
+    """The index of endogenous `name`: `UnknownVariable` with `detail` if it
+    has none, `ValueOutOfRange` if `value` (unless None) is outside its range."""
+    try:
+        idx = rt.endo_index[name]
+    except KeyError:
+        raise UnknownVariable(name, detail) from None
+    if value not in rt.endo_range_sets[idx] and value is not None:
+        raise ValueOutOfRange(name, value)
+    return idx
+
+
+def _own_values(rt: _Runtime, world: World) -> tuple[int, ...]:
+    """The values of a world of `rt`'s model; names only, for the rank functions."""
+    if world.names != rt.endo_names:
+        raise EngineError("world does not belong to this model")
+    return world.values
 
 
 def intervene(model: CausalModel, settings: Mapping[str, int]) -> CausalModel:
     """Replace the equations of the given variables by constants."""
-    intervention_indices(model, settings)
+    rt = model._runtime()
+    for name, value in settings.items():
+        _setting_index(rt, name, value, "not an endogenous variable")
     eqs = {
         name: (Const(settings[name]) if name in settings else expr)
         for name, expr in model.equations

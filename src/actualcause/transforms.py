@@ -21,9 +21,8 @@ from .causality import (
     RuleVariant,
     SearchBudget,
     Witness,
-    check_ac1,
-    check_ac2a,
-    check_ac2b,
+    _certifies,
+    _witness_query,
     is_actual_cause,
 )
 from .errors import (
@@ -34,6 +33,7 @@ from .errors import (
     UnknownVariable,
     ValueOutOfRange,
     WitnessEqualsActual,
+    _check_count,
 )
 from .model import (
     And,
@@ -44,6 +44,8 @@ from .model import (
     Expression,
     Var,
     World,
+    _setting_index,
+    _own_values,
     conj,
     context_values,
     disj,
@@ -244,8 +246,7 @@ def check_formula_agreement(
     evaluation everywhere.  Formulas are lowered against the base alone:
     the extension has every base variable with the same range.
     """
-    if samples < 1:
-        raise EngineError(f"the sample count must be a positive integer, not {samples}")
+    _check_count(samples, 1, "the sample count must be a positive integer, not {}")
     _require_extension_signature(extension, base)
     rng = random.Random(seed)
     # one formula session per model, so each (context, prefix) world is
@@ -351,23 +352,22 @@ class RespectReport:
     violating_world: World | None = None
 
 
-def _world_values(model: CausalModel, world) -> tuple[int, ...]:
-    rt = model._runtime()
-    if isinstance(world, World):
-        if world.names != rt.endo_names:
-            raise EngineError("world does not belong to this model")
-        return world.values
-    return tuple(world[n] for n in rt.endo_names)
-
-
 def deviating_variables(
     model: CausalModel, context: Mapping[str, int], world
 ) -> list[DeviationRecord]:
     """Variables whose value in the world differs from what their equation
-    yields when everything else is pinned to the world's values."""
+    yields when everything else is pinned to the world's values.  The world,
+    a `World` of the model or a mapping, is checked as a context is."""
     rt = model._runtime()
     exo = context_values(model, context)
-    values = _world_values(model, world)
+    if isinstance(world, World):
+        world = dict(zip(rt.endo_names, _own_values(rt, world)))
+    for name, value in world.items():
+        _setting_index(rt, name, value, "not an endogenous variable")
+    for name in rt.endo_names:
+        if name not in world:
+            raise UnknownVariable(name, "world does not assign it")
+    values = tuple([world[n] for n in rt.endo_names])
     as_world = World(rt.endo_names, values)
     records = []
     for i, name in enumerate(rt.endo_names):
@@ -392,7 +392,7 @@ def respects_equations(
     base, order = model.base, model.order
     rt = base._runtime()
     exo = context_values(base, context)
-    idxs = [_endo_index(base, v) for v in variables]
+    idxs = [_setting_index(rt, v, None, "not an endogenous variable") for v in variables]
     s_u = World(rt.endo_names, solve_values(base, exo))
     for combo in itertools.product(*rt.endo_ranges):
         if _deviates_on(base, exo, combo, idxs):
@@ -400,13 +400,6 @@ def respects_equations(
             if order.at_least_as_normal(s, s_u):
                 return RespectReport(False, s)
     return RespectReport(True)
-
-
-def _endo_index(model: CausalModel, name: str) -> int:
-    idx = model._runtime().endo_index.get(name)
-    if idx is None:
-        raise UnknownVariable(name, "not an endogenous variable")
-    return idx
 
 
 def normality_from_respect(
@@ -419,13 +412,10 @@ def normality_from_respect(
     """
     rt = model._runtime()
     exo = context_values(model, context)
-    idxs = tuple(_endo_index(model, v) for v in variables)
-    names = rt.endo_names
+    idxs = tuple(_setting_index(rt, v, None, "not an endogenous variable") for v in variables)
 
     def rank(world: World) -> int:
-        if world.names != names:
-            raise EngineError("world does not belong to this model")
-        return 1 if _deviates_on(model, exo, world.values, idxs) else 0
+        return 1 if _deviates_on(model, exo, _own_values(rt, world), idxs) else 0
 
     return NormalityOrder.from_ranks(rank)
 
@@ -479,20 +469,14 @@ def kill_witness(
         raise NotAWitness("cause and effect must be distinct variables")
     phi = fm.PrimitiveEvent(y_name, y_val)
 
-    rt = model._runtime()
-    exo = context_values(model, context)
-    actual = solve_values(model, exo)
-    w_actual = tuple(actual[rt.endo_index[n]] for n in witness.vars)
-    if witness.values == w_actual:
+    query, w_idx = _witness_query(model, context, cause, phi, witness, RuleVariant.ORIGINAL)
+    if witness.values == tuple([query.actual[i] for i in w_idx]):
         raise WitnessEqualsActual(
             "the contingency values equal the actual values; nothing to kill"
         )
-    if not (
-        check_ac1(model, context, cause, phi)
-        and check_ac2a(model, context, cause, phi, witness, RuleVariant.ORIGINAL)
-        and check_ac2b(model, context, cause, phi, witness, RuleVariant.ORIGINAL)
-    ):
+    if not _certifies(query, w_idx, witness):
         raise NotAWitness("the tuple does not certify the cause under the original rules")
+    rt, exo = query.rt, query.exo
 
     nw = _fresh_witness_var(model, fresh_name)
     x_alt = witness.alt[0]
@@ -502,9 +486,7 @@ def kill_witness(
     ]
 
     def forced_values(x_value: int) -> dict[str, int]:
-        iv = {rt.endo_index[x_name]: x_value}
-        iv.update({rt.endo_index[n]: v for n, v in w_map.items()})
-        solved = solve_values(model, exo, iv)
+        solved = solve_values(model, exo, query.witness_iv(w_idx, witness.values, (x_value,)))
         return {n: solved[rt.endo_index[n]] for n in z_names}
 
     z_at_x = forced_values(x_val)
@@ -574,8 +556,7 @@ def kill_all_witnesses(
     updated rules; each round kills the canonically first surviving witness,
     and the loop ends when no witness is left.
     """
-    if max_rounds < 1:
-        raise EngineError(f"the round limit must be a positive integer, not {max_rounds}")
+    _check_count(max_rounds, 1, "the round limit must be a positive integer, not {}")
     y_name, y_val = _effect_pair(effect)
     phi = fm.PrimitiveEvent(y_name, y_val)
     budget = budget if budget is not None else SearchBudget()
@@ -590,18 +571,18 @@ def kill_all_witnesses(
     if under_updated.is_cause:
         raise PreconditionViolated("still a cause under the updated rules")
 
-    current = model
-    for _ in range(max_rounds):
-        verdict = is_actual_cause(
-            current, context, cause, phi, RuleVariant.ORIGINAL, budget,
-            find_all_witnesses=False,
-        )
-        if not verdict.is_cause:
-            return current
-        current = kill_witness(
-            current, context, cause, effect, verdict.witnesses[0],
-            _fresh_witness_var(current, None),
-        )
+    # the precondition's verdict opens round one; no verdict is sought
+    # after the last round
+    current, verdict = model, under_original
+    for rounds in range(1, max_rounds + 1):
+        current = kill_witness(current, context, cause, effect, verdict.witnesses[0])
+        if rounds < max_rounds:
+            verdict = is_actual_cause(
+                current, context, cause, phi, RuleVariant.ORIGINAL, budget,
+                find_all_witnesses=False,
+            )
+            if not verdict.is_cause:
+                return current
     raise EngineError(f"witness killing did not converge in {max_rounds} rounds")
 
 
@@ -617,8 +598,7 @@ def build_stability_model(n: int) -> tuple[CausalModel, dict[str, dict[str, int]
     a fresh trigger variable X; even members add its neutralizer Y.  The
     returned contexts are `u0` and `u1`.
     """
-    if n < 0:
-        raise EngineError("the family is indexed by nonnegative integers")
+    _check_count(n, 0, "the family is indexed by nonnegative integers")
     num_x = (n + 1) // 2
     num_y = n // 2
 

@@ -19,6 +19,7 @@ from actualcause.errors import (
     UnknownVariable,
 )
 from actualcause.formula import And, Held, Not, PrimitiveEvent, formula_variables
+from actualcause import model as md
 from actualcause.model import solve
 
 
@@ -197,6 +198,23 @@ context u { U = -1 }
 """
     doc = parse_model(source)
     assert solve(doc.model, doc.context("u"))["L"] == 1
+
+
+def test_over_deep_equation_is_refused_at_parse_time_without_a_context(monkeypatch):
+    # recursiveness is checked by building the model's runtime, which also
+    # compiles the equations; no context has to be validated for that
+    arms = " ".join(f"U = {i} -> 1;" for i in range(250))
+    with pytest.raises(EngineError, match="nested too deeply to compile"):
+        parse_model("model deep\nexogenous U: {0,1}\n"
+                    f"endogenous A: {{0,1}} = case {{ {arms} default -> 0 }}\n")
+    # and each dependency order is built once, by the runtime
+    calls = []
+    original = md._dependency_order
+    monkeypatch.setattr(md, "_dependency_order", lambda m: calls.append(m) or original(m))
+    doc = parse_model("model two\nexogenous U: {0,1}\nendogenous A: {0,1} = U\n"
+                      "endogenous B: {0,1} = A\ncontext u { U = 1 }\n")
+    assert len(calls) == 1
+    assert md.check_recursive(doc.model) == ["A", "B"] and len(calls) == 1
 
 
 def test_over_deep_nesting_is_a_parse_error(rt_naive):

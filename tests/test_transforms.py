@@ -9,6 +9,7 @@ from actualcause import model as md
 from actualcause.causality import (
     ExtendedCausalModel,
     NormalityOrder,
+    SearchBudget,
     Witness,
     find_all_causes,
     find_witnesses,
@@ -459,6 +460,15 @@ def test_kill_all_witnesses_hopkins(hopkins):
     assert not is_actual_cause(killed, u, {"A": 1}, phi, "original").is_cause
     assert is_actual_cause(killed, u, {"C": 1}, phi, "original").is_cause
     assert is_actual_cause(killed, u, {"C": 1}, phi, "updated").is_cause
+
+
+def test_kill_all_witnesses_reuses_the_precondition_verdict(hopkins):
+    # the original-rules verdict of the precondition opens round one, so the
+    # loop charges one first-witness query (11 solves) less than it would by
+    # asking it again on the same model
+    budget = SearchBudget()
+    kill_all_witnesses(hopkins.model, hopkins.context("u"), {"A": 1}, ("D", 1), budget=budget)
+    assert budget.used == 76
 
 
 def test_killed_model_causes_restrict_to_original_causes(hopkins):
