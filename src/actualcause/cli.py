@@ -112,10 +112,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="actualcause", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_model(p, context=True):
+    def with_model(p):
         p.add_argument("-m", "--model", required=True, help="model file (.cm)")
-        if context:
-            p.add_argument("-c", "--context", required=True, help="declared context name")
+        p.add_argument("-c", "--context", required=True, help="declared context name")
 
     p = sub.add_parser("solve", help="print the unique world of a context")
     with_model(p)
@@ -167,7 +166,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("corpus", help="bundled example corpus")
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
     p_run = corpus_sub.add_parser("run", help="run every bundled case")
-    p_run.add_argument("--include-heavy", action="store_true")
     p_run.add_argument("--budget", type=_positive_int, default=None)
     corpus_sub.add_parser("list", help="list bundled models and cases")
     return parser
@@ -303,13 +301,11 @@ def _cmd_corpus(args) -> int:
         for name in corpus_pkg.model_names():
             print(f"model {name}")
         for case in corpus_pkg.CASES:
-            heavy = "  [heavy]" if case.heavy else ""
+            stated = "  [stated witness]" if case.witness is not None else ""
             print(f"case {case.id}: {case.cause} -> {case.effect} "
-                  f"[{case.variant}] expect {case.expect}{heavy}")
+                  f"[{case.variant}] expect {case.expect}{stated}")
         return 0
-    report = corpus_pkg.verify_corpus(
-        include_heavy=args.include_heavy, budget_limit=args.budget
-    )
+    report = corpus_pkg.verify_corpus(budget_limit=args.budget)
     for r in report.results:
         mark = "PASS" if r.ok else "FAIL"
         line = (f"  {mark}  {r.case.id:22s} expected={r.expected:9s} "

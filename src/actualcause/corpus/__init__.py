@@ -1,10 +1,9 @@
 """Bundled example models with their expected causal verdicts.
 
 Every case names a model file, a declared context, a query and the verdict
-the engine must reproduce.  Cases marked heavy are skipped by default: the
-full-size plurality model is far beyond exhaustive search, so its case
-checks one stated witness instead of searching, a check of a few hundred
-solves.
+the engine must reproduce.  The full-size plurality model is far beyond
+exhaustive search, so its case checks one stated witness instead of
+searching, a check of a few hundred solves under the run's budget.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ class CorpusCase:
     expect: str  # "cause" | "not-cause"
     note: str
     witness: Witness | None = None
-    heavy: bool = False
 
 
 def _case(id, model, context, cause, effect, variant, expect, note, **kw):
@@ -153,8 +151,7 @@ CASES: tuple[CorpusCase, ...] = (
           "cause", "a vote for the runner-up causes the winner's win"),
     _case("liv1720_v18", "livengood_17_2_0", "u", "V18=1", "O=0", "updated",
           "cause", "full-size tally, checked against one stated witness",
-          witness=Witness(tuple(f"V{i}" for i in range(1, 9)), (2,) * 8, (2,)),
-          heavy=True),
+          witness=Witness(tuple(f"V{i}" for i in range(1, 9)), (2,) * 8, (2,))),
     # -- loaded gun ----------------------------------------------------------
     _case("hp_a_original", "hopkins_pearl", "u", "A=1", "D=1", "original",
           "cause", "fixed-contingency rules accept the idle loader"),
@@ -304,12 +301,8 @@ def _run_case(case: CorpusCase, budget_limit: int | None) -> CaseResult:
         )
 
 
-def verify_corpus(
-    include_heavy: bool = False, budget_limit: int | None = None
-) -> CorpusReport:
+def verify_corpus(budget_limit: int | None = None) -> CorpusReport:
     """Run every bundled case and report expected vs. actual verdicts."""
     if budget_limit is not None:
         _check_count(budget_limit, 1, "the budget limit must be a positive integer, not {}")
-    selected = [c for c in CASES if include_heavy or not c.heavy]
-    results = tuple(_run_case(c, budget_limit) for c in selected)
-    return CorpusReport(results)
+    return CorpusReport(tuple(_run_case(c, budget_limit) for c in CASES))

@@ -84,5 +84,5 @@ class ParseError(EngineError):
 
 def _check_count(value, least: int, message: str) -> None:
     """Refuse a bool, a non-int or an int below `least`: `EngineError(message.format(value))`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+    if type(value) is not int or value < least:
         raise EngineError(message.format(value))

@@ -26,7 +26,6 @@ __all__ = [
     "Held",
     "events_conj",
     "formula_variables",
-    "is_intervention_free",
     "validate_formula",
     "eval_formula",
     "valid_in_model",
@@ -119,12 +118,6 @@ def formula_variables(formula: CausalFormula) -> frozenset[str]:
         elif not isinstance(node, (Not, And, Or)):
             raise MalformedPhi(f"unknown formula node {type(node).__name__}")
     return frozenset(names)
-
-
-def is_intervention_free(formula: CausalFormula) -> bool:
-    return all(
-        isinstance(node, (PrimitiveEvent, Not, And, Or)) for node, _ in _walk(formula)
-    )
 
 
 def validate_formula(model: CausalModel, formula: CausalFormula) -> None:

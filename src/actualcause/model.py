@@ -221,7 +221,7 @@ def _check_name(name: str) -> None:
 def _check_range(name: str, values: tuple[int, ...]) -> None:
     if not values:
         raise EngineError(f"range of {name!r} is empty")
-    if any(not isinstance(v, int) or isinstance(v, bool) for v in values):
+    if any(type(v) is not int for v in values):  # a bool or a float is no value
         raise EngineError(f"range of {name!r} must contain integers")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise EngineError(f"range of {name!r} must be strictly increasing")
@@ -490,7 +490,7 @@ def context_values(model: CausalModel, context: Mapping[str, int]) -> tuple[int,
         if name not in context:
             raise UnknownVariable(name, "context does not assign it")
         value = context[name]
-        if value not in rng:
+        if type(value) is not int or value not in rng:
             raise ValueOutOfRange(name, value)
         out.append(value)
     return tuple(out)
@@ -510,23 +510,16 @@ def solve_values(
     fns = rt.fns
     rsets = rt.endo_range_sets
     v = [0] * len(fns)
-    if interventions:
-        get = interventions.get
-        for i in rt.order:
-            forced = get(i)
-            if forced is None:
-                value = fns[i](v, exo)
-                if value not in rsets[i]:
-                    raise ValueOutOfRange(rt.endo_names[i], value)
-                v[i] = value
-            else:
-                v[i] = forced
-    else:
-        for i in rt.order:
+    get = (interventions or {}).get
+    for i in rt.order:
+        forced = get(i)
+        if forced is None:
             value = fns[i](v, exo)
             if value not in rsets[i]:
                 raise ValueOutOfRange(rt.endo_names[i], value)
             v[i] = value
+        else:
+            v[i] = forced
     return tuple(v)
 
 
@@ -539,12 +532,12 @@ def solve(model: CausalModel, context: Mapping[str, int]) -> World:
 
 def _setting_index(rt: _Runtime, name: str, value: int | None, detail: str) -> int:
     """The index of endogenous `name`: `UnknownVariable` with `detail` if it
-    has none, `ValueOutOfRange` if `value` (unless None) is outside its range."""
+    has none, `ValueOutOfRange` if `value` (unless None) is not an int in its range."""
     try:
         idx = rt.endo_index[name]
     except KeyError:
         raise UnknownVariable(name, detail) from None
-    if value not in rt.endo_range_sets[idx] and value is not None:
+    if value is not None and (type(value) is not int or value not in rt.endo_range_sets[idx]):
         raise ValueOutOfRange(name, value)
     return idx
 

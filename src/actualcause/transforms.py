@@ -100,7 +100,16 @@ class ExtensionReport:
     ce_counterexample: CECounterexample | None = None
 
 
+def _require_models(kind: type, *models) -> None:
+    """Refuse a model of another kind than `kind`, as `causality._unwrap` does."""
+    for model in models:
+        if not isinstance(model, kind):
+            got, want = type(model).__name__, kind.__name__
+            raise EngineError(f"not a causal model: {got} (expected {want})")
+
+
 def _require_extension_signature(extension: CausalModel, base: CausalModel) -> None:
+    _require_models(CausalModel, extension, base)
     if dict(extension.signature.exogenous) != dict(base.signature.exogenous):
         raise SignatureMismatch("the exogenous signatures differ")
     ext_endo = dict(extension.signature.endogenous)
@@ -252,11 +261,8 @@ def check_formula_agreement(
     # one formula session per model, so each (context, prefix) world is
     # solved once across all the samples
     base_s, ext_s = fm._Session(base), fm._Session(extension)
-    contexts = [
-        (ctx, context_values(base, ctx), context_values(extension, ctx))
-        for ctx in base.contexts()
-    ]
-    names = base._runtime().endo_names
+    contexts = list(_context_pairs(extension, base))
+    exo_names, names = base._runtime().exo_names, base._runtime().endo_names
     to_ext = [extension._runtime().endo_index[n] for n in names]
 
     @functools.cache
@@ -265,7 +271,7 @@ def check_formula_agreement(
         ext_prefix = ext_s.prefix((names[i], x) for i, x in prefix)
         mask = 0
         try:
-            for k, (_, exo_base, exo_ext) in enumerate(contexts):
+            for k, (exo_base, exo_ext) in enumerate(contexts):
                 in_base = base_s.world(exo_base, prefix)
                 in_ext = ext_s.world(exo_ext, ext_prefix)
                 if in_base != tuple([in_ext[j] for j in to_ext]):
@@ -281,14 +287,14 @@ def check_formula_agreement(
         if not flagged:
             continue
         lowered_ext = ext_s.lower(candidate)
-        for k, (ctx, exo_base, exo_ext) in enumerate(contexts):
+        for k, (exo_base, exo_ext) in enumerate(contexts):
             if not flagged >> k & 1:
                 continue
             in_base = base_s.holds(lowered_base, exo_base)
             in_ext = ext_s.holds(lowered_ext, exo_ext)
             if in_base != in_ext:
                 return AgreementReport(
-                    False, samples, candidate, ctx, in_base, in_ext
+                    False, samples, candidate, dict(zip(exo_names, exo_base)), in_base, in_ext
                 )
     return AgreementReport(True, samples)
 
@@ -302,6 +308,7 @@ def is_conservative_extension_extended(
     world must compare to the actual world identically under both orders,
     each order applied to its own model's worlds.
     """
+    _require_models(ExtendedCausalModel, extension, base)
     report = is_conservative_extension(extension.base, base.base)
     if not report.is_conservative:
         return report
@@ -358,6 +365,7 @@ def deviating_variables(
     """Variables whose value in the world differs from what their equation
     yields when everything else is pinned to the world's values.  The world,
     a `World` of the model or a mapping, is checked as a context is."""
+    _require_models(CausalModel, model)
     rt = model._runtime()
     exo = context_values(model, context)
     if isinstance(world, World):
@@ -389,6 +397,7 @@ def respects_equations(
 ) -> RespectReport:
     """True when every world that deviates on one of the variables is not
     at least as normal as the actual world."""
+    _require_models(ExtendedCausalModel, model)
     base, order = model.base, model.order
     rt = base._runtime()
     exo = context_values(base, context)
@@ -410,6 +419,7 @@ def normality_from_respect(
     Worlds where every listed variable obeys its equation rank 0; any world
     with a deviation ranks 1.  With no variables this is total equivalence.
     """
+    _require_models(CausalModel, model)
     rt = model._runtime()
     exo = context_values(model, context)
     idxs = tuple(_setting_index(rt, v, None, "not an endogenous variable") for v in variables)
@@ -431,12 +441,8 @@ def _effect_pair(effect) -> tuple[str, int]:
     return name, value
 
 
-def _fresh_witness_var(model: CausalModel, hint: str | None) -> str:
+def _fresh_witness_var(model: CausalModel) -> str:
     taken = {n for n, _ in model.signature.exogenous + model.signature.endogenous}
-    if hint is not None:
-        if hint in taken:
-            raise EngineError(f"fresh variable name {hint!r} already in use")
-        return hint
     k = 1
     while f"NW{k}" in taken:
         k += 1
@@ -449,7 +455,6 @@ def kill_witness(
     cause: Mapping[str, int],
     effect,
     witness: Witness,
-    fresh_name: str | None = None,
 ) -> CausalModel:
     """Add one watchdog variable that invalidates a specific witness.
 
@@ -461,6 +466,7 @@ def kill_witness(
     extension in which the given witness, and every witness extending it,
     is dead under the original-variant rules.
     """
+    _require_models(CausalModel, model)
     if len(cause) != 1:
         raise EngineError("witness killing works on single-conjunct causes")
     (x_name, x_val), = cause.items()
@@ -478,7 +484,7 @@ def kill_witness(
         raise NotAWitness("the tuple does not certify the cause under the original rules")
     rt, exo = query.rt, query.exo
 
-    nw = _fresh_witness_var(model, fresh_name)
+    nw = _fresh_witness_var(model)
     x_alt = witness.alt[0]
     w_map = dict(zip(witness.vars, witness.values))
     z_names = [
@@ -553,10 +559,11 @@ def kill_all_witnesses(
     """Iterate the watchdog construction until the cause dies.
 
     Requires a cause under the original rules that is not one under the
-    updated rules; each round kills the canonically first surviving witness,
-    and the loop ends when no witness is left.
+    updated rules.  Each round kills the canonically first surviving witness;
+    the cause must die within `max_rounds` kills, or `EngineError` is raised.
     """
     _check_count(max_rounds, 1, "the round limit must be a positive integer, not {}")
+    _require_models(CausalModel, model)
     y_name, y_val = _effect_pair(effect)
     phi = fm.PrimitiveEvent(y_name, y_val)
     budget = budget if budget is not None else SearchBudget()
@@ -571,18 +578,15 @@ def kill_all_witnesses(
     if under_updated.is_cause:
         raise PreconditionViolated("still a cause under the updated rules")
 
-    # the precondition's verdict opens round one; no verdict is sought
-    # after the last round
+    # the precondition's verdict opens round one
     current, verdict = model, under_original
-    for rounds in range(1, max_rounds + 1):
+    for _ in range(max_rounds):
         current = kill_witness(current, context, cause, effect, verdict.witnesses[0])
-        if rounds < max_rounds:
-            verdict = is_actual_cause(
-                current, context, cause, phi, RuleVariant.ORIGINAL, budget,
-                find_all_witnesses=False,
-            )
-            if not verdict.is_cause:
-                return current
+        verdict = is_actual_cause(
+            current, context, cause, phi, RuleVariant.ORIGINAL, budget, find_all_witnesses=False
+        )
+        if not verdict.is_cause:
+            return current
     raise EngineError(f"witness killing did not converge in {max_rounds} rounds")
 
 

@@ -126,7 +126,14 @@ def test_corpus_list(capsys):
     code, out, _ = run(capsys, "corpus", "list")
     assert code == 0
     assert "model hopkins_pearl" in out
-    assert "[heavy]" in out  # the full-size plurality case is marked
+    # the full-size plurality case, and only it, is marked
+    marked = [line for line in out.splitlines() if line.endswith("[stated witness]")]
+    assert len(marked) == 1 and marked[0].startswith("case liv1720_v18:")
+
+
+def test_corpus_run_has_no_heavy_option(capsys):
+    code, _, err = run(capsys, "corpus", "run", "--include-heavy")
+    assert code == 64 and "usage error" in err
 
 
 def test_usage_error_is_64(capsys):

@@ -50,10 +50,12 @@ def test_declared_conservative_pairs_hold():
         assert report.is_conservative, (ext_name, base_name, report.counterexample)
 
 
-def test_heavy_cases_excluded_by_default():
-    default_ids = {r.case.id for r in verify_corpus().results}
-    assert "liv1720_v18" not in default_ids
-    assert any(case.heavy for case in CASES)
+def test_default_run_covers_every_case():
+    report = verify_corpus()
+    assert [r.case for r in report.results] == list(CASES)
+    (stated,) = [r for r in report.results if r.case.witness is not None]
+    assert stated.case.id == "liv1720_v18"
+    assert stated.ok and stated.actual == "cause", stated.error
 
 
 @pytest.mark.parametrize("limit", [0, -3])
@@ -77,15 +79,15 @@ def test_heavy_case_solves_its_actual_world_once(monkeypatch):
         return real(base, exo, interventions)
 
     monkeypatch.setattr(causality, "solve_values", counted)
-    (heavy,) = [case for case in CASES if case.heavy]
-    result = _run_case(heavy, None)
+    (stated,) = [case for case in CASES if case.witness is not None]
+    result = _run_case(stated, None)
     assert result.ok and result.actual == "cause", result.error
     assert actual_solves[0] == 1
 
 
 def test_heavy_case_certification_is_charged_to_the_budget():
     # the stated witness is certified under the case's budget, not a default one
-    (heavy,) = [case for case in CASES if case.heavy]
-    result = _run_case(heavy, 5)
+    (stated,) = [case for case in CASES if case.witness is not None]
+    result = _run_case(stated, 5)
     assert not result.ok and result.actual == "error"
     assert "SearchBudgetExceeded" in result.error

@@ -124,6 +124,52 @@ ROWS = [
      *out_of_range("D", 5)),
 ]
 
+# a bool or a float equal to a value is no value; these rows fail at the parent
+for label, value in (("bool", True), ("float", 1.0)):
+    ROWS += [
+        (f"solve/{label}_context",
+         lambda m, x=value: ac.solve(m, {"UA": x, "UB": 0, "UC": 1}), *out_of_range("UA", value)),
+        (f"is_actual_cause/{label}_value",
+         lambda m, x=value: ac.is_actual_cause(m, U, {"A": x}, D1), *out_of_range("A", value)),
+        (f"eval_formula/{label}_event",
+         lambda m, x=value: ac.eval_formula(m, U, PrimitiveEvent("D", x)),
+         *out_of_range("D", value)),
+        (f"deviating_variables/{label}_value",
+         lambda m, x=value: ac.deviating_variables(m, U, {"A": x, "B": 0, "C": 1, "D": 1}),
+         *out_of_range("A", value)),
+    ]
+
+
+def extended(model):
+    return ac.ExtendedCausalModel(model, FLAT)
+
+
+def wrong_kind(got, expected):
+    return errors.EngineError, f"not a causal model: {got} (expected {expected})"
+
+
+# a model of the wrong kind; these rows raise a bare AttributeError at the parent
+PLAIN_GIVEN = wrong_kind("CausalModel", "ExtendedCausalModel")
+EXTENDED_GIVEN = wrong_kind("ExtendedCausalModel", "CausalModel")
+ROWS += [
+    ("is_conservative_extension/kind",
+     lambda m: ac.is_conservative_extension(extended(m), m), *EXTENDED_GIVEN),
+    ("check_formula_agreement/kind",
+     lambda m: ac.check_formula_agreement(m, extended(m)), *EXTENDED_GIVEN),
+    ("is_conservative_extension_extended/kind",
+     lambda m: ac.is_conservative_extension_extended(m, extended(m)), *PLAIN_GIVEN),
+    ("deviating_variables/kind",
+     lambda m: ac.deviating_variables(extended(m), U, {"A": 1, "B": 0, "C": 1, "D": 1}),
+     *EXTENDED_GIVEN),
+    ("respects_equations/kind", lambda m: ac.respects_equations(m, U, ["A"]), *PLAIN_GIVEN),
+    ("normality_from_respect/kind",
+     lambda m: ac.normality_from_respect(extended(m), U, ["A"]), *EXTENDED_GIVEN),
+    ("kill_witness/kind",
+     lambda m: ac.kill_witness(extended(m), U, {"A": 1}, ("D", 1), WITNESS), *EXTENDED_GIVEN),
+    ("kill_all_witnesses/kind",
+     lambda m: ac.kill_all_witnesses(extended(m), U, {"A": 1}, ("D", 1)), *EXTENDED_GIVEN),
+]
+
 # every count argument; the rows with a non-integer count fail at the parent
 COUNTS = [
     ("search budget", lambda m, n: ac.SearchBudget(n),

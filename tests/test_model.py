@@ -23,9 +23,11 @@ from actualcause.model import (
     Var,
     check_recursive,
     compile_expression,
+    context_values,
     intervene,
     make_model,
     solve,
+    solve_values,
 )
 from oracle import interpret, naive_solve, random_binary_model, random_context
 
@@ -86,6 +88,13 @@ def test_solve_stability_zero():
 
 def test_empty_intervention_is_identity(rt_naive):
     assert intervene(rt_naive.model, {}) == rt_naive.model
+
+
+def test_no_intervention_is_the_empty_intervention(rt_detailed):
+    model = rt_detailed.model
+    exo = context_values(model, {"U": 1})
+    assert solve_values(model, exo) == solve_values(model, exo, None) == solve_values(model, exo, {})
+    assert solve_values(model, exo) == solve(model, {"U": 1}).values
 
 
 def test_intervention_preempted_thrower(rt_detailed):

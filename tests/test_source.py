@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "actualcause"
@@ -55,3 +56,49 @@ def test_source_has_no_unused_imports():
         if (unused := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
     }
     assert found == {}
+
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under `node`, as a bare name or an
+    attribute, or imported.  `__all__` strings are not references."""
+    found = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+        elif isinstance(child, ast.ImportFrom):
+            found.update(alias.name for alias in child.names)
+    return found
+
+
+def _unreferenced_definitions(sources: list[ast.Module], tests: list[ast.Module]) -> list[str]:
+    """Module-level functions and classes of `sources` that nothing in
+    `sources` or `tests` refers to, outside their own definition."""
+    everywhere = sum(map(_references, sources + tests), Counter())
+    return [
+        node.name for tree in sources for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+
+
+def test_the_dead_code_checker_skips_own_bodies_and_reexports():
+    source = ast.parse(
+        "__all__ = ['dead', 'used']\n"
+        "def dead(): return used() + dead()\n"
+        "def used(): pass\n"
+        "class Alive: pass\n"
+        "class Gone: pass\n"
+    )
+    tests = ast.parse("from m import Alive\n")
+    assert _unreferenced_definitions([source], [tests]) == ["dead", "Gone"]
+
+
+def test_every_top_level_definition_is_referenced():
+    def parse_all(folder: Path) -> list[ast.Module]:
+        return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(folder.rglob("*.py"))]
+
+    tests = Path(__file__).resolve().parent
+    assert _unreferenced_definitions(parse_all(SRC), parse_all(tests)) == []

@@ -413,11 +413,11 @@ def test_normality_from_respect_two_variable_sets(doc):
 def test_kill_witness_matches_named_route(hopkins):
     u = hopkins.context("u")
     witness = Witness(("B", "C"), (1, 0), (0,))
-    killed = kill_witness(hopkins.model, u, {"A": 1}, ("D", 1), witness, "NW")
+    killed = kill_witness(hopkins.model, u, {"A": 1}, ("D", 1), witness)
     # the watchdog nearly coincides with the named route E = A & B: they
     # differ exactly when everything fires at once
     rt = killed._runtime()
-    watchdog = rt.fns[rt.endo_index["NW"]]
+    watchdog = rt.fns[rt.endo_index["NW1"]]
     differences = []
     for a, b, c in itertools.product((0, 1), repeat=3):
         got = watchdog([a, b, c, 0, 0], (0, 0, 0))
@@ -460,6 +460,15 @@ def test_kill_all_witnesses_hopkins(hopkins):
     assert not is_actual_cause(killed, u, {"A": 1}, phi, "original").is_cause
     assert is_actual_cause(killed, u, {"C": 1}, phi, "original").is_cause
     assert is_actual_cause(killed, u, {"C": 1}, phi, "updated").is_cause
+
+
+def test_kill_all_witnesses_round_limit_counts_kills(hopkins):
+    # one kill kills the cause, so a limit of one round is enough: the model
+    # is checked after every kill, the last one included
+    u = hopkins.context("u")
+    once = kill_all_witnesses(hopkins.model, u, {"A": 1}, ("D", 1), max_rounds=1)
+    assert once == kill_all_witnesses(hopkins.model, u, {"A": 1}, ("D", 1))
+    assert len(once.meta["witness_kills"]) == 1
 
 
 def test_kill_all_witnesses_reuses_the_precondition_verdict(hopkins):
