@@ -189,11 +189,15 @@ class _Session:
     def lower(self, formula: CausalFormula) -> tuple:
         validate_formula(self.model, formula)
         index = self.model._runtime().endo_index
+        nodes = list(_walk(formula))
+        # id of each `Held` node -> its prefix, built once for all its events
+        prefixes = {id(node): self.prefix(node.settings)
+                    for node, _ in nodes if isinstance(node, Held)}
         # the walk reversed meets every node after its operands
         built: list[tuple] = []
-        for node, held in reversed(list(_walk(formula))):
+        for node, held in reversed(nodes):
             if isinstance(node, PrimitiveEvent):
-                prefix = self.prefix(held.settings) if held else ()
+                prefix = prefixes[id(held)] if held else ()
                 built.append(("=", prefix, index[node.var], node.value))
             elif isinstance(node, Not):
                 built.append(("!", built.pop()))

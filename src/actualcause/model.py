@@ -161,8 +161,9 @@ def disj(items: Iterable[Expression]) -> Expression:
 def _gen_code(expr: Expression, names: Mapping[str, str]) -> str:
     """Translate an expression into a Python source fragment for its value.
 
-    `names` maps variable names to lookups into the endogenous value list
-    `v` or the exogenous tuple `u`.  Comparisons and connectives yield 0/1.
+    `names` maps variable names to the source that reads their values:
+    lookups into the value list `v` and the exogenous tuple `u`, or the
+    locals of a generated solver.  Comparisons and connectives yield 0/1.
     """
     if isinstance(expr, Const):
         return repr(expr.value)
@@ -207,6 +208,75 @@ def compile_expression(expr: Expression, names: Mapping[str, str]):
         return eval(f"lambda v, u: {_gen_code(expr, names)}", {"__builtins__": {}})
     except (SyntaxError, RecursionError):
         raise EngineError("expression is nested too deeply to compile") from None
+
+
+def _stays_in(expr: Expression, allowed: frozenset, ranges: Mapping[str, frozenset]) -> bool:
+    """True when every value `expr` can take lies in `allowed`, provided
+    every variable it reads holds a value of its range (`ranges`).
+
+    A constant yields itself; a comparison or connective yields 0 or 1; a
+    variable yields a value of its range; a case yields the value of one of
+    its arms or its default, whatever its guards read.  Anything else, such
+    as a `Sum`, is not proven.
+    """
+    if isinstance(expr, Const):
+        return expr.value in allowed
+    if isinstance(expr, (Cmp, Not, And, Or)):
+        return 0 in allowed and 1 in allowed
+    if isinstance(expr, Var):
+        return ranges[expr.name] <= allowed
+    if isinstance(expr, Case):
+        return _stays_in(expr.default, allowed, ranges) and all(
+            _stays_in(value, allowed, ranges) for _, value in expr.arms
+        )
+    return False
+
+
+def _compile_solver(rt: "_Runtime"):
+    """Compile the equations of a model's runtime into one function
+    `solve(u, get)`.
+
+    The function is straight-line code in dependency order, with one local
+    per endogenous variable.  Variable `i` takes `get(i, value)`: its forced
+    value if it has one, else the value of its equation.  The equation is
+    evaluated either way; integer arithmetic and comparisons cannot raise,
+    so for a forced variable that only costs its evaluation, and one shape
+    of code per variable keeps the function short to compile.  A value that
+    leaves its range raises `ValueOutOfRange` with the variable and the
+    value.  The function returns the values in declaration order.
+
+    An equation whose values `_stays_in` proves inside its range has no range
+    test.  This is sound when every exogenous value and every forced value
+    lies in its range: then, by induction along the order, every variable an
+    equation reads already holds a value of its range, forced, tested or
+    proven, so a proven equation cannot leave its own.  `solve_values` is
+    internal, and its callers draw the values they pass from the ranges or
+    check them at the edge (`context_values`, `_setting_index`).  An
+    unproven equation keeps its test, which a forced value always passes,
+    so the first variable in the order whose equation leaves its range is
+    reported, with its value, as when every equation was tested.
+    """
+    names = {n: f"u[{i}]" for n, i in rt.exo_index.items()}
+    names.update({n: f"x{i}" for n, i in rt.endo_index.items()})
+    ranges = dict(zip(rt.exo_names, map(frozenset, rt.exo_ranges)))
+    ranges.update(zip(rt.endo_names, rt.endo_range_sets))
+    exprs = rt.exprs
+    scope = {"__builtins__": {}, "E": ValueOutOfRange}
+    try:
+        lines = ["def solve(u, get):"]
+        for i in rt.order:
+            code = _gen_code(exprs[i], names)
+            if code.startswith("("):  # drop the outer pair, which `get(` replaces,
+                code = code[1:-1]  # so code nests no deeper than in a lambda
+            lines.append(f" x{i} = get({i}, {code})")
+            if not _stays_in(exprs[i], rt.endo_range_sets[i], ranges):
+                scope[f"R{i}"] = rt.endo_range_sets[i]
+                lines.append(f" if x{i} not in R{i}: raise E({rt.endo_names[i]!r}, x{i})")
+        lines.append(" return (" + "".join(f"x{i}, " for i in range(len(exprs))) + ")")
+        exec("\n".join(lines), scope)
+    except (SyntaxError, RecursionError):
+        raise EngineError("expression is nested too deeply to compile") from None
+    return scope["solve"]
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +341,14 @@ class World:
 
 
 class _Runtime:
-    """Derived, cached state for one model: indices, order, compiled code."""
+    """Derived, cached state for one model: indices, order, and the model's
+    one generated solver, `solve` (see `_compile_solver`).  The equations
+    as separate functions (`fn`) and the closures are built on first use."""
 
     __slots__ = (
         "exo_names", "exo_index", "exo_ranges",
         "endo_names", "endo_index", "endo_ranges", "endo_range_sets",
-        "order", "names", "fns", "deps", "_closures",
+        "order", "names", "exprs", "solve", "deps", "_fns", "_closures",
     )
 
     def __init__(self, model: "CausalModel"):
@@ -296,9 +368,20 @@ class _Runtime:
         # variable name -> its lookup in the code `compile_expression` makes
         self.names = {n: f"u[{i}]" for n, i in self.exo_index.items()}
         self.names.update({n: f"v[{i}]" for n, i in self.endo_index.items()})
-        eqs = dict(model.equations)
-        self.fns = [compile_expression(eqs[name], self.names) for name in self.endo_names]
+        self.exprs = tuple(expr for _, expr in model.equations)
+        self.solve = _compile_solver(self)
+        self._fns: dict[int, object] = {}
         self._closures: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+
+    def fn(self, i: int):
+        """The equation of endogenous variable `i` as a function of `(v, u)`,
+        with no range test.  Compiled on first use: only the deviation
+        checks read raw equation values, most of them of one or two
+        variables."""
+        fn = self._fns.get(i)
+        if fn is None:
+            fn = self._fns[i] = compile_expression(self.exprs[i], self.names)
+        return fn
 
     def closures(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Ancestor and descendant closures as bitmasks over endogenous
@@ -503,24 +586,13 @@ def solve_values(
 ) -> tuple[int, ...]:
     """Solve along the dependency order; the fast path for searches.
 
+    One call to the model's generated solver (`_compile_solver`), which
+    tests an equation's range only where it is not proven closed.
     `interventions` maps endogenous indices to forced values and leaves the
-    model untouched, which keeps intervention-heavy searches cheap.
+    model untouched, which keeps intervention-heavy searches cheap.  `exo`
+    and every forced value must lie in their ranges.
     """
-    rt = model._runtime()
-    fns = rt.fns
-    rsets = rt.endo_range_sets
-    v = [0] * len(fns)
-    get = (interventions or {}).get
-    for i in rt.order:
-        forced = get(i)
-        if forced is None:
-            value = fns[i](v, exo)
-            if value not in rsets[i]:
-                raise ValueOutOfRange(rt.endo_names[i], value)
-            v[i] = value
-        else:
-            v[i] = forced
-    return tuple(v)
+    return model._runtime().solve(exo, (interventions or {}).get)
 
 
 def solve(model: CausalModel, context: Mapping[str, int]) -> World:

@@ -379,7 +379,7 @@ def deviating_variables(
     as_world = World(rt.endo_names, values)
     records = []
     for i, name in enumerate(rt.endo_names):
-        expected = rt.fns[i](values, exo)
+        expected = rt.fn(i)(values, exo)
         if expected != values[i]:
             records.append(DeviationRecord(as_world, name, expected, values[i]))
     return records
@@ -387,7 +387,7 @@ def deviating_variables(
 
 def _deviates_on(model: CausalModel, exo, values, var_indices) -> bool:
     rt = model._runtime()
-    return any(rt.fns[i](values, exo) != values[i] for i in var_indices)
+    return any(rt.fn(i)(values, exo) != values[i] for i in var_indices)
 
 
 def respects_equations(

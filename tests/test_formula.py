@@ -192,3 +192,22 @@ def test_agreement_solves_each_context_and_prefix_once(monkeypatch, rt_naive, rt
     report = check_formula_agreement(rt_detailed.model, rt_naive.model, samples=200, seed=7)
     assert report.agrees
     assert len(solved) == len(set(solved)) <= 150
+
+
+def test_lowering_sorts_each_prefix_once(monkeypatch, rt_detailed):
+    # an intervention is sorted into its prefix once, for all its events
+    session = formula._Session(rt_detailed.model)
+    sorted_settings = []
+    real = session.prefix
+    monkeypatch.setattr(
+        session, "prefix", lambda settings: sorted_settings.append(settings) or real(settings)
+    )
+    phi = And(
+        Held((("BT", 0), ("ST", 1)), events_conj([("SH", 1), ("BH", 0), ("BS", 1)])),
+        Held((("ST", 0),), PrimitiveEvent("BS", 0)),
+    )
+    both = ((0, 1), (1, 0))
+    assert session.lower(phi) == ("&", [
+        ("=", both, 2, 1), ("=", both, 3, 0), ("=", both, 4, 1), ("=", ((0, 0),), 4, 0),
+    ])
+    assert sorted_settings == [(("BT", 0), ("ST", 1)), (("ST", 0),)]

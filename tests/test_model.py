@@ -29,7 +29,15 @@ from actualcause.model import (
     solve,
     solve_values,
 )
-from oracle import interpret, naive_solve, random_binary_model, random_context
+from oracle import (
+    interpret,
+    naive_solve,
+    naive_worlds,
+    random_binary_model,
+    random_context,
+    random_extension_pair,
+    random_multivalued_model,
+)
 
 
 def test_recursive_order_rock_throwing(rt_naive):
@@ -262,3 +270,123 @@ def test_compiled_equations_match_interpreter():
             env = {**ctx, **world.as_dict()}
             for name, expr in model.equations:
                 assert interpret(expr, env) == world[name]
+
+
+# -- the generated solver ------------------------------------------------------
+
+def _first_escape(model, context, forced):
+    """The first variable in `check_recursive` order whose equation leaves
+    its range, with that value, computed by the interpreter; None if none."""
+    env = dict(context)
+    for name in check_recursive(model):
+        value = forced[name] if name in forced else interpret(model.equation_of(name), env)
+        if value not in model.range_of(name):
+            return name, value
+        env[name] = value
+    return None
+
+
+def _settings(rng, model):
+    """No intervention, two random ones, and one forcing every variable."""
+    names = model.endogenous_names
+    out = [{}]
+    for _ in range(2):
+        chosen = rng.sample(names, rng.randint(1, len(names)))
+        out.append({n: rng.choice(model.range_of(n)) for n in chosen})
+    out.append({n: rng.choice(model.range_of(n)) for n in names})
+    return out
+
+
+def _check_solver_against_oracle(model, rng):
+    rt = model._runtime()
+    escapes = 0
+    for context in model.contexts():
+        exo = context_values(model, context)
+        for forced in _settings(rng, model):
+            by_index = {rt.endo_index[n]: v for n, v in forced.items()}
+            worlds = naive_worlds(model, context, forced)
+            escape = _first_escape(model, context, forced)
+            if worlds:
+                assert escape is None and len(worlds) == 1
+                values = solve_values(model, exo, by_index)
+                assert dict(zip(rt.endo_names, values)) == worlds[0]
+            else:
+                with pytest.raises(ValueOutOfRange) as err:
+                    solve_values(model, exo, by_index)
+                assert (err.value.variable, err.value.value) == escape
+                escapes += 1
+    return escapes
+
+
+def test_generated_solver_matches_oracle_on_random_models():
+    rng = random.Random(11)
+    escapes = 0
+    for _ in range(100):
+        escapes += _check_solver_against_oracle(random_multivalued_model(rng), rng)
+    assert escapes == 0  # these equations stay in range by construction
+    for _ in range(100):
+        base, extension = random_extension_pair(rng, "overflow")
+        escapes += _check_solver_against_oracle(extension, rng)
+        escapes += _check_solver_against_oracle(base, rng)
+    assert escapes > 100
+
+
+def test_long_chain_solves_in_one_generated_function():
+    n = 3000
+    endogenous = {f"A{i}": (0, 1) for i in range(n)}
+    equations = {"A0": Var("U")}
+    equations.update({f"A{i}": Not(Var(f"A{i - 1}")) for i in range(1, n - 1)})
+    # the last link adds one, which leaves the range when its input is 1
+    equations[f"A{n - 1}"] = Sum((Var(f"A{n - 2}"), Const(1)))
+    model = make_model({"U": (0, 1)}, endogenous, equations)
+    rt = model._runtime()
+    assert solve_values(model, (0,)) == tuple(i % 2 for i in range(n - 1)) + (1,)
+    with pytest.raises(ValueOutOfRange) as err:
+        solve_values(model, (1,))
+    assert (err.value.variable, err.value.value) == (f"A{n - 1}", 2)
+    # forcing the middle of the chain flips everything below it
+    values = solve_values(model, (1,), {1500: 0})
+    assert values[1499:1502] == (0, 0, 1) and values[-2:] == (0, 1)
+    assert not rt._fns  # no per-equation function was built
+
+
+@pytest.mark.parametrize("exogenous, endogenous, equations, context, escape", [
+    # a copy of a wider-ranged endogenous variable
+    ({"U": (0, 1, 2)}, {"A": (0, 1, 2), "B": (0, 1)},
+     {"A": Var("U"), "B": Var("A")}, (2,), ("B", 2)),
+    # a copy of a wider-ranged exogenous variable
+    ({"U": (0, 1, 2)}, {"B": (0, 1)}, {"B": Var("U")}, (2,), ("B", 2)),
+    # a case arm with an out-of-range constant
+    ({"U": (0, 1)}, {"A": (0, 1)},
+     {"A": Case(arms=((Cmp("=", Var("U"), Const(1)), Const(5)),), default=Const(0))},
+     (1,), ("A", 5)),
+    # a boolean equation into a range without 0
+    ({"U": (0, 1)}, {"A": (1, 2)}, {"A": Cmp("=", Var("U"), Const(1))}, (0,), ("A", 0)),
+    # a sum
+    ({"U": (0, 1)}, {"A": (0, 1)}, {"A": Sum((Var("U"), Var("U")))}, (1,), ("A", 2)),
+], ids=["endogenous-copy", "exogenous-copy", "case-arm", "boolean", "sum"])
+def test_unproven_equations_keep_their_range_test(
+    exogenous, endogenous, equations, context, escape
+):
+    model = make_model(exogenous, endogenous, equations)
+    with pytest.raises(ValueOutOfRange) as err:
+        solve_values(model, context)
+    assert (err.value.variable, err.value.value) == escape
+
+
+def test_range_closure_rule():
+    from actualcause.model import _stays_in
+
+    ranges = {"U": frozenset((0, 1, 2)), "B": frozenset((0, 1))}
+    binary, shifted = frozenset((0, 1)), frozenset((1, 2))
+    assert _stays_in(Const(1), binary, ranges)
+    assert not _stays_in(Const(2), binary, ranges)
+    assert _stays_in(Cmp("=", Var("U"), Const(2)), binary, ranges)
+    assert _stays_in(Or((Var("U"), Not(Var("B")))), binary, ranges)
+    assert not _stays_in(And((Var("U"), Var("B"))), shifted, ranges)
+    assert _stays_in(Var("B"), binary, ranges)
+    assert not _stays_in(Var("U"), binary, ranges)
+    # a case passes on its arms and default, whatever its guards read
+    assert _stays_in(Case(((Var("U"), Var("B")),), Const(0)), binary, ranges)
+    assert not _stays_in(Case(((Var("B"), Const(1)),), Var("U")), binary, ranges)
+    assert not _stays_in(Sum((Const(0),)), binary, ranges)

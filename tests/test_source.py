@@ -102,3 +102,32 @@ def test_every_top_level_definition_is_referenced():
 
     tests = Path(__file__).resolve().parent
     assert _unreferenced_definitions(parse_all(SRC), parse_all(tests)) == []
+
+
+def _code_runners(tree: ast.Module) -> list[tuple[str, str]]:
+    """Each use of the builtin `eval` or `exec` as (name, the top-level
+    function or class around it, or "<module>")."""
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in ("eval", "exec"):
+                found.append((node.id, owner))
+    return found
+
+
+def test_the_code_runner_checker_names_the_enclosing_definition():
+    tree = ast.parse("x = eval('1')\ndef f():\n    def g(): exec('')\n    return g\n")
+    assert _code_runners(tree) == [("eval", "<module>"), ("exec", "f")]
+
+
+def test_generated_code_runs_only_in_the_model_code_generator():
+    found = {
+        (str(path.relative_to(SRC)), name, owner)
+        for path in sorted(SRC.rglob("*.py"))
+        for name, owner in _code_runners(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {
+        ("model.py", "eval", "compile_expression"),
+        ("model.py", "exec", "_compile_solver"),
+    }

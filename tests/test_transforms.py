@@ -417,7 +417,7 @@ def test_kill_witness_matches_named_route(hopkins):
     # the watchdog nearly coincides with the named route E = A & B: they
     # differ exactly when everything fires at once
     rt = killed._runtime()
-    watchdog = rt.fns[rt.endo_index["NW1"]]
+    watchdog = rt.fn(rt.endo_index["NW1"])
     differences = []
     for a, b, c in itertools.product((0, 1), repeat=3):
         got = watchdog([a, b, c, 0, 0], (0, 0, 0))
