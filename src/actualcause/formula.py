@@ -94,6 +94,23 @@ def _walk(formula: CausalFormula) -> Iterator[tuple[CausalFormula, Held | None]]
             stack.append((node.body, node))
 
 
+def _prefixes(formula: CausalFormula) -> set[tuple[tuple[str, int], ...]]:
+    """The distinct settings that the events of a formula are read under,
+    `()` outside any prefix; the walk stops at each `Held` node."""
+    found, stack = set(), [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Held):
+            found.add(node.settings)
+        elif isinstance(node, (And, Or)):
+            stack += (node.left, node.right)
+        elif isinstance(node, Not):
+            stack.append(node.operand)
+        else:
+            found.add(())
+    return found
+
+
 def _chain_operands(formula: And | Or) -> list[CausalFormula]:
     """The operands, left to right, of a chain of one connective nested to
     the left, as the parser builds `a & b & c`; found by a loop, so chains
@@ -171,15 +188,17 @@ class _Session:
     becomes `("=", prefix, index, value)`, its prefix the enclosing
     intervention as sorted `(index, value)` pairs (empty outside any); a
     negation `("!", operand)`; a chain of one connective one `("&", operands)`
-    or `("|", operands)` node.  `holds` decides a lowered formula in a context;
-    `world` solves the world of a (context, prefix) and keeps it for the life
-    of the session.
+    or `("|", operands)` node.  `holds` decides a lowered formula in a context.
+    The worlds the session solves are kept, by prefix and then by context,
+    for the life of the session: `world` solves one (context, prefix) world
+    when it is missing, and `solve` the worlds of one prefix in many
+    contexts, with one intervention mapping.
     """
 
     def __init__(self, model: CausalModel):
         self.model = model
-        # (context, prefix) -> the world solved under that prefix
-        self.worlds: dict[tuple[tuple[int, ...], tuple], tuple[int, ...]] = {}
+        # prefix -> context -> the world solved under that prefix
+        self.worlds: dict[tuple, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
     def prefix(self, settings: Iterable[tuple[str, int]]) -> tuple:
         """An intervention as the prefix of a lowered event."""
@@ -209,25 +228,17 @@ class _Session:
                 built.append((kind, operands))
         return built.pop()
 
-    @staticmethod
-    def prefixes(lowered: tuple) -> set[tuple]:
-        """The distinct prefixes of the events of a lowered formula."""
-        found, stack = set(), [lowered]
-        while stack:
-            node = stack.pop()
-            if node[0] == "=":
-                found.add(node[1])
-            elif node[0] == "!":
-                stack.append(node[1])
-            else:
-                stack += node[1]
-        return found
+    def solve(self, prefix: tuple, contexts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The world of each context under one prefix, in order, each kept
+        as it is solved."""
+        model, interventions = self.model, dict(prefix)
+        known = self.worlds.setdefault(prefix, {})
+        return [known.setdefault(exo, solve_values(model, exo, interventions))
+                for exo in contexts]
 
     def world(self, exo: tuple[int, ...], prefix: tuple) -> tuple[int, ...]:
-        world = self.worlds.get((exo, prefix))
-        if world is None:
-            world = self.worlds[exo, prefix] = solve_values(self.model, exo, dict(prefix))
-        return world
+        known = self.worlds.get(prefix, {})
+        return known[exo] if exo in known else self.solve(prefix, [exo])[0]
 
     def holds(self, lowered: tuple, exo: tuple[int, ...]) -> bool:
         try:

@@ -247,46 +247,52 @@ def check_formula_agreement(
     Decided by comparing worlds: every event tests a base variable in the
     world of its prefix, so a formula has one truth value in both models
     wherever the two worlds of each of its prefixes agree on the base
-    variables.  Each prefix is solved once per context in both models into
-    a mask of the contexts where they differ, and a formula is evaluated
-    only in the contexts its prefixes flag, in order, which finds the same
-    first disagreement.  A prefix with an unsolvable world (`ValueOutOfRange`)
-    flags every context, so its formulas are decided, or raise, as by
-    evaluation everywhere.  Formulas are lowered against the base alone:
-    the extension has every base variable with the same range.
+    variables.  Each distinct prefix is solved in every context of both
+    models into a mask of the contexts where they differ.  A formula is
+    evaluated only in the contexts its prefixes flag, in order, which finds
+    the same first disagreement.  It reads the worlds the masks solved: the
+    sessions keep them all, since a context one prefix flags also reads the
+    formula's other prefixes there.  A prefix with an unsolvable world
+    (`ValueOutOfRange`) flags every context, so its formulas are decided,
+    or raise, as by evaluation everywhere.
+
+    Prefixes are read from the drawn formula, which is validated and
+    lowered, in both models, only when they flag a context.  Skipping that
+    drops no check: the formula is drawn from the base's own names and
+    ranges, which the extension shares, its `Held` settings are distinct
+    and sorted, and nothing nests, so `validate_formula` cannot fail on it.
     """
     _check_count(samples, 1, "the sample count must be a positive integer, not {}")
     _require_extension_signature(extension, base)
     rng = random.Random(seed)
-    # one formula session per model, so each (context, prefix) world is
-    # solved once across all the samples
     base_s, ext_s = fm._Session(base), fm._Session(extension)
     contexts = list(_context_pairs(extension, base))
+    base_exos, ext_exos = [c[0] for c in contexts], [c[1] for c in contexts]
     exo_names, names = base._runtime().exo_names, base._runtime().endo_names
     to_ext = [extension._runtime().endo_index[n] for n in names]
 
     @functools.cache
-    def differing(prefix: tuple) -> int:
+    def differing(settings: tuple) -> int:
         """Bit k set: the worlds differ in context k.  All set: one does not solve."""
-        ext_prefix = ext_s.prefix((names[i], x) for i, x in prefix)
-        mask = 0
         try:
-            for k, (exo_base, exo_ext) in enumerate(contexts):
-                in_base = base_s.world(exo_base, prefix)
-                in_ext = ext_s.world(exo_ext, ext_prefix)
-                if in_base != tuple([in_ext[j] for j in to_ext]):
-                    mask |= 1 << k
+            in_base = base_s.solve(base_s.prefix(settings), base_exos)
+            in_ext = ext_s.solve(ext_s.prefix(settings), ext_exos)
         except ValueOutOfRange:
-            mask = (1 << len(contexts)) - 1
+            return (1 << len(contexts)) - 1
+        mask = 0
+        for k, world in enumerate(in_ext):
+            if in_base[k] != tuple([world[j] for j in to_ext]):
+                mask |= 1 << k
         return mask
 
     for _ in range(samples):
         candidate = random_causal_formula(rng, base)
-        lowered_base = base_s.lower(candidate)
-        flagged = functools.reduce(int.__or__, map(differing, base_s.prefixes(lowered_base)))
+        flagged = 0
+        for settings in fm._prefixes(candidate):
+            flagged |= differing(settings)
         if not flagged:
             continue
-        lowered_ext = ext_s.lower(candidate)
+        lowered_base, lowered_ext = base_s.lower(candidate), ext_s.lower(candidate)
         for k, (exo_base, exo_ext) in enumerate(contexts):
             if not flagged >> k & 1:
                 continue

@@ -27,7 +27,7 @@ from actualcause.transforms import (
     random_causal_formula,
     random_event_formula,
 )
-from oracle import event_holds, naive_formula_holds
+from oracle import event_holds, naive_formula_holds, random_extension_pair
 
 
 def test_hopkins_counterfactual(hopkins):
@@ -192,6 +192,62 @@ def test_agreement_solves_each_context_and_prefix_once(monkeypatch, rt_naive, rt
     report = check_formula_agreement(rt_detailed.model, rt_naive.model, samples=200, seed=7)
     assert report.agrees
     assert len(solved) == len(set(solved)) <= 150
+
+
+def test_agreement_solves_each_world_once_on_disagreeing_pairs(monkeypatch, doc):
+    # the masks keep the worlds they solve, so evaluating a flagged formula
+    # solves none of them again, in the contexts its other prefixes flag too
+    solved = []
+    real = formula.solve_values
+
+    def counted(model, exo, interventions=None):
+        solved.append((model, exo, tuple(sorted((interventions or {}).items()))))
+        return real(model, exo, interventions)
+
+    monkeypatch.setattr(formula, "solve_values", counted)
+    pairs = [(doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model)] * 10
+    for seed in range(30):
+        base, extension = random_extension_pair(random.Random(8000 + seed), "rewired")
+        pairs.append((extension, base))
+    disagreements = 0
+    for seed, (extension, base) in enumerate(pairs):
+        solved.clear()
+        report = check_formula_agreement(extension, base, samples=200, seed=seed)
+        assert len(solved) == len(set(solved)), seed
+        disagreements += not report.agrees
+    assert disagreements >= 20, disagreements
+
+
+def _lowered_prefixes(lowered: tuple) -> set[tuple]:
+    """The distinct prefixes of the events of a lowered formula."""
+    found, stack = set(), [lowered]
+    while stack:
+        node = stack.pop()
+        if node[0] == "=":
+            found.add(node[1])
+        elif node[0] == "!":
+            stack.append(node[1])
+        else:
+            stack += node[1]
+    return found
+
+
+def test_drawn_formulas_validate_and_show_their_prefixes(doc):
+    # formula agreement reads the prefixes of a drawn formula from the
+    # formula itself and skips validating it when they flag nothing: every
+    # drawn formula must be valid, and its raw prefixes those of its
+    # lowered form, one for one
+    rng = random.Random(12)
+    for name in model_names():
+        model = doc(name).model
+        session = formula._Session(model)
+        for depth in range(4):
+            for _ in range(25):
+                phi = random_causal_formula(rng, model, depth)
+                validate_formula(model, phi)
+                raw = formula._prefixes(phi)
+                assert set(map(session.prefix, raw)) == _lowered_prefixes(session.lower(phi))
+                assert len(raw) == len(set(map(session.prefix, raw))), (name, phi)
 
 
 def test_lowering_sorts_each_prefix_once(monkeypatch, rt_detailed):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -45,7 +46,9 @@ from actualcause.transforms import (
 from oracle import (
     EXTENSION_KINDS,
     naive_formula_holds,
+    naive_solve,
     naive_worlds,
+    random_effect,
     random_extension_pair,
     random_multivalued_model,
 )
@@ -191,6 +194,55 @@ def test_formula_agreement_matches_oracle_on_random_pairs():
     assert disagreements >= 20, disagreements
 
 
+def _with_isolated_variable(rng, base):
+    """The base with a fresh variable `Z`, declared at a random place, whose
+    equation is a constant and which no equation reads."""
+    endogenous = list(base.signature.endogenous)
+    values = rng.choice(((0, 1), (0, 1, 2), (-1, 0, 1)))
+    endogenous.insert(rng.randrange(len(endogenous) + 1), ("Z", values))
+    return md.make_model(
+        dict(base.signature.exogenous), dict(endogenous),
+        {**dict(base.equations), "Z": md.Const(rng.choice(values))},
+    )
+
+
+def test_an_isolated_fresh_variable_changes_no_verdict():
+    """Metamorphic: adding a variable that reads nothing and that nothing
+    reads is a conservative extension, keeps every formula's truth value and
+    every first-witness verdict.  A scan for every witness finds the base's
+    witnesses in the base's order, and besides them only base witnesses
+    with `Z` added to the contingency."""
+    causes = with_z = 0
+    for seed in range(60):
+        rng = random.Random(4300 + seed)
+        base = random_multivalued_model(rng)
+        extension = _with_isolated_variable(rng, base)
+        assert is_conservative_extension(extension, base).is_conservative, seed
+        assert check_formula_agreement(extension, base, samples=30, seed=seed).agrees, seed
+        names = base.endogenous_names
+        ctx = {n: rng.choice(base.range_of(n)) for n in base.exogenous_names}
+        world = solve(base, ctx)
+        phi = random_effect(rng, base, names[-2:])
+        for x, variant in itertools.product(names[:-1], ("original", "updated")):
+            cause = {x: world[x]}
+            first = is_actual_cause(base, ctx, cause, phi, variant, find_all_witnesses=False)
+            assert is_actual_cause(
+                extension, ctx, cause, phi, variant, find_all_witnesses=False) == first, seed
+            every = is_actual_cause(base, ctx, cause, phi, variant)
+            got = is_actual_cause(extension, ctx, cause, phi, variant)
+            assert replace(got, witnesses=tuple(
+                w for w in got.witnesses if "Z" not in w.vars)) == every, seed
+            for w in got.witnesses:
+                if "Z" in w.vars:
+                    kept = [k for k, v in enumerate(w.vars) if v != "Z"]
+                    reduced = Witness(tuple(w.vars[k] for k in kept),
+                                      tuple(w.values[k] for k in kept), w.alt)
+                    assert reduced in every.witnesses, seed
+                    with_z += 1
+            causes += every.is_cause
+    assert causes >= 40 and with_z >= 1000, (causes, with_z)
+
+
 def _naive_conservativity(extension, base):
     """`is_conservative_extension` read literally on the oracle: every
     context, base variable and total setting of the other base variables,
@@ -272,15 +324,50 @@ def test_agreement_with_an_unsolvable_prefix_decides_as_before():
     assert is_conservative_extension(extension, base) == _naive_conservativity(extension, base)
 
 
-def test_agreement_lowers_each_formula_once_on_a_conservative_pair(doc, monkeypatch):
+def _settings_read(phi):
+    """Each intervention that an event of `phi` is read under, () outside any."""
+    if isinstance(phi, Held):
+        return {phi.settings}
+    if isinstance(phi, PrimitiveEvent):
+        return {()}
+    if isinstance(phi, fm.Not):
+        return _settings_read(phi.operand)
+    return _settings_read(phi.left) | _settings_read(phi.right)
+
+
+def test_agreement_lowers_only_the_flagged_formulas(doc, monkeypatch):
+    """A formula is lowered, once in each model, only when the two worlds
+    of one of its prefixes differ in some context: on a conservative pair,
+    never."""
+    cheat, detailed = doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model
     lowered = []
     real = fm._Session.lower
-    monkeypatch.setattr(fm._Session, "lower", lambda s, f: lowered.append(f) or real(s, f))
-    report = check_formula_agreement(
-        doc("rock_throwing_detailed").model, doc("rock_throwing_naive").model,
-        samples=50, seed=3,
+    monkeypatch.setattr(
+        fm._Session, "lower", lambda s, f: lowered.append((s.model, f)) or real(s, f)
     )
-    assert report.agrees and len(lowered) == 50
+    report = check_formula_agreement(
+        detailed, doc("rock_throwing_naive").model, samples=50, seed=3
+    )
+    assert report.agrees and lowered == []
+
+    report = check_formula_agreement(cheat, detailed, samples=200, seed=7)
+    assert not report.agrees
+    names = detailed.endogenous_names
+
+    def differs(settings):
+        return any(
+            {n: naive_solve(cheat, ctx, dict(settings))[n] for n in names}
+            != naive_solve(detailed, ctx, dict(settings))
+            for ctx in detailed.contexts()
+        )
+
+    rng, flagged, candidate = random.Random(7), [], None
+    while candidate != report.formula:
+        candidate = random_causal_formula(rng, detailed)
+        if any(map(differs, _settings_read(candidate))):
+            flagged.append(candidate)
+    assert len(flagged) >= 2
+    assert lowered == [(model, f) for f in flagged for model in (detailed, cheat)]
 
 
 def test_conservativity_enumerates_only_the_settings_that_matter(doc, monkeypatch):
