@@ -184,79 +184,57 @@ def compile_event_formula(model: CausalModel, formula: CausalFormula):
 class _Session:
     """Formula evaluation in one model, shared by every formula put to it.
 
-    `lower` validates a formula once and rewrites it over indices: an event
-    becomes `("=", prefix, index, value)`, its prefix the enclosing
-    intervention as sorted `(index, value)` pairs (empty outside any); a
-    negation `("!", operand)`; a chain of one connective one `("&", operands)`
-    or `("|", operands)` node.  `holds` decides a lowered formula in a context.
-    The worlds the session solves are kept, by prefix and then by context,
-    for the life of the session: `world` solves one (context, prefix) world
-    when it is missing, and `solve` the worlds of one prefix in many
-    contexts, with one intervention mapping.
+    `holds` decides a formula in a context on its own tree: an event reads
+    its variable in the world of the `Held` settings that enclose it, `()`
+    outside any.  The worlds the session solves are kept, by those settings
+    as written and then by context, for the life of the session: `solve`
+    solves the worlds of one intervention in the contexts not yet kept, with
+    one intervention mapping, and `world` reads one of them.
     """
 
     def __init__(self, model: CausalModel):
         self.model = model
-        # prefix -> context -> the world solved under that prefix
+        self.index = model._runtime().endo_index
+        # settings -> context -> the world solved under them
         self.worlds: dict[tuple, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def prefix(self, settings: Iterable[tuple[str, int]]) -> tuple:
-        """An intervention as the prefix of a lowered event."""
-        index = self.model._runtime().endo_index
-        return tuple(sorted((index[n], x) for n, x in settings))
+    def solve(self, settings: tuple, contexts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The world of each context under one intervention, in order; the
+        contexts not yet kept are solved, and each is kept as it is solved."""
+        known = self.worlds.setdefault(settings, {})
+        interventions = {self.index[n]: x for n, x in settings}
+        for exo in contexts:
+            if exo not in known:
+                known[exo] = solve_values(self.model, exo, interventions)
+        return [known[exo] for exo in contexts]
 
-    def lower(self, formula: CausalFormula) -> tuple:
-        validate_formula(self.model, formula)
-        index = self.model._runtime().endo_index
-        nodes = list(_walk(formula))
-        # id of each `Held` node -> its prefix, built once for all its events
-        prefixes = {id(node): self.prefix(node.settings)
-                    for node, _ in nodes if isinstance(node, Held)}
-        # the walk reversed meets every node after its operands
-        built: list[tuple] = []
-        for node, held in reversed(nodes):
-            if isinstance(node, PrimitiveEvent):
-                prefix = prefixes[id(held)] if held else ()
-                built.append(("=", prefix, index[node.var], node.value))
-            elif isinstance(node, Not):
-                built.append(("!", built.pop()))
-            elif isinstance(node, (And, Or)):
-                kind = "&" if isinstance(node, And) else "|"
-                left, right = built.pop(), built.pop()
-                operands = left[1] if left[0] == kind else [left]
-                operands += right[1] if right[0] == kind else [right]
-                built.append((kind, operands))
-        return built.pop()
+    def world(self, exo: tuple[int, ...], settings: tuple) -> tuple[int, ...]:
+        known = self.worlds.get(settings, {})
+        return known[exo] if exo in known else self.solve(settings, [exo])[0]
 
-    def solve(self, prefix: tuple, contexts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """The world of each context under one prefix, in order, each kept
-        as it is solved."""
-        model, interventions = self.model, dict(prefix)
-        known = self.worlds.setdefault(prefix, {})
-        return [known.setdefault(exo, solve_values(model, exo, interventions))
-                for exo in contexts]
-
-    def world(self, exo: tuple[int, ...], prefix: tuple) -> tuple[int, ...]:
-        known = self.worlds.get(prefix, {})
-        return known[exo] if exo in known else self.solve(prefix, [exo])[0]
-
-    def holds(self, lowered: tuple, exo: tuple[int, ...]) -> bool:
+    def holds(self, formula: CausalFormula, exo: tuple[int, ...]) -> bool:
         try:
-            return self._holds(lowered, exo)
+            return self._holds(formula, exo, ())
         except RecursionError:
             raise EngineError("formula is nested too deeply to evaluate") from None
 
-    def _holds(self, node: tuple, exo: tuple[int, ...]) -> bool:
-        kind = node[0]
-        if kind == "=":
-            return self.world(exo, node[1])[node[2]] == node[3]
-        if kind == "!":
-            return not self._holds(node[1], exo)
-        # a chain is decided operand by operand from the left, with the short
-        # circuit of the nested form
-        stop = kind == "|"
-        for operand in node[1]:
-            if self._holds(operand, exo) is stop:
+    def _holds(self, node: CausalFormula, exo: tuple[int, ...], settings: tuple) -> bool:
+        if isinstance(node, PrimitiveEvent):
+            return self.world(exo, settings)[self.index[node.var]] == node.value
+        if isinstance(node, Not):
+            return not self._holds(node.operand, exo, settings)
+        if isinstance(node, Held):
+            return self._holds(node.body, exo, node.settings)
+        # a chain of one connective is decided operand by operand from the
+        # left, with the short circuit of the nested form; operands of the
+        # same kind, on either side, are opened on the stack
+        kind, stop = type(node), isinstance(node, Or)
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if type(node) is kind:
+                stack += (node.right, node.left)
+            elif self._holds(node, exo, settings) is stop:
                 return stop
         return not stop
 
@@ -265,13 +243,13 @@ def eval_formula(
     model: CausalModel, context: Mapping[str, int], formula: CausalFormula
 ) -> bool:
     """Decide whether the formula holds in the model under the context."""
-    session = _Session(model)
-    return session.holds(session.lower(formula), context_values(model, context))
+    validate_formula(model, formula)
+    return _Session(model).holds(formula, context_values(model, context))
 
 
 def valid_in_model(model: CausalModel, formula: CausalFormula) -> bool:
     """True when the formula holds in every context of the model."""
+    validate_formula(model, formula)
     session = _Session(model)
-    lowered = session.lower(formula)
     contexts = itertools.product(*model._runtime().exo_ranges)
-    return all(session.holds(lowered, exo) for exo in contexts)
+    return all(session.holds(formula, exo) for exo in contexts)

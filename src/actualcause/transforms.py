@@ -256,11 +256,11 @@ def check_formula_agreement(
     (`ValueOutOfRange`) flags every context, so its formulas are decided,
     or raise, as by evaluation everywhere.
 
-    Prefixes are read from the drawn formula, which is validated and
-    lowered, in both models, only when they flag a context.  Skipping that
-    drops no check: the formula is drawn from the base's own names and
-    ranges, which the extension shares, its `Held` settings are distinct
-    and sorted, and nothing nests, so `validate_formula` cannot fail on it.
+    Prefixes are read from the drawn formula, and the drawn formula itself
+    is what both sessions decide; it is never validated.  That drops no
+    check: the formula is drawn from the base's own names and ranges, which
+    the extension shares, its `Held` settings are distinct, and nothing
+    nests, so `validate_formula` cannot fail on it.
     """
     _check_count(samples, 1, "the sample count must be a positive integer, not {}")
     _require_extension_signature(extension, base)
@@ -275,8 +275,8 @@ def check_formula_agreement(
     def differing(settings: tuple) -> int:
         """Bit k set: the worlds differ in context k.  All set: one does not solve."""
         try:
-            in_base = base_s.solve(base_s.prefix(settings), base_exos)
-            in_ext = ext_s.solve(ext_s.prefix(settings), ext_exos)
+            in_base = base_s.solve(settings, base_exos)
+            in_ext = ext_s.solve(settings, ext_exos)
         except ValueOutOfRange:
             return (1 << len(contexts)) - 1
         mask = 0
@@ -292,12 +292,11 @@ def check_formula_agreement(
             flagged |= differing(settings)
         if not flagged:
             continue
-        lowered_base, lowered_ext = base_s.lower(candidate), ext_s.lower(candidate)
         for k, (exo_base, exo_ext) in enumerate(contexts):
             if not flagged >> k & 1:
                 continue
-            in_base = base_s.holds(lowered_base, exo_base)
-            in_ext = ext_s.holds(lowered_ext, exo_ext)
+            in_base = base_s.holds(candidate, exo_base)
+            in_ext = ext_s.holds(candidate, exo_ext)
             if in_base != in_ext:
                 return AgreementReport(
                     False, samples, candidate, dict(zip(exo_names, exo_base)), in_base, in_ext

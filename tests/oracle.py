@@ -103,6 +103,17 @@ def naive_formula_holds(model, context, phi):
     raise TypeError(type(phi).__name__)
 
 
+def settings_read(phi):
+    """Each intervention that an event of `phi` is read under, () outside any."""
+    if isinstance(phi, fm.Held):
+        return {phi.settings}
+    if isinstance(phi, fm.PrimitiveEvent):
+        return {()}
+    if isinstance(phi, fm.Not):
+        return settings_read(phi.operand)
+    return settings_read(phi.left) | settings_read(phi.right)
+
+
 def naive_restore_holds(model, context, cause, phi, contingency, w_values, original):
     """The restore clause read literally: with the cause at its stated values,
     the off-path set (all of it under the original rules, any part of it

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -795,25 +797,52 @@ def test_no_op_contingencies_cost_no_solves(doc, monkeypatch, name, ctx, cause, 
     assert calls[0] <= bound
 
 
+def _budget_outcomes(args, variant):
+    """Decide `is_actual_cause(*args, variant)` under every limit from 1 to
+    one past its unbounded count.  Each result must be the unbounded
+    verdict, that verdict with a non-empty canonical prefix of its witnesses
+    marked truncated, or a budget error; returns the unbounded verdict and
+    how often each came up."""
+    budget = SearchBudget()
+    full = is_actual_cause(*args, variant, budget=budget)
+    seen = Counter()
+    for limit in range(1, budget.used + 2):
+        try:
+            verdict = is_actual_cause(*args, variant, budget=SearchBudget(limit))
+        except SearchBudgetExceeded:
+            seen["error"] += 1
+            continue
+        if verdict.search_complete:
+            assert verdict == full, limit
+            seen["exact"] += 1
+        else:
+            assert verdict.witnesses, limit
+            assert verdict == replace(full, witnesses=verdict.witnesses, search_complete=False)
+            assert verdict.witnesses == full.witnesses[:len(verdict.witnesses)], limit
+            seen["truncated"] += 1
+    return full, seen
+
+
 def test_budget_keeps_its_contract_over_copied_witnesses(doc):
     # 44 of A1's 50 witnesses copy a smaller contingency's alternate values;
     # under every limit the verdict is exact, a canonical prefix marked
     # truncated, or a budget error
     ranch = doc("glymour_naive")
     args = (ranch.model, ranch.context("u"), {"A1": 1}, PrimitiveEvent("O", 1))
-    budget = SearchBudget()
-    full = is_actual_cause(*args, budget=budget)
+    full, seen = _budget_outcomes(args, "updated")
     assert full.is_cause and full.search_complete and len(full.witnesses) == 50
-    truncated = 0
-    for limit in range(1, budget.used + 2):
-        try:
-            verdict = is_actual_cause(*args, budget=SearchBudget(limit))
-        except SearchBudgetExceeded:
-            continue
-        if verdict.search_complete:
-            assert verdict == full, limit
-        else:
-            truncated += 1
-            assert verdict.is_cause and verdict.witnesses
-            assert verdict.witnesses == full.witnesses[:len(verdict.witnesses)], limit
-    assert truncated
+    assert seen["truncated"]
+
+    # and on random multi-valued queries, one- and two-conjunct causes
+    # under both rule variants
+    total = Counter()
+    for seed in range(60):
+        rng = random.Random(9100 + seed)
+        model, ctx, world, phi = _random_case(rng)
+        names = model.endogenous_names[:-1]
+        picks = [rng.sample(names, 1)] + ([rng.sample(names, 2)] if len(names) > 1 else [])
+        for picked in picks:
+            cause = {n: world[n] for n in names if n in picked}
+            for variant in ("original", "updated"):
+                total += _budget_outcomes((model, ctx, cause, phi), variant)[1]
+    assert set(total) == {"exact", "truncated", "error"} and total["truncated"] > 100, total

@@ -1,9 +1,12 @@
 """Model text format: parsing, validation errors, printing round-trips."""
 
+import random
+
 import pytest
 
 from actualcause.corpus import load_document, model_names
 from actualcause.dsl import (
+    ModelDocument,
     parse_cause,
     parse_event,
     parse_formula,
@@ -21,6 +24,7 @@ from actualcause.errors import (
 from actualcause.formula import And, Held, Not, PrimitiveEvent, formula_variables
 from actualcause import model as md
 from actualcause.model import solve
+from oracle import random_binary_model, random_context, random_multivalued_model
 
 
 RT_SOURCE = """
@@ -98,16 +102,24 @@ context bad { U1 = 1 }
         parse_model(source)
 
 
+def _random_documents():
+    """300 seeded documents, binary and multi-valued in turn, one context each."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        make = random_binary_model if seed % 2 else random_multivalued_model
+        model = make(rng)
+        yield ModelDocument(f"random_{seed}", model, {"u": random_context(rng, model)})
+
+
 def test_every_corpus_file_round_trips():
-    for name in model_names():
-        doc = load_document(name)
+    # and random documents beside them
+    docs = [load_document(name) for name in model_names()] + list(_random_documents())
+    for doc in docs:
         printed = print_model(doc)
         again = parse_model(printed)
-        assert again.model == doc.model, name
-        assert again.contexts == doc.contexts, name
-        assert again.normality == doc.normality, name
+        assert again == doc, doc.name
         # printing is a fixed point once normalized
-        assert print_model(again) == printed, name
+        assert print_model(again) == printed, doc.name
 
 
 def test_formula_parsing(hopkins):

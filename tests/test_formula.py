@@ -27,7 +27,7 @@ from actualcause.transforms import (
     random_causal_formula,
     random_event_formula,
 )
-from oracle import event_holds, naive_formula_holds, random_extension_pair
+from oracle import event_holds, naive_formula_holds, random_extension_pair, settings_read
 
 
 def test_hopkins_counterfactual(hopkins):
@@ -218,52 +218,44 @@ def test_agreement_solves_each_world_once_on_disagreeing_pairs(monkeypatch, doc)
     assert disagreements >= 20, disagreements
 
 
-def _lowered_prefixes(lowered: tuple) -> set[tuple]:
-    """The distinct prefixes of the events of a lowered formula."""
-    found, stack = set(), [lowered]
-    while stack:
-        node = stack.pop()
-        if node[0] == "=":
-            found.add(node[1])
-        elif node[0] == "!":
-            stack.append(node[1])
-        else:
-            stack += node[1]
-    return found
-
-
 def test_drawn_formulas_validate_and_show_their_prefixes(doc):
     # formula agreement reads the prefixes of a drawn formula from the
-    # formula itself and skips validating it when they flag nothing: every
-    # drawn formula must be valid, and its raw prefixes those of its
-    # lowered form, one for one
+    # formula itself and never validates it: every drawn formula must be
+    # valid, and its prefixes those an independent walk finds
     rng = random.Random(12)
     for name in model_names():
         model = doc(name).model
-        session = formula._Session(model)
         for depth in range(4):
             for _ in range(25):
                 phi = random_causal_formula(rng, model, depth)
                 validate_formula(model, phi)
-                raw = formula._prefixes(phi)
-                assert set(map(session.prefix, raw)) == _lowered_prefixes(session.lower(phi))
-                assert len(raw) == len(set(map(session.prefix, raw))), (name, phi)
+                assert formula._prefixes(phi) == settings_read(phi), (name, phi)
 
 
-def test_lowering_sorts_each_prefix_once(monkeypatch, rt_detailed):
-    # an intervention is sorted into its prefix once, for all its events
-    session = formula._Session(rt_detailed.model)
-    sorted_settings = []
-    real = session.prefix
-    monkeypatch.setattr(
-        session, "prefix", lambda settings: sorted_settings.append(settings) or real(settings)
-    )
-    phi = And(
-        Held((("BT", 0), ("ST", 1)), events_conj([("SH", 1), ("BH", 0), ("BS", 1)])),
-        Held((("ST", 0),), PrimitiveEvent("BS", 0)),
-    )
-    both = ((0, 1), (1, 0))
-    assert session.lower(phi) == ("&", [
-        ("=", both, 2, 1), ("=", both, 3, 0), ("=", both, 4, 1), ("=", ((0, 0),), 4, 0),
-    ])
-    assert sorted_settings == [(("BT", 0), ("ST", 1)), (("ST", 0),)]
+def _right_chain(kind, operands):
+    """`a kind (b kind (c ...))`, nested to the right."""
+    out = operands[-1]
+    for operand in reversed(operands[:-1]):
+        out = kind(operand, out)
+    return out
+
+
+@pytest.mark.parametrize("kind", [And, Or])
+def test_long_right_nested_chains_are_decided(hopkins, kind):
+    # a chain is opened on both sides, so one nested to the right is walked
+    # however long it is, bare and under an intervention; in u, D = 1, and
+    # under C <- 0, D = 0
+    model, u = hopkins.model, hopkins.context("u")
+    d1, d0 = PrimitiveEvent("D", 1), PrimitiveEvent("D", 0)
+    # the operand that leaves the chain undecided, and the one that decides it
+    bare = (d1, d0) if kind is And else (d0, d1)
+    held = bare[::-1]
+    decided = kind is Or
+    cases = [
+        (_right_chain(kind, [bare[0]] * 2000), not decided),
+        (_right_chain(kind, [bare[0]] * 1999 + [bare[1]]), decided),
+        (Held((("C", 0),), _right_chain(kind, [held[0]] * 2000)), not decided),
+        (Held((("C", 0),), _right_chain(kind, [held[0]] * 1999 + [held[1]])), decided),
+    ]
+    for phi, want in cases:
+        assert eval_formula(model, u, phi) is want

@@ -73,14 +73,28 @@ def _references(node: ast.AST) -> Counter:
     return found
 
 
+def _definitions(tree: ast.Module):
+    """The module-level functions and classes of a module, and the methods
+    of those classes whose names are not dunders."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*kinds, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                member for member in node.body
+                if isinstance(member, kinds)
+                and not (member.name.startswith("__") and member.name.endswith("__"))
+            )
+
+
 def _unreferenced_definitions(sources: list[ast.Module], tests: list[ast.Module]) -> list[str]:
-    """Module-level functions and classes of `sources` that nothing in
-    `sources` or `tests` refers to, outside their own definition."""
+    """Definitions of `sources` (`_definitions`) that nothing in `sources`
+    or `tests` refers to, outside their own definition."""
     everywhere = sum(map(_references, sources + tests), Counter())
     return [
-        node.name for tree in sources for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and everywhere[node.name] == _references(node)[node.name]
+        node.name for tree in sources for node in _definitions(tree)
+        if everywhere[node.name] == _references(node)[node.name]
     ]
 
 
@@ -94,6 +108,24 @@ def test_the_dead_code_checker_skips_own_bodies_and_reexports():
     )
     tests = ast.parse("from m import Alive\n")
     assert _unreferenced_definitions([source], [tests]) == ["dead", "Gone"]
+
+
+def test_the_dead_code_checker_sees_methods_of_top_level_classes():
+    source = ast.parse(
+        "class Session:\n"
+        "    def __init__(self): self.used()\n"
+        "    def used(self): pass\n"
+        "    def dead(self): return self.dead()\n"
+        "    def __repr__(self): return ''\n"
+        "    class Inner:\n"
+        "        def nested(self): pass\n"
+        "def f():\n"
+        "    class Local:\n"
+        "        def unseen(self): pass\n"
+        "    return Local\n"
+    )
+    tests = ast.parse("from m import Session, f\n")
+    assert _unreferenced_definitions([source], [tests]) == ["dead"]
 
 
 def test_every_top_level_definition_is_referenced():

@@ -26,6 +26,7 @@ from actualcause.errors import (
     ValueOutOfRange,
     WitnessEqualsActual,
 )
+from actualcause.dsl import parse_model
 from actualcause.formula import Held, PrimitiveEvent, eval_formula
 from actualcause.model import solve
 from actualcause.transforms import (
@@ -51,6 +52,7 @@ from oracle import (
     random_effect,
     random_extension_pair,
     random_multivalued_model,
+    settings_read,
 )
 
 
@@ -324,31 +326,19 @@ def test_agreement_with_an_unsolvable_prefix_decides_as_before():
     assert is_conservative_extension(extension, base) == _naive_conservativity(extension, base)
 
 
-def _settings_read(phi):
-    """Each intervention that an event of `phi` is read under, () outside any."""
-    if isinstance(phi, Held):
-        return {phi.settings}
-    if isinstance(phi, PrimitiveEvent):
-        return {()}
-    if isinstance(phi, fm.Not):
-        return _settings_read(phi.operand)
-    return _settings_read(phi.left) | _settings_read(phi.right)
-
-
-def test_agreement_lowers_only_the_flagged_formulas(doc, monkeypatch):
-    """A formula is lowered, once in each model, only when the two worlds
-    of one of its prefixes differ in some context: on a conservative pair,
-    never."""
+def test_agreement_decides_only_the_flagged_formulas(doc, monkeypatch):
+    """A formula is decided, in each model, only when the two worlds of one
+    of its prefixes differ in some context: on a conservative pair, never."""
     cheat, detailed = doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model
-    lowered = []
-    real = fm._Session.lower
+    decided = []
+    real = fm._Session.holds
     monkeypatch.setattr(
-        fm._Session, "lower", lambda s, f: lowered.append((s.model, f)) or real(s, f)
+        fm._Session, "holds", lambda s, f, exo: decided.append((s.model, f)) or real(s, f, exo)
     )
     report = check_formula_agreement(
         detailed, doc("rock_throwing_naive").model, samples=50, seed=3
     )
-    assert report.agrees and lowered == []
+    assert report.agrees and decided == []
 
     report = check_formula_agreement(cheat, detailed, samples=200, seed=7)
     assert not report.agrees
@@ -364,10 +354,15 @@ def test_agreement_lowers_only_the_flagged_formulas(doc, monkeypatch):
     rng, flagged, candidate = random.Random(7), [], None
     while candidate != report.formula:
         candidate = random_causal_formula(rng, detailed)
-        if any(map(differs, _settings_read(candidate))):
+        if any(map(differs, settings_read(candidate))):
             flagged.append(candidate)
     assert len(flagged) >= 2
-    assert lowered == [(model, f) for f in flagged for model in (detailed, cheat)]
+    # each flagged context decides the formula in the base, then in the
+    # extension; the formulas come one after another, in draw order
+    assert [m for m, _ in decided] == [detailed, cheat] * (len(decided) // 2)
+    in_base, in_ext = [f for _, f in decided[::2]], [f for _, f in decided[1::2]]
+    assert in_base == in_ext
+    assert [next(run) for _, run in itertools.groupby(in_base, key=id)] == flagged
 
 
 def test_conservativity_enumerates_only_the_settings_that_matter(doc, monkeypatch):
@@ -556,6 +551,36 @@ def test_kill_all_witnesses_round_limit_counts_kills(hopkins):
     once = kill_all_witnesses(hopkins.model, u, {"A": 1}, ("D", 1), max_rounds=1)
     assert once == kill_all_witnesses(hopkins.model, u, {"A": 1}, ("D", 1))
     assert len(once.meta["witness_kills"]) == 1
+
+
+# drawn by `random_multivalued_model(random.Random(106), max_endogenous=5)`,
+# with its context from the same generator; frozen here so that a change to
+# the generator cannot drop the case
+TWO_KILLS = """\
+model two_kills
+exogenous U1: {1,2}
+endogenous V1: {0,1} = case { U1 <= 2 & U1 >= 1 -> 1; U1 <= 1 -> 1; default -> 1 }
+endogenous V2: {1,2} = case { U1 < 1 -> 1; U1 + V1 < 2 -> 2; default -> 2 }
+endogenous V3: {1,2} = case { U1 != 1 -> U1; V2 != 2 | !(V1 + U1 <= 3) -> 2; default -> 2 }
+endogenous V4: {0,1,2} = case { !(V3 = 2 & U1 != 1) -> 0; default -> 0 }
+endogenous V5: {-1,0,1} = case { U1 != 2 & (V3 = 1 & V2 + V4 > 1) -> V1; default -> 0 }
+context u { U1 = 1 }
+"""
+
+
+def test_kill_all_witnesses_past_its_first_round():
+    # the first kill leaves a witness that reads the first watchdog, so the
+    # cause dies only in round two
+    doc = parse_model(TWO_KILLS)
+    u = doc.context("u")
+    killed = kill_all_witnesses(doc.model, u, {"V4": 0}, ("V5", 0))
+    kills = killed.meta["witness_kills"]
+    assert [k["variable"] for k in kills] == ["NW1", "NW2"]
+    assert "NW1" in kills[1]["witness"]["vars"]
+    assert is_conservative_extension(killed, doc.model).is_conservative
+    assert not is_actual_cause(killed, u, {"V4": 0}, PrimitiveEvent("V5", 0), "original").is_cause
+    with pytest.raises(EngineError, match=r"^witness killing did not converge in 1 rounds$"):
+        kill_all_witnesses(doc.model, u, {"V4": 0}, ("V5", 0), max_rounds=1)
 
 
 def test_kill_all_witnesses_reuses_the_precondition_verdict(hopkins):
