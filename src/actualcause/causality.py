@@ -317,7 +317,7 @@ class _Query:
             if value != self.actual[i]:
                 bound.x_moved_desc |= self.desc[i]
         bound.restore_memo = {}
-        bound.nogoods = []
+        bound.nogoods = {}
         return bound
 
     def _solve(self, interventions) -> tuple[int, ...]:
@@ -413,16 +413,23 @@ class _Query:
         return True
 
     def _refuted(self, items, reset) -> bool:
-        """Record a failed restore intervention as a nogood of bit masks of
-        its W' variables and reset set Z', with its W' items; return False.
-        ORIGINAL fixes W' = W, so its failures refute no other contingency."""
+        """Record a failed restore intervention as a nogood; return False.
+
+        Nogoods are grouped by the bit masks of their W' variables and reset
+        set Z'.  A group keeps its W' variables, in the order of W, which
+        `search` lists in declaration order, and the set of their refuted
+        values: a tuple, or a bare value when |W'| = 1, as `itemgetter`
+        reads them (see `_refuting`).  ORIGINAL fixes W' = W, so its
+        failures refute no other contingency."""
         if self.variant is not RuleVariant.ORIGINAL:
+            w_vars, values = tuple(zip(*items)) or ((), ())
             w_mask = z_mask = 0
-            for i, _ in items:
+            for i in w_vars:
                 w_mask |= 1 << i
             for i in reset:
                 z_mask |= 1 << i
-            self.nogoods.append((w_mask, items, z_mask))
+            group = self.nogoods.setdefault((w_mask, z_mask), (w_vars, set()))
+            group[1].add(values[0] if len(values) == 1 else values)
         return False
 
     # -- enumeration ---------------------------------------------------------
@@ -449,9 +456,24 @@ class _Query:
         intervention, so φ fails again, `ac2b(W, w)` is False and no x' makes
         a witness.  Nor can the skip change the deepest failing clause: a
         nogood exists only after an AC2(b) failure, the deepest label there
-        is.  The nogoods that can apply to a contingency set W (W' variables
-        inside W, Z' outside it) are picked once per W; one with an empty
-        W' refutes the whole set.
+        is.  The nogood groups that can apply to a contingency set W (W'
+        variables inside W, Z' outside it) are picked once per W; one with
+        an empty W' refutes the whole set.
+
+        The refuted value tuples of W are cut out of its product by prefix
+        (`_unrefuted`), not tested one at a time; a set that no nogood can
+        refute is scanned by `itertools.product` as it is.  A nogood reads
+        only its W' positions, so one whose positions all lie at or before
+        position q refutes every extension of a prefix w[0..q] it refutes:
+        none of them is built.  A nogood that `ac2b` learns while W is
+        scanned refutes the current tuple (W, w) and misses W, so it applies
+        to the rest of W: the scan restarts after w under the grown tests,
+        which checks w again from its first position, so a prefix shorter
+        than the one last advanced is cut too.  Tests only grow within W.
+        The tuples left are thus exactly those no nogood known at their turn
+        refutes, in product order, so the AC2(a) and AC2(b) solves, the
+        canonical order and the place of every copied witness are those of
+        a scan that tests each tuple.
 
         No solve is spent on a no-op item either.  Let D be the union of
         desc(X), for all of X, and of desc(i) for every W item (i, v) with
@@ -497,12 +519,11 @@ class _Query:
         try:
             for size in range(len(self.non_cause) + 1):
                 for w_idx in itertools.combinations(self.non_cause, size):
-                    w_mask, pos = 0, {}
-                    for p, i in enumerate(w_idx):
+                    w_mask = 0
+                    for i in w_idx:
                         w_mask |= 1 << i
-                        pos[i] = p
-                    tests = _refuting(learned, w_mask, pos)
-                    if tests is None:
+                    tests = _refuting(learned, w_idx, w_mask)
+                    if tests is not None and tests[0]:
                         continue
                     w_ranges = [
                         [v for v in ranges[i] if v != actual[i]]
@@ -510,7 +531,7 @@ class _Query:
                         else ranges[i]
                         for i in w_idx
                     ]
-                    w_names = tuple([names[i] for i in w_idx])
+                    w_names = tuple(map(names.__getitem__, w_idx))
                     # the no-op contingencies of W with witnesses, by
                     # canonical rank, last first
                     copies = []
@@ -525,43 +546,51 @@ class _Query:
                                     key = [rank[p][v] for p, v in enumerate(w_vals)]
                                     copies.append((key, w_vals, hits))
                         copies.sort(reverse=True)
-                    for w_vals in itertools.product(*w_ranges):
-                        if copies:
-                            key = [rank[p][v] for p, v in enumerate(w_vals)]
-                            while copies and copies[-1][0] < key:
-                                _, c_vals, hits = copies.pop()
-                                witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
-                        if tests is None or any(get(w_vals) in refuted for get, refuted in tests):
-                            continue
-                        restored, first = None, len(witnesses)
-                        for alt in alts:
-                            flips, normal_ok = self.ac2a(w_idx, w_vals, alt)
-                            if not flips:
-                                continue
-                            if not normal_ok:
-                                if deepest == "AC2(a)":
-                                    deepest = "AC2(a+)"
-                                continue
-                            if restored is None:
-                                restored = self.ac2b(w_idx, w_vals)
-                            if not restored:
-                                deepest = self.variant.restore_label
-                                # what `ac2b` just learned refutes (W, w)
-                                # itself, so it applies to the rest of W
-                                tests = _refuting(learned, w_mask, pos)
+                    # the tuples of W left to scan; a nogood that `ac2b`
+                    # learns refutes (W, w) itself, so the scan restarts
+                    # after w under it
+                    scan = (itertools.product(*w_ranges) if tests is None
+                            else _unrefuted(w_ranges, tests))
+                    while scan is not None:
+                        tuples, scan = scan, None
+                        for w_vals in tuples:
+                            if copies:
+                                key = [rank[p][v] for p, v in enumerate(w_vals)]
+                                while copies and copies[-1][0] < key:
+                                    _, c_vals, hits = copies.pop()
+                                    witnesses.extend([Witness(w_names, c_vals, a)
+                                                      for a in hits])
+                            restored, first = None, len(witnesses)
+                            for alt in alts:
+                                flips, normal_ok = self.ac2a(w_idx, w_vals, alt)
+                                if not flips:
+                                    continue
+                                if not normal_ok:
+                                    if deepest == "AC2(a)":
+                                        deepest = "AC2(a+)"
+                                    continue
+                                if restored is None:
+                                    restored = self.ac2b(w_idx, w_vals)
+                                if not restored:
+                                    deepest = self.variant.restore_label
+                                    tests = _refuting(learned, w_idx, w_mask)
+                                    if tests is not None:
+                                        scan = _unrefuted(w_ranges, tests, w_vals)
+                                    break
+                                witnesses.append(Witness(w_names, w_vals, alt))
+                                if not find_all:
+                                    return witnesses, "", True
+                            if scan is not None:
                                 break
-                            witnesses.append(Witness(w_names, w_vals, alt))
-                            if not find_all:
-                                return witnesses, "", True
-                        if len(witnesses) > first:
-                            d_mask = x_desc
-                            for i, v in zip(w_idx, w_vals):
-                                if v != actual[i]:
-                                    d_mask |= desc[i]
-                            found.setdefault(w_mask, []).append(
-                                (dict(zip(w_idx, w_vals)), d_mask,
-                                 [w.alt for w in witnesses[first:]])
-                            )
+                            if len(witnesses) > first:
+                                d_mask = x_desc
+                                for i, v in zip(w_idx, w_vals):
+                                    if v != actual[i]:
+                                        d_mask |= desc[i]
+                                found.setdefault(w_mask, []).append(
+                                    (dict(zip(w_idx, w_vals)), d_mask,
+                                     [w.alt for w in witnesses[first:]])
+                                )
                     for _, c_vals, hits in reversed(copies):
                         witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
         except SearchBudgetExceeded:
@@ -571,21 +600,100 @@ class _Query:
         return witnesses, deepest, True
 
 
-def _refuting(nogoods, w_mask: int, pos: dict[int, int]):
-    """Tests on the value tuples of a contingency set W for the nogoods that
-    can refute them: W' variables inside W, reset set Z' outside it.  Each
-    test pairs a getter of the W' positions with the refuted W' values.
-    None when a nogood with an empty W' refutes every tuple."""
-    groups: dict[tuple[int, ...], set] = {}
-    for vars_mask, items, z_mask in nogoods:
+def _no_positions(values) -> tuple:
+    return ()
+
+
+def _refuting(nogoods, w_idx: tuple[int, ...], w_mask: int) -> list[tuple] | None:
+    """The tests on the value tuples of a contingency set W, its variables
+    `w_idx` in declaration order, from the nogood groups that can refute
+    them: W' variables inside W, reset set Z' outside it; None when no
+    group can.
+
+    A test pairs a getter of the W' positions with the group's set of
+    refuted values, so one entry is read per group, not one per nogood.
+    Tests are bucketed by prefix length: `tests[k]` holds those whose last
+    position is k - 1, which decide every tuple sharing its first k values;
+    `tests[0]` holds a group with an empty W', which refutes every tuple.
+    A test reads no position after its bucket's prefix, which is what makes
+    the prefix cut of `_unrefuted` sound."""
+    tests = None
+    for (vars_mask, z_mask), (w_vars, refuted) in nogoods.items():
         if vars_mask & ~w_mask or z_mask & w_mask:
             continue
-        if not items:
-            return None
-        key = tuple([pos[i] for i, _ in items])
-        value = tuple([v for _, v in items]) if len(items) > 1 else items[0][1]
-        groups.setdefault(key, set()).add(value)
-    return [(itemgetter(*key), refuted) for key, refuted in groups.items()]
+        if tests is None:
+            tests = [()] * (len(w_idx) + 1)
+        if not w_vars:
+            tests[0] = ((_no_positions, refuted),)
+            return tests
+        # W' and W are both in declaration order, so the last W' variable
+        # has the last position
+        key = [w_idx.index(i) for i in w_vars]
+        tests[key[-1] + 1] += ((itemgetter(*key), refuted),)
+    return tests
+
+
+def _resume_at(tests, values: list) -> int:
+    """The position to advance after the tuple `values`: the last of its
+    shortest prefix that a test refutes (-1 for the empty prefix), or its
+    last position when none does."""
+    for k, bucket in enumerate(tests):
+        for get, refuted in bucket:
+            if get(values) in refuted:
+                return k - 1
+    return len(values) - 1
+
+
+def _unrefuted(ranges, tests, after=None):
+    """The tuples of `itertools.product(*ranges)` that come after the tuple
+    `after` (all of them when it is None), in order, that no test refutes,
+    where `tests` is bucketed by prefix length as `_refuting` builds it.
+
+    A value set at position q is tried at once against `tests[q + 1]`, the
+    tests whose positions all lie at or before q; one that refutes the
+    prefix refutes every extension of it, so the prefix is cut, and none of
+    its extensions is built or tested.
+
+    A scan resumed after a tuple, under tests that include those it was
+    found under, checks that tuple again from its first position and goes
+    on after its shortest refuted prefix: a test added since may refute a
+    prefix shorter than the position last advanced, and with it every
+    extension of that prefix still to come.
+    """
+    n = len(ranges)
+    if after is None:
+        values: list = [None] * n
+        for get, refuted in tests[0]:
+            if get(values) in refuted:
+                return
+        if not n:
+            yield ()
+            return
+        iters, q = list(map(iter, ranges)), 0
+    else:
+        values = list(after)
+        q = _resume_at(tests, values)
+        # each position's values after the one `after` holds, up to q;
+        # the later positions start afresh when the scan reaches them
+        iters = [iter(r[r.index(v) + 1:]) for r, v in zip(ranges[:q + 1], after)]
+        iters += [None] * (n - len(iters))
+    while q >= 0:
+        bucket = tests[q + 1]
+        for value in iters[q]:
+            values[q] = value
+            for get, refuted in bucket:
+                if get(values) in refuted:
+                    break
+            else:
+                break  # no test refutes the prefix: keep the value
+        else:
+            q -= 1
+            continue
+        if q + 1 < n:
+            q += 1
+            iters[q] = iter(ranges[q])
+        else:
+            yield tuple(values)
 
 
 def actual_world(model, context: Mapping[str, int]) -> World:

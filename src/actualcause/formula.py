@@ -185,46 +185,48 @@ class _Session:
     """Formula evaluation in one model, shared by every formula put to it.
 
     `holds` decides a formula in a context on its own tree: an event reads
-    its variable in the world of the `Held` settings that enclose it, `()`
-    outside any.  The worlds the session solves are kept, by those settings
-    as written and then by context, for the life of the session: `solve`
-    solves the worlds of one intervention in the contexts not yet kept, with
-    one intervention mapping, and `world` reads one of them.
+    its variable in the world of the `Held` settings that enclose it, with
+    no settings outside any.  The worlds the session solves are kept, by
+    intervention and then by context, for the life of the session; an
+    intervention is keyed by the set of its settings, so one written in two
+    orders is solved once.  `solve` solves the worlds of one intervention in
+    the contexts not yet kept, with one intervention mapping, and `world`
+    reads one of them.
     """
 
     def __init__(self, model: CausalModel):
         self.model = model
         self.index = model._runtime().endo_index
-        # settings -> context -> the world solved under them
-        self.worlds: dict[tuple, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        # set of settings -> context -> the world solved under them
+        self.worlds: dict[frozenset, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def solve(self, settings: tuple, contexts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    def solve(self, settings: Iterable, contexts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """The world of each context under one intervention, in order; the
         contexts not yet kept are solved, and each is kept as it is solved."""
-        known = self.worlds.setdefault(settings, {})
+        known = self.worlds.setdefault(frozenset(settings), {})
         interventions = {self.index[n]: x for n, x in settings}
         for exo in contexts:
             if exo not in known:
                 known[exo] = solve_values(self.model, exo, interventions)
         return [known[exo] for exo in contexts]
 
-    def world(self, exo: tuple[int, ...], settings: tuple) -> tuple[int, ...]:
+    def world(self, exo: tuple[int, ...], settings: frozenset) -> tuple[int, ...]:
         known = self.worlds.get(settings, {})
         return known[exo] if exo in known else self.solve(settings, [exo])[0]
 
     def holds(self, formula: CausalFormula, exo: tuple[int, ...]) -> bool:
         try:
-            return self._holds(formula, exo, ())
+            return self._holds(formula, exo, frozenset())
         except RecursionError:
             raise EngineError("formula is nested too deeply to evaluate") from None
 
-    def _holds(self, node: CausalFormula, exo: tuple[int, ...], settings: tuple) -> bool:
+    def _holds(self, node: CausalFormula, exo: tuple[int, ...], settings: frozenset) -> bool:
         if isinstance(node, PrimitiveEvent):
             return self.world(exo, settings)[self.index[node.var]] == node.value
         if isinstance(node, Not):
             return not self._holds(node.operand, exo, settings)
         if isinstance(node, Held):
-            return self._holds(node.body, exo, node.settings)
+            return self._holds(node.body, exo, frozenset(node.settings))
         # a chain of one connective is decided operand by operand from the
         # left, with the short circuit of the nested form; operands of the
         # same kind, on either side, are opened on the stack

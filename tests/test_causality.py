@@ -3,7 +3,8 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from actualcause import causality
 from actualcause.causality import (
     ExtendedCausalModel,
     NormalityOrder,
+    RuleVariant,
     SearchBudget,
     Witness,
     best_witnesses,
@@ -697,6 +699,61 @@ def test_nogood_reset_set_must_miss_the_contingency():
         assert mine == [(("B",), (1,), (0,))]
 
 
+def test_prefix_cut_yields_exactly_the_unrefuted_product():
+    # W is variables 0..n-1 at positions 0..n-1; nogoods are drawn over a
+    # few more variables, so some read outside W or reset inside it and
+    # must not apply.  A nogood learned between yields applies from the
+    # next tuple on, as when `ac2b` fails in the middle of a scan, which
+    # then restarts after the tuple it stopped at.
+    rng = random.Random(1414)
+    store = SimpleNamespace(variant=RuleVariant.UPDATED, nogoods={})
+    seen = Counter()
+    for _ in range(400):
+        n = rng.choice((0, 1, 2, 3, 3, 4))
+        ranges = [sorted(rng.sample((-1, 0, 1, 2), rng.choice((0, 1, 2, 2, 3, 3))))
+                  for _ in range(n)]
+        w_idx, w_mask = tuple(range(n)), (1 << n) - 1
+        store.nogoods, learned = {}, []
+
+        def learn():
+            w_vars = sorted(rng.sample(range(n + 2), min(n + 2, rng.choice((0, 1, 1, 2, 2, 3)))))
+            items = tuple((i, rng.choice((-1, 0, 1, 2))) for i in w_vars)
+            reset = tuple(sorted(rng.sample(range(n + 3), rng.randint(0, 2))))
+            causality._Query._refuted(store, items, reset)
+            learned.append((items, reset))
+
+        def refuted(values):
+            return any(all(i < n for i, _ in items) and all(i >= n for i in reset)
+                       and all(values[i] == v for i, v in items)
+                       for items, reset in learned)
+
+        for _ in range(rng.randint(0, 4)):
+            learn()
+        wanted = (values for values in itertools.product(*ranges) if not refuted(values))
+        tests = causality._refuting(store.nogoods, w_idx, w_mask)
+        if tests is None:
+            assert not any(refuted(values) for values in itertools.product(*ranges))
+            tests = [()] * (n + 1)
+        seen["refute-all"] += bool(tests[0])
+        seen["empty range"] += not all(ranges)
+        seen["W = {}"] += not n
+        scan = causality._unrefuted(ranges, tests)
+        while scan is not None:
+            tuples, scan = scan, None
+            for values in tuples:
+                assert values == next(wanted), (ranges, learned)
+                seen["yielded"] += 1
+                if rng.random() < 0.4:
+                    learn()
+                    tests = causality._refuting(store.nogoods, w_idx, w_mask) or tests
+                    scan = causality._unrefuted(ranges, tests, values)
+                    seen["restarted"] += 1
+                    break
+        assert next(wanted, None) is None, (ranges, learned)
+        seen["skipped"] += sum(1 for values in itertools.product(*ranges) if refuted(values))
+    assert min(seen.values()) >= 20, seen
+
+
 def test_negative_glymour_verdict_is_cheap(doc, monkeypatch):
     # the restore worlds that refute A4's contingencies are learned once and
     # skip the contingencies they refute before their AC2(a) solve
@@ -846,3 +903,108 @@ def test_budget_keeps_its_contract_over_copied_witnesses(doc):
             for variant in ("original", "updated"):
                 total += _budget_outcomes((model, ctx, cause, phi), variant)[1]
     assert set(total) == {"exact", "truncated", "error"} and total["truncated"] > 100, total
+
+
+# -- renaming and reordering declarations ----------------------------------------
+#
+# Names carry no meaning, and declaration order only fixes the canonical
+# order of witnesses and of a cause's conjuncts.  Renaming every variable
+# must leave each verdict exactly as it was, names aside; reordering the
+# declarations must leave the verdict, the failing clause and the witness
+# set, listed in any order.
+
+def _renamed(node, names):
+    """A model expression or effect formula over the renamed variables."""
+    if isinstance(node, Var):
+        return Var(names[node.name])
+    if isinstance(node, PrimitiveEvent):
+        return PrimitiveEvent(names[node.var], node.value)
+    if isinstance(node, tuple):
+        return tuple(_renamed(part, names) for part in node)
+    if is_dataclass(node):
+        return replace(node, **{f.name: _renamed(getattr(node, f.name), names)
+                                for f in fields(node)})
+    return node
+
+
+def _redeclared(model, names, exo_order, endo_order):
+    """`model` with variables renamed by `names`, declared in the given orders."""
+    return make_model(
+        {names[n]: model.range_of(n) for n in exo_order},
+        {names[n]: model.range_of(n) for n in endo_order},
+        {names[n]: _renamed(model.equation_of(n), names) for n in endo_order},
+    )
+
+
+def _witness_set(witnesses, cause_names):
+    """Witnesses as a sorted list of (contingency items, alternate cause
+    items); `cause_names` lists the cause in its model's declaration order,
+    the order of each `alt`."""
+    return sorted(
+        (tuple(sorted(zip(w.vars, w.values))), tuple(sorted(zip(cause_names, w.alt))))
+        for w in witnesses
+    )
+
+
+def test_renaming_or_reordering_declarations_changes_no_verdict():
+    rng = random.Random(1415)
+    kinds = Counter()
+    for _ in range(60):
+        model = random_multivalued_model(rng, max_endogenous=5)
+        ctx = random_context(rng, model)
+        world = solve(model, ctx)
+        phi = random_effect(rng, model, model.endogenous_names[-2:])
+        exo, endo = model.exogenous_names, model.endogenous_names
+        ranks = {w.values: rng.randint(0, 2) for w in model.worlds()}
+        causes = [{n: world[n]} for n in endo[:-1]]
+        pair = rng.sample(endo[:-1], 2) if len(endo) > 2 else endo[:1]
+        causes.append({n: world[n] for n in pair})
+        moved = rng.choice(endo[:-1])
+        causes.append({moved: rng.choice([v for v in model.range_of(moved) if v != world[moved]])})
+        same = {n: n for n in exo + endo}
+        fresh = {n: f"R{k}" for k, n in enumerate(rng.sample(exo + endo, len(exo + endo)))}
+        renamed = (fresh, exo, endo)
+        reordered = (same, rng.sample(exo, len(exo)), rng.sample(endo, len(endo)))
+        for names, exo_order, endo_order in (renamed, reordered):
+            other = _redeclared(model, names, exo_order, endo_order)
+            subjects = {
+                "original": (model, other),
+                "updated": (model, other),
+                "extended": (
+                    ExtendedCausalModel(model, NormalityOrder.from_ranks(
+                        lambda w: ranks[w.values])),
+                    ExtendedCausalModel(other, NormalityOrder.from_ranks(
+                        lambda w, names=names: ranks[tuple(w[names[n]] for n in endo)])),
+                ),
+            }
+            other_ctx = {names[n]: v for n, v in ctx.items()}
+            other_phi = _renamed(phi, names)
+            for cause in causes:
+                other_cause = {names[n]: v for n, v in cause.items()}
+                for variant, (mine, theirs) in subjects.items():
+                    for find_all in (True, False):
+                        want = is_actual_cause(mine, ctx, cause, phi, variant,
+                                               find_all_witnesses=find_all)
+                        got = is_actual_cause(theirs, other_ctx, other_cause, other_phi,
+                                              variant, find_all_witnesses=find_all)
+                        case = (model, ctx, cause, phi, variant, names, endo_order)
+                        assert (got.is_cause, got.failure_reason, got.search_complete) == (
+                            want.is_cause, want.failure_reason, want.search_complete), case
+                        if names is fresh:
+                            # declaration order kept: every list is kept as it was
+                            assert got == replace(
+                                want,
+                                witnesses=tuple(
+                                    Witness(tuple(names[n] for n in w.vars), w.values, w.alt)
+                                    for w in want.witnesses),
+                                ac3_violation=want.ac3_violation and tuple(
+                                    (names[n], v) for n, v in want.ac3_violation),
+                            ), case
+                        elif find_all:
+                            assert _witness_set(
+                                got.witnesses, [n for n in endo_order if n in cause]
+                            ) == _witness_set(
+                                want.witnesses, [n for n in endo if n in cause]
+                            ), case
+                        kinds[want.failure_reason] += 1
+    assert set(kinds) == {None, "AC1", "AC2(a)", "AC2(a+)", "AC2(b)", "AC2(b')", "AC3"}, kinds

@@ -3,6 +3,7 @@
 import pytest
 
 from actualcause import causality
+from actualcause.causality import RuleVariant, SearchBudget, is_actual_cause
 from actualcause.corpus import (
     CASES,
     CONSERVATIVE_PAIRS,
@@ -11,6 +12,7 @@ from actualcause.corpus import (
     model_names,
     verify_corpus,
 )
+from actualcause.dsl import parse_cause, parse_formula
 from actualcause.errors import EngineError
 from actualcause.transforms import is_conservative_extension
 
@@ -91,3 +93,32 @@ def test_heavy_case_certification_is_charged_to_the_budget():
     result = _run_case(stated, 5)
     assert not result.ok and result.actual == "error"
     assert "SearchBudgetExceeded" in result.error
+
+
+def _searched_solves(find_all_witnesses: bool) -> dict[str, int]:
+    """The solves `budget.used` charges to each searched case."""
+    used = {}
+    for case in CASES:
+        if case.witness is not None:
+            continue
+        doc = load_document(case.model)
+        variant = RuleVariant.coerce(case.variant)
+        subject = doc.extended() if variant is RuleVariant.EXTENDED else doc.model
+        budget = SearchBudget()
+        is_actual_cause(subject, doc.context(case.context), parse_cause(case.cause, doc.model),
+                        parse_formula(case.effect, doc.model), variant, budget=budget,
+                        find_all_witnesses=find_all_witnesses)
+        used[case.id] = budget.used
+    return used
+
+
+def test_searched_cases_make_exactly_the_pinned_solves():
+    # the counts of the canonical scan, after nogood and no-op skips: a
+    # change in which value tuples are skipped or solved moves them even
+    # where every verdict stays the same
+    first = _searched_solves(find_all_witnesses=False)
+    assert len(first) == 66
+    assert sum(first.values()) == 3971
+    assert (first["liv_norm_jack"], first["glymour_mech_a4"], first["weslake_two_a"]) == (
+        1736, 148, 193)
+    assert sum(_searched_solves(find_all_witnesses=True).values()) == 12712

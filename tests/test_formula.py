@@ -35,6 +35,20 @@ def test_hopkins_counterfactual(hopkins):
     assert eval_formula(hopkins.model, hopkins.context("u"), phi) is True
 
 
+def test_one_intervention_written_in_two_orders_is_solved_once(monkeypatch, hopkins):
+    solved = []
+    real = formula.solve_values
+
+    def counted(model, exo, interventions=None):
+        solved.append(interventions)
+        return real(model, exo, interventions)
+
+    monkeypatch.setattr(formula, "solve_values", counted)
+    phi = parse_formula("[A<-1, C<-0](D=0) & [C<-0, A<-1](D=0)", hopkins.model)
+    assert eval_formula(hopkins.model, hopkins.context("u"), phi) is True
+    assert len(solved) == 1
+
+
 def test_naive_bottle_shatters(rt_naive):
     assert eval_formula(rt_naive.model, {"U": 1}, PrimitiveEvent("BS", 1)) is True
     assert eval_formula(rt_naive.model, {"U": 0}, PrimitiveEvent("BS", 1)) is False
