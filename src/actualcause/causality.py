@@ -308,8 +308,8 @@ class _Query:
         )
         # AC2(b) state: the effect's ancestors outside X, the descendants of
         # the conjuncts X = x moves off their actual values, the effect's
-        # outcome per restore intervention, and the failed restore
-        # interventions learned so far (see `search`)
+        # outcome per restore intervention, the failed restore
+        # interventions learned so far and their count (see `search`)
         bound.resettable = self.phi_anc
         bound.x_moved_desc = 0
         for i, value in zip(bound.cause_idx, bound.cause_vals):
@@ -317,7 +317,7 @@ class _Query:
             if value != self.actual[i]:
                 bound.x_moved_desc |= self.desc[i]
         bound.restore_memo = {}
-        bound.nogoods = {}
+        bound.nogoods, bound.learned = {}, 0
         return bound
 
     def _solve(self, interventions) -> tuple[int, ...]:
@@ -419,8 +419,10 @@ class _Query:
         set Z'.  A group keeps its W' variables, in the order of W, which
         `search` lists in declaration order, and the set of their refuted
         values: a tuple, or a bare value when |W'| = 1, as `itemgetter`
-        reads them (see `_refuting`).  ORIGINAL fixes W' = W, so its
-        failures refute no other contingency."""
+        reads them (see `_refuting`).  `learned` counts the nogoods
+        recorded, so a scan in progress knows when to read the store again
+        (see `_unrefuted`).  ORIGINAL fixes W' = W, so its failures refute
+        no other contingency."""
         if self.variant is not RuleVariant.ORIGINAL:
             w_vars, values = tuple(zip(*items)) or ((), ())
             w_mask = z_mask = 0
@@ -430,6 +432,7 @@ class _Query:
                 z_mask |= 1 << i
             group = self.nogoods.setdefault((w_mask, z_mask), (w_vars, set()))
             group[1].add(values[0] if len(values) == 1 else values)
+            self.learned += 1
         return False
 
     # -- enumeration ---------------------------------------------------------
@@ -457,23 +460,26 @@ class _Query:
         a witness.  Nor can the skip change the deepest failing clause: a
         nogood exists only after an AC2(b) failure, the deepest label there
         is.  The nogood groups that can apply to a contingency set W (W'
-        variables inside W, Z' outside it) are picked once per W; one with
-        an empty W' refutes the whole set.
+        variables inside W, Z' outside it) are picked when its scan starts
+        and again after each nogood learned in it; one with an empty W'
+        refutes the whole set.
 
-        The refuted value tuples of W are cut out of its product by prefix
-        (`_unrefuted`), not tested one at a time; a set that no nogood can
-        refute is scanned by `itertools.product` as it is.  A nogood reads
-        only its W' positions, so one whose positions all lie at or before
-        position q refutes every extension of a prefix w[0..q] it refutes:
-        none of them is built.  A nogood that `ac2b` learns while W is
-        scanned refutes the current tuple (W, w) and misses W, so it applies
-        to the rest of W: the scan restarts after w under the grown tests,
-        which checks w again from its first position, so a prefix shorter
-        than the one last advanced is cut too.  Tests only grow within W.
+        Each contingency set W is scanned once, by `_unrefuted`, which cuts
+        the refuted value tuples out of its product by prefix instead of
+        testing them one at a time; a set no nogood applies to just meets
+        empty tests.  A nogood reads only its W' positions, so one whose
+        positions all lie at or before position q refutes every extension
+        of a prefix w[0..q] it refutes: none of them is built.  A nogood
+        that `ac2b` learns at w refutes (W, w) itself and misses W, so it
+        applies to the rest of W; the scan reads the nogood store live and
+        cuts by it from the tuple after w on.  Tests only grow within W.
         The tuples left are thus exactly those no nogood known at their turn
         refutes, in product order, so the AC2(a) and AC2(b) solves, the
         canonical order and the place of every copied witness are those of
-        a scan that tests each tuple.
+        a scan that tests each tuple.  Ranges strictly increase, so product
+        order is the lexicographic order of the value tuples: that is the
+        canonical order, and copied witnesses are placed by comparing value
+        tuples.
 
         No solve is spent on a no-op item either.  Let D be the union of
         desc(X), for all of X, and of desc(i) for every W item (i, v) with
@@ -509,7 +515,7 @@ class _Query:
         witnesses: list[Witness] = []
         deepest = "AC2(a)"
         names, ranges = self.rt.endo_names, self.rt.endo_ranges
-        learned, alts = self.nogoods, self.alt_tuples()
+        alts = self.alt_tuples()
         actual, desc, x_desc = self.actual, self.desc, 0
         for i in self.cause_idx:
             x_desc |= desc[i]
@@ -522,9 +528,6 @@ class _Query:
                     w_mask = 0
                     for i in w_idx:
                         w_mask |= 1 << i
-                    tests = _refuting(learned, w_idx, w_mask)
-                    if tests is not None and tests[0]:
-                        continue
                     w_ranges = [
                         [v for v in ranges[i] if v != actual[i]]
                         if not x_desc >> i & 1 and self.anc[i] & w_mask == 1 << i
@@ -532,66 +535,47 @@ class _Query:
                         for i in w_idx
                     ]
                     w_names = tuple(map(names.__getitem__, w_idx))
-                    # the no-op contingencies of W with witnesses, by
-                    # canonical rank, last first
+                    # the no-op contingencies of W with witnesses, last first
                     copies = []
-                    if found:
-                        rank = [{v: k for k, v in enumerate(ranges[i])} for i in w_idx]
-                        for r_mask, kept in found.items():
-                            if r_mask & ~w_mask:
+                    for r_mask, kept in found.items():
+                        if r_mask & ~w_mask:
+                            continue
+                        for held, d_mask, hits in kept:
+                            if d_mask & w_mask & ~r_mask == 0:
+                                copies.append(
+                                    (tuple([held.get(i, actual[i]) for i in w_idx]), hits))
+                    copies.sort(reverse=True)
+                    for w_vals in self._unrefuted(w_idx, w_mask, w_ranges):
+                        while copies and copies[-1][0] < w_vals:
+                            c_vals, hits = copies.pop()
+                            witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
+                        restored, first = None, len(witnesses)
+                        for alt in alts:
+                            flips, normal_ok = self.ac2a(w_idx, w_vals, alt)
+                            if not flips:
                                 continue
-                            for held, d_mask, hits in kept:
-                                if d_mask & w_mask & ~r_mask == 0:
-                                    w_vals = tuple([held.get(i, actual[i]) for i in w_idx])
-                                    key = [rank[p][v] for p, v in enumerate(w_vals)]
-                                    copies.append((key, w_vals, hits))
-                        copies.sort(reverse=True)
-                    # the tuples of W left to scan; a nogood that `ac2b`
-                    # learns refutes (W, w) itself, so the scan restarts
-                    # after w under it
-                    scan = (itertools.product(*w_ranges) if tests is None
-                            else _unrefuted(w_ranges, tests))
-                    while scan is not None:
-                        tuples, scan = scan, None
-                        for w_vals in tuples:
-                            if copies:
-                                key = [rank[p][v] for p, v in enumerate(w_vals)]
-                                while copies and copies[-1][0] < key:
-                                    _, c_vals, hits = copies.pop()
-                                    witnesses.extend([Witness(w_names, c_vals, a)
-                                                      for a in hits])
-                            restored, first = None, len(witnesses)
-                            for alt in alts:
-                                flips, normal_ok = self.ac2a(w_idx, w_vals, alt)
-                                if not flips:
-                                    continue
-                                if not normal_ok:
-                                    if deepest == "AC2(a)":
-                                        deepest = "AC2(a+)"
-                                    continue
-                                if restored is None:
-                                    restored = self.ac2b(w_idx, w_vals)
-                                if not restored:
-                                    deepest = self.variant.restore_label
-                                    tests = _refuting(learned, w_idx, w_mask)
-                                    if tests is not None:
-                                        scan = _unrefuted(w_ranges, tests, w_vals)
-                                    break
-                                witnesses.append(Witness(w_names, w_vals, alt))
-                                if not find_all:
-                                    return witnesses, "", True
-                            if scan is not None:
+                            if not normal_ok:
+                                if deepest == "AC2(a)":
+                                    deepest = "AC2(a+)"
+                                continue
+                            if restored is None:
+                                restored = self.ac2b(w_idx, w_vals)
+                            if not restored:
+                                deepest = self.variant.restore_label
                                 break
-                            if len(witnesses) > first:
-                                d_mask = x_desc
-                                for i, v in zip(w_idx, w_vals):
-                                    if v != actual[i]:
-                                        d_mask |= desc[i]
-                                found.setdefault(w_mask, []).append(
-                                    (dict(zip(w_idx, w_vals)), d_mask,
-                                     [w.alt for w in witnesses[first:]])
-                                )
-                    for _, c_vals, hits in reversed(copies):
+                            witnesses.append(Witness(w_names, w_vals, alt))
+                            if not find_all:
+                                return witnesses, "", True
+                        if len(witnesses) > first:
+                            d_mask = x_desc
+                            for i, v in zip(w_idx, w_vals):
+                                if v != actual[i]:
+                                    d_mask |= desc[i]
+                            found.setdefault(w_mask, []).append(
+                                (dict(zip(w_idx, w_vals)), d_mask,
+                                 [w.alt for w in witnesses[first:]])
+                            )
+                    for c_vals, hits in reversed(copies):
                         witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
         except SearchBudgetExceeded:
             if not witnesses:
@@ -599,32 +583,78 @@ class _Query:
             return witnesses, "", False
         return witnesses, deepest, True
 
+    def _unrefuted(self, w_idx: tuple[int, ...], w_mask: int, w_ranges):
+        """The value tuples of the contingency set W, its variables `w_idx`
+        with bit mask `w_mask`, drawn from `w_ranges` in product order, that
+        no nogood refutes when the scan reaches them.
 
-def _no_positions(values) -> tuple:
-    return ()
+        A value set at position q is tried at once against `tests[q + 1]`
+        (see `_refuting`), the tests whose positions all lie at or before q;
+        one that refutes the prefix refutes every extension of it, so the
+        prefix is cut, and none of its extensions is built or tested.
+
+        The nogood store is read live.  `_refuted` counts the nogoods it
+        records in `learned`; when the count has moved since the last yield,
+        the tests are read again, and the scan goes on after the shortest
+        prefix of the tuple just yielded that they refute (after the tuple
+        itself when none does).  Each position's iterator still stands just
+        after the value it holds, so nothing is rebuilt.  A shorter prefix
+        than the position last advanced may be refuted now, and with it
+        every extension of that prefix still to come; no prefix before the
+        resume position is refuted, since it is the shortest.
+        """
+        tests = _refuting(self.nogoods, w_idx, w_mask)
+        if tests[0]:
+            return
+        n = len(w_ranges)
+        if not n:
+            yield ()
+            return
+        values: list = [None] * n
+        iters: list = [iter(w_ranges[0])] + [None] * (n - 1)
+        q, seen = 0, self.learned
+        while q >= 0:
+            bucket = tests[q + 1]
+            for value in iters[q]:
+                values[q] = value
+                for get, refuted in bucket:
+                    if get(values) in refuted:
+                        break
+                else:
+                    break  # no test refutes the prefix: keep the value
+            else:
+                q -= 1
+                continue
+            if q + 1 < n:
+                q += 1
+                iters[q] = iter(w_ranges[q])
+            else:
+                yield tuple(values)
+                if self.learned != seen:
+                    seen = self.learned
+                    tests = _refuting(self.nogoods, w_idx, w_mask)
+                    q = _resume_at(tests, values)
 
 
-def _refuting(nogoods, w_idx: tuple[int, ...], w_mask: int) -> list[tuple] | None:
+def _refuting(nogoods, w_idx: tuple[int, ...], w_mask: int) -> list:
     """The tests on the value tuples of a contingency set W, its variables
     `w_idx` in declaration order, from the nogood groups that can refute
-    them: W' variables inside W, reset set Z' outside it; None when no
-    group can.
+    them: W' variables inside W, reset set Z' outside it.
 
     A test pairs a getter of the W' positions with the group's set of
     refuted values, so one entry is read per group, not one per nogood.
-    Tests are bucketed by prefix length: `tests[k]` holds those whose last
-    position is k - 1, which decide every tuple sharing its first k values;
-    `tests[0]` holds a group with an empty W', which refutes every tuple.
-    A test reads no position after its bucket's prefix, which is what makes
-    the prefix cut of `_unrefuted` sound."""
-    tests = None
+    Tests are bucketed by prefix length: `tests[k]`, for k >= 1, holds
+    those whose last position is k - 1, which decide every tuple sharing
+    its first k values; `tests[0]` is a flag, true when a group with an
+    empty W' applies, which refutes every tuple.  A test reads no position
+    after its bucket's prefix, which is what makes the prefix cut of
+    `_Query._unrefuted` sound."""
+    tests: list = [False] + [()] * len(w_idx)
     for (vars_mask, z_mask), (w_vars, refuted) in nogoods.items():
         if vars_mask & ~w_mask or z_mask & w_mask:
             continue
-        if tests is None:
-            tests = [()] * (len(w_idx) + 1)
         if not w_vars:
-            tests[0] = ((_no_positions, refuted),)
+            tests[0] = True
             return tests
         # W' and W are both in declaration order, so the last W' variable
         # has the last position
@@ -637,63 +667,13 @@ def _resume_at(tests, values: list) -> int:
     """The position to advance after the tuple `values`: the last of its
     shortest prefix that a test refutes (-1 for the empty prefix), or its
     last position when none does."""
-    for k, bucket in enumerate(tests):
+    if tests[0]:
+        return -1
+    for k, bucket in enumerate(tests[1:]):
         for get, refuted in bucket:
             if get(values) in refuted:
-                return k - 1
+                return k
     return len(values) - 1
-
-
-def _unrefuted(ranges, tests, after=None):
-    """The tuples of `itertools.product(*ranges)` that come after the tuple
-    `after` (all of them when it is None), in order, that no test refutes,
-    where `tests` is bucketed by prefix length as `_refuting` builds it.
-
-    A value set at position q is tried at once against `tests[q + 1]`, the
-    tests whose positions all lie at or before q; one that refutes the
-    prefix refutes every extension of it, so the prefix is cut, and none of
-    its extensions is built or tested.
-
-    A scan resumed after a tuple, under tests that include those it was
-    found under, checks that tuple again from its first position and goes
-    on after its shortest refuted prefix: a test added since may refute a
-    prefix shorter than the position last advanced, and with it every
-    extension of that prefix still to come.
-    """
-    n = len(ranges)
-    if after is None:
-        values: list = [None] * n
-        for get, refuted in tests[0]:
-            if get(values) in refuted:
-                return
-        if not n:
-            yield ()
-            return
-        iters, q = list(map(iter, ranges)), 0
-    else:
-        values = list(after)
-        q = _resume_at(tests, values)
-        # each position's values after the one `after` holds, up to q;
-        # the later positions start afresh when the scan reaches them
-        iters = [iter(r[r.index(v) + 1:]) for r, v in zip(ranges[:q + 1], after)]
-        iters += [None] * (n - len(iters))
-    while q >= 0:
-        bucket = tests[q + 1]
-        for value in iters[q]:
-            values[q] = value
-            for get, refuted in bucket:
-                if get(values) in refuted:
-                    break
-            else:
-                break  # no test refutes the prefix: keep the value
-        else:
-            q -= 1
-            continue
-        if q + 1 < n:
-            q += 1
-            iters[q] = iter(ranges[q])
-        else:
-            yield tuple(values)
 
 
 def actual_world(model, context: Mapping[str, int]) -> World:

@@ -61,6 +61,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _variable_list(text: str) -> list[str]:
+    names = [v.strip() for v in text.split(",") if v.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"no variable names in {text!r}")
+    return names
+
+
 def _load(path: str) -> ModelDocument:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -161,7 +168,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("respects", help="check that deviations are abnormal")
     with_model(p)
-    p.add_argument("--vars", required=True, help="comma-separated variable names")
+    p.add_argument("--vars", type=_variable_list, required=True,
+                   help="comma-separated variable names")
 
     p = sub.add_parser("corpus", help="bundled example corpus")
     corpus_sub = p.add_subparsers(dest="corpus_command", required=True)
@@ -288,8 +296,7 @@ def _cmd_stability(args) -> int:
 
 def _cmd_respects(args) -> int:
     doc = _load(args.model)
-    variables = [v.strip() for v in args.vars.split(",") if v.strip()]
-    report = respects_equations(doc.extended(), doc.context(args.context), variables)
+    report = respects_equations(doc.extended(), doc.context(args.context), args.vars)
     print("true" if report.respects else "false")
     if report.violating_world is not None:
         print(f"violating world: {report.violating_world}")

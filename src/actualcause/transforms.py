@@ -439,11 +439,20 @@ def normality_from_respect(
 # Witness killing
 # ---------------------------------------------------------------------------
 
-def _effect_pair(effect) -> tuple[str, int]:
+def _kill_target(cause: Mapping[str, int], effect) -> tuple[tuple[str, int], tuple[str, int]]:
+    """The cause conjunct and the effect of a witness kill, checked before
+    any solve: one conjunct, and a `PrimitiveEvent` or a (variable, value)
+    pair."""
+    if len(cause) != 1:
+        raise EngineError("witness killing works on single-conjunct causes")
     if isinstance(effect, fm.PrimitiveEvent):
-        return effect.var, effect.value
-    name, value = effect
-    return name, value
+        effect = effect.var, effect.value
+    elif not (isinstance(effect, tuple) and len(effect) == 2):
+        raise EngineError(
+            f"an effect is a PrimitiveEvent or a (variable, value) pair, not {effect!r}"
+        )
+    (x,) = cause.items()
+    return x, effect
 
 
 def _fresh_witness_var(model: CausalModel) -> str:
@@ -472,10 +481,7 @@ def kill_witness(
     is dead under the original-variant rules.
     """
     _require_models(CausalModel, model)
-    if len(cause) != 1:
-        raise EngineError("witness killing works on single-conjunct causes")
-    (x_name, x_val), = cause.items()
-    y_name, y_val = _effect_pair(effect)
+    (x_name, x_val), (y_name, y_val) = _kill_target(cause, effect)
     if x_name == y_name:
         raise NotAWitness("cause and effect must be distinct variables")
     phi = fm.PrimitiveEvent(y_name, y_val)
@@ -569,7 +575,7 @@ def kill_all_witnesses(
     """
     _check_count(max_rounds, 1, "the round limit must be a positive integer, not {}")
     _require_models(CausalModel, model)
-    y_name, y_val = _effect_pair(effect)
+    _, (y_name, y_val) = _kill_target(cause, effect)
     phi = fm.PrimitiveEvent(y_name, y_val)
     budget = budget if budget is not None else SearchBudget()
     under_original = is_actual_cause(

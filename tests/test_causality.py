@@ -277,6 +277,21 @@ def test_every_solve_is_charged_to_the_budget(doc, monkeypatch):
     assert best and calls[0] == budget.used
 
 
+def test_a_bound_query_carries_every_attribute_of_its_session(doc):
+    # `bind` copies the session field by field, so an attribute it forgets
+    # would only fail where something reads it
+    scanner = doc("scanner_vote")
+    session = causality._Query(scanner.extended(), scanner.context("u"),
+                               PrimitiveEvent("WIN", 1), "extended", None)
+    bound = session.bind({"B": 1, "C": 1})
+    shared = vars(session)
+    assert shared.keys() <= vars(bound).keys()
+    assert all(getattr(bound, name) is value for name, value in shared.items())
+    # and a query bound again from a bound one shares them too
+    again = bound.bind({"B": 1})
+    assert all(getattr(again, name) is value for name, value in shared.items())
+
+
 def test_witness_must_not_overlap_cause(hopkins):
     from actualcause.errors import EngineError
 
@@ -703,17 +718,17 @@ def test_prefix_cut_yields_exactly_the_unrefuted_product():
     # W is variables 0..n-1 at positions 0..n-1; nogoods are drawn over a
     # few more variables, so some read outside W or reset inside it and
     # must not apply.  A nogood learned between yields applies from the
-    # next tuple on, as when `ac2b` fails in the middle of a scan, which
-    # then restarts after the tuple it stopped at.
+    # next tuple on, as when `ac2b` fails in the middle of a scan: the
+    # enumerator reads the live store and is never restarted.
     rng = random.Random(1414)
-    store = SimpleNamespace(variant=RuleVariant.UPDATED, nogoods={})
+    store = SimpleNamespace(variant=RuleVariant.UPDATED, nogoods={}, learned=0)
     seen = Counter()
     for _ in range(400):
         n = rng.choice((0, 1, 2, 3, 3, 4))
         ranges = [sorted(rng.sample((-1, 0, 1, 2), rng.choice((0, 1, 2, 2, 3, 3))))
                   for _ in range(n)]
         w_idx, w_mask = tuple(range(n)), (1 << n) - 1
-        store.nogoods, learned = {}, []
+        store.nogoods, store.learned, learned = {}, 0, []
 
         def learn():
             w_vars = sorted(rng.sample(range(n + 2), min(n + 2, rng.choice((0, 1, 1, 2, 2, 3)))))
@@ -729,26 +744,20 @@ def test_prefix_cut_yields_exactly_the_unrefuted_product():
 
         for _ in range(rng.randint(0, 4)):
             learn()
+        assert store.learned == len(learned)
         wanted = (values for values in itertools.product(*ranges) if not refuted(values))
         tests = causality._refuting(store.nogoods, w_idx, w_mask)
-        if tests is None:
+        if not any(tests):
             assert not any(refuted(values) for values in itertools.product(*ranges))
-            tests = [()] * (n + 1)
-        seen["refute-all"] += bool(tests[0])
+        seen["refute-all"] += tests[0]
         seen["empty range"] += not all(ranges)
         seen["W = {}"] += not n
-        scan = causality._unrefuted(ranges, tests)
-        while scan is not None:
-            tuples, scan = scan, None
-            for values in tuples:
-                assert values == next(wanted), (ranges, learned)
-                seen["yielded"] += 1
-                if rng.random() < 0.4:
-                    learn()
-                    tests = causality._refuting(store.nogoods, w_idx, w_mask) or tests
-                    scan = causality._unrefuted(ranges, tests, values)
-                    seen["restarted"] += 1
-                    break
+        for values in causality._Query._unrefuted(store, w_idx, w_mask, ranges):
+            assert values == next(wanted), (ranges, learned)
+            seen["yielded"] += 1
+            if rng.random() < 0.4:
+                learn()
+                seen["learned mid-scan"] += 1
         assert next(wanted, None) is None, (ranges, learned)
         seen["skipped"] += sum(1 for values in itertools.product(*ranges) if refuted(values))
     assert min(seen.values()) >= 20, seen

@@ -115,6 +115,13 @@ def test_respects_command(capsys):
     assert code == 0 and out.strip() == "true"
 
 
+@pytest.mark.parametrize("names", ["", ",", " , "])
+def test_respects_needs_a_variable(capsys, names):
+    code, out, err = run(capsys, "respects", "-m", SCANNER, "-c", "u", "--vars", names)
+    assert code == 64 and "no variable names" in err
+    assert out == ""
+
+
 def test_corpus_run(capsys):
     code, out, _ = run(capsys, "corpus", "run")
     assert code == 0

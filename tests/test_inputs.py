@@ -101,6 +101,29 @@ ROWS = [
      lambda m: ac.kill_all_witnesses(m, U, {"Q": 1}, ("D", 1)), *CAUSE_Q),
     ("kill_all_witnesses/value",
      lambda m: ac.kill_all_witnesses(m, U, {"A": 9}, ("D", 1)), *out_of_range("A", 9)),
+]
+
+# a malformed effect or a cause of two conjuncts; these rows fail at the
+# parent (a bare ValueError or TypeError, and for `kill_all_witnesses` a
+# two-conjunct cause searched and reported as no original-rules cause)
+TWO_CONJUNCTS = errors.EngineError, "witness killing works on single-conjunct causes"
+ROWS += [
+    ("kill_witness/two_conjuncts",
+     lambda m: ac.kill_witness(m, U, {"A": 1, "C": 1}, ("D", 1), WITNESS), *TWO_CONJUNCTS),
+    ("kill_all_witnesses/two_conjuncts",
+     lambda m: ac.kill_all_witnesses(m, U, {"A": 1, "C": 1}, ("D", 1)), *TWO_CONJUNCTS),
+]
+for label, effect in (("short", ("D",)), ("name", "D"), ("long", ("D", 1, 2)), ("int", 5)):
+    malformed = (errors.EngineError,
+                 f"an effect is a PrimitiveEvent or a (variable, value) pair, not {effect!r}")
+    ROWS += [
+        (f"kill_witness/{label}_effect",
+         lambda m, e=effect: ac.kill_witness(m, U, {"A": 1}, e, WITNESS), *malformed),
+        (f"kill_all_witnesses/{label}_effect",
+         lambda m, e=effect: ac.kill_all_witnesses(m, U, {"A": 1}, e), *malformed),
+    ]
+
+ROWS += [
     # deviations and respect; the four `deviating_variables` rows after the
     # first fail at the parent
     ("respects_equations/name",

@@ -592,6 +592,14 @@ def test_kill_all_witnesses_reuses_the_precondition_verdict(hopkins):
     assert budget.used == 76
 
 
+def test_kill_all_witnesses_refuses_a_pair_cause_before_any_solve(hopkins):
+    budget = SearchBudget()
+    with pytest.raises(EngineError, match="single-conjunct causes"):
+        kill_all_witnesses(hopkins.model, hopkins.context("u"), {"A": 1, "C": 1}, ("D", 1),
+                           budget=budget)
+    assert budget.used == 0
+
+
 def test_killed_model_causes_restrict_to_original_causes(hopkins):
     u = hopkins.context("u")
     phi = PrimitiveEvent("D", 1)
