@@ -232,9 +232,9 @@ def _stays_in(expr: Expression, allowed: frozenset, ranges: Mapping[str, frozens
     return False
 
 
-def _compile_solver(rt: "_Runtime"):
-    """Compile the equations of a model's runtime into one function
-    `solve(u, get)`.
+def _compile_solver(rt: "_Runtime", exprs: tuple[Expression, ...]):
+    """Compile a model's equations, `exprs` in declaration order, into one
+    function `solve(u, get)`, using the indices and ranges of its runtime.
 
     The function is straight-line code in dependency order, with one local
     per endogenous variable.  Variable `i` takes `get(i, value)`: its forced
@@ -249,18 +249,23 @@ def _compile_solver(rt: "_Runtime"):
     test.  This is sound when every exogenous value and every forced value
     lies in its range: then, by induction along the order, every variable an
     equation reads already holds a value of its range, forced, tested or
-    proven, so a proven equation cannot leave its own.  `solve_values` is
-    internal, and its callers draw the values they pass from the ranges or
-    check them at the edge (`context_values`, `_setting_index`).  An
-    unproven equation keeps its test, which a forced value always passes,
-    so the first variable in the order whose equation leaves its range is
+    proven, so a proven equation cannot leave its own.  The solver is
+    internal: the callers of `solve_values` and the deviation checks draw
+    the values they pass from the ranges or check them at the edge
+    (`context_values`, `_setting_index`, `_own_values`).  An unproven
+    equation keeps its test, which a forced value always passes, so the
+    first variable in the order whose equation leaves its range is
     reported, with its value, as when every equation was tested.
+
+    The deviation checks of `transforms` rely on the equation being
+    evaluated for a forced variable: with every variable forced to a
+    world's values, `get` receives each equation's raw value on its
+    parents' values in that world, and every range test passes.
     """
     names = {n: f"u[{i}]" for n, i in rt.exo_index.items()}
     names.update({n: f"x{i}" for n, i in rt.endo_index.items()})
     ranges = dict(zip(rt.exo_names, map(frozenset, rt.exo_ranges)))
     ranges.update(zip(rt.endo_names, rt.endo_range_sets))
-    exprs = rt.exprs
     scope = {"__builtins__": {}, "E": ValueOutOfRange}
     try:
         lines = ["def solve(u, get):"]
@@ -342,13 +347,13 @@ class World:
 
 class _Runtime:
     """Derived, cached state for one model: indices, order, and the model's
-    one generated solver, `solve` (see `_compile_solver`).  The equations
-    as separate functions (`fn`) and the closures are built on first use."""
+    one generated solver, `solve` (see `_compile_solver`).  The closures
+    are built on first use."""
 
     __slots__ = (
         "exo_names", "exo_index", "exo_ranges",
         "endo_names", "endo_index", "endo_ranges", "endo_range_sets",
-        "order", "names", "exprs", "solve", "deps", "_fns", "_closures",
+        "order", "names", "solve", "deps", "_closures",
     )
 
     def __init__(self, model: "CausalModel"):
@@ -368,20 +373,8 @@ class _Runtime:
         # variable name -> its lookup in the code `compile_expression` makes
         self.names = {n: f"u[{i}]" for n, i in self.exo_index.items()}
         self.names.update({n: f"v[{i}]" for n, i in self.endo_index.items()})
-        self.exprs = tuple(expr for _, expr in model.equations)
-        self.solve = _compile_solver(self)
-        self._fns: dict[int, object] = {}
+        self.solve = _compile_solver(self, tuple(expr for _, expr in model.equations))
         self._closures: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-
-    def fn(self, i: int):
-        """The equation of endogenous variable `i` as a function of `(v, u)`,
-        with no range test.  Compiled on first use: only the deviation
-        checks read raw equation values, most of them of one or two
-        variables."""
-        fn = self._fns.get(i)
-        if fn is None:
-            fn = self._fns[i] = compile_expression(self.exprs[i], self.names)
-        return fn
 
     def closures(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Ancestor and descendant closures as bitmasks over endogenous
@@ -615,9 +608,14 @@ def _setting_index(rt: _Runtime, name: str, value: int | None, detail: str) -> i
 
 
 def _own_values(rt: _Runtime, world: World) -> tuple[int, ...]:
-    """The values of a world of `rt`'s model; names only, for the rank functions."""
+    """The values of a world of `rt`'s model, for the rank functions: a
+    foreign world raises `EngineError`, and the first value outside its
+    variable's range, in declaration order, `ValueOutOfRange`."""
     if world.names != rt.endo_names:
         raise EngineError("world does not belong to this model")
+    for name, allowed, value in zip(rt.endo_names, rt.endo_range_sets, world.values):
+        if value not in allowed:
+            raise ValueOutOfRange(name, value)
     return world.values
 
 

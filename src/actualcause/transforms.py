@@ -311,7 +311,32 @@ def is_conservative_extension_extended(
 
     For every context and every setting of base variables, the intervened
     world must compare to the actual world identically under both orders,
-    each order applied to its own model's worlds.
+    each order applied to its own model's worlds.  The thresholds are
+    compared in every context, each with the one order its model carries,
+    whichever context that order was built for.
+
+    Once the plain check has passed, each setting is solved in the
+    extension only, and the base world is read as the extension's world
+    restricted to the base variables.  That restriction is the base world.
+    Take a base variable X the setting leaves unset.  The new variables
+    follow from the base ones, so the extension's world is also its world
+    under the total setting of the other base variables at their values
+    there, where the plain check found X to take the same value in the base.
+    So the restriction satisfies every base equation the setting leaves in
+    place, and a recursive model has one such world.  No base solve dropped
+    could raise: under a setting that leaves some base variable unset, the
+    first variable to leave its range would leave it under a total setting
+    of the other base variables, where the plain check would have raised;
+    and a setting of every base variable forces the whole base.  The
+    extension can still raise under a setting of every base variable,
+    which the plain check never makes; it is solved at every setting, in
+    the same order, so such an error is raised where it was.
+
+    Each distinct extension world is compared once per context.  Both
+    comparisons, base first, depend on that world alone, so a repeated
+    world repeats the outcome of its first setting: the first failing
+    setting, the one reported, and the first error an order raises stay
+    those of comparing every setting.
     """
     _require_models(ExtendedCausalModel, extension, base)
     report = is_conservative_extension(extension.base, base.base)
@@ -319,30 +344,31 @@ def is_conservative_extension_extended(
         return report
     b, e = base.base, extension.base
     b_rt, e_rt = b._runtime(), e._runtime()
+    names = b_rt.endo_names
+    to_ext = [e_rt.endo_index[n] for n in names]
+
+    def worlds(solved):
+        """The base world and the extension's world of an extension solve."""
+        return World(names, tuple([solved[j] for j in to_ext])), World(e_rt.endo_names, solved)
+
     for exo, exo_ext in _context_pairs(e, b):
-        s_u_base = World(b_rt.endo_names, solve_values(b, exo))
-        s_u_ext = World(e_rt.endo_names, solve_values(e, exo_ext))
-        for size in range(len(b_rt.endo_names) + 1):
-            for combo in itertools.combinations(b_rt.endo_names, size):
-                ranges = [b_rt.endo_ranges[b_rt.endo_index[n]] for n in combo]
-                for vals in itertools.product(*ranges):
-                    iv_b = {b_rt.endo_index[n]: v for n, v in zip(combo, vals)}
-                    iv_e = {e_rt.endo_index[n]: v for n, v in zip(combo, vals)}
-                    s_b = World(b_rt.endo_names, solve_values(b, exo, iv_b))
-                    s_e = World(e_rt.endo_names, solve_values(e, exo_ext, iv_e))
-                    normal_b = base.order.at_least_as_normal(s_b, s_u_base)
-                    normal_e = extension.order.at_least_as_normal(s_e, s_u_ext)
+        u_base, u_ext = worlds(solve_values(e, exo_ext))
+        compared = set()
+        for size in range(len(names) + 1):
+            for combo in itertools.combinations(range(len(names)), size):
+                for vals in itertools.product(*[b_rt.endo_ranges[i] for i in combo]):
+                    solved = solve_values(e, exo_ext, {to_ext[i]: v for i, v in zip(combo, vals)})
+                    if solved in compared:
+                        continue
+                    compared.add(solved)
+                    s_b, s_e = worlds(solved)
+                    normal_b = base.order.at_least_as_normal(s_b, u_base)
+                    normal_e = extension.order.at_least_as_normal(s_e, u_ext)
                     if normal_b != normal_e:
-                        return ExtensionReport(
-                            False,
-                            None,
-                            CECounterexample(
-                                dict(zip(b_rt.exo_names, exo)),
-                                dict(zip(combo, vals)),
-                                normal_b,
-                                normal_e,
-                            ),
-                        )
+                        context = dict(zip(b_rt.exo_names, exo))
+                        setting = {names[i]: v for i, v in zip(combo, vals)}
+                        ce = CECounterexample(context, setting, normal_b, normal_e)
+                        return ExtensionReport(False, None, ce)
     return ExtensionReport(True)
 
 
@@ -364,6 +390,35 @@ class RespectReport:
     violating_world: World | None = None
 
 
+def _deviations(rt, exo, values, idxs) -> list[tuple[int, int]]:
+    """(index, raw equation value) for each variable of `idxs` whose
+    equation, with every variable held at `values`, yields another value.
+    Read from the model's solver run with every variable forced, which
+    evaluates each equation on its parents' forced values (see
+    `_compile_solver`).  `values` must lie in their ranges, so no range
+    test fails; a raw value outside its range is returned as it is."""
+    raw = list(values)
+
+    def get(i, value):
+        raw[i] = value
+        return values[i]
+
+    rt.solve(exo, get)
+    return [(i, raw[i]) for i in idxs if raw[i] != values[i]]
+
+
+def _respect_inputs(model: CausalModel, context: Mapping[str, int], variables: Iterable[str]):
+    """The runtime, the context's values and the indices of the named
+    endogenous variables of a respect check, checked in that order.  A bare
+    string is refused rather than read as its characters."""
+    rt = model._runtime()
+    exo = context_values(model, context)
+    if isinstance(variables, str):
+        raise EngineError(f"variables must be a collection of names, not {variables!r}")
+    idxs = tuple(_setting_index(rt, v, None, "not an endogenous variable") for v in variables)
+    return rt, exo, idxs
+
+
 def deviating_variables(
     model: CausalModel, context: Mapping[str, int], world
 ) -> list[DeviationRecord]:
@@ -382,17 +437,10 @@ def deviating_variables(
             raise UnknownVariable(name, "world does not assign it")
     values = tuple([world[n] for n in rt.endo_names])
     as_world = World(rt.endo_names, values)
-    records = []
-    for i, name in enumerate(rt.endo_names):
-        expected = rt.fn(i)(values, exo)
-        if expected != values[i]:
-            records.append(DeviationRecord(as_world, name, expected, values[i]))
-    return records
-
-
-def _deviates_on(model: CausalModel, exo, values, var_indices) -> bool:
-    rt = model._runtime()
-    return any(rt.fn(i)(values, exo) != values[i] for i in var_indices)
+    return [
+        DeviationRecord(as_world, rt.endo_names[i], raw, values[i])
+        for i, raw in _deviations(rt, exo, values, range(len(values)))
+    ]
 
 
 def respects_equations(
@@ -401,18 +449,17 @@ def respects_equations(
     variables: Iterable[str],
 ) -> RespectReport:
     """True when every world that deviates on one of the variables is not
-    at least as normal as the actual world."""
+    at least as normal as the actual world.  With no variables nothing can
+    deviate, and no world is enumerated."""
     _require_models(ExtendedCausalModel, model)
     base, order = model.base, model.order
-    rt = base._runtime()
-    exo = context_values(base, context)
-    idxs = [_setting_index(rt, v, None, "not an endogenous variable") for v in variables]
+    rt, exo, idxs = _respect_inputs(base, context, variables)
+    if not idxs:
+        return RespectReport(True)
     s_u = World(rt.endo_names, solve_values(base, exo))
-    for combo in itertools.product(*rt.endo_ranges):
-        if _deviates_on(base, exo, combo, idxs):
-            s = World(rt.endo_names, combo)
-            if order.at_least_as_normal(s, s_u):
-                return RespectReport(False, s)
+    for s in base.worlds():
+        if _deviations(rt, exo, s.values, idxs) and order.at_least_as_normal(s, s_u):
+            return RespectReport(False, s)
     return RespectReport(True)
 
 
@@ -422,15 +469,15 @@ def normality_from_respect(
     """Rank order that makes deviation on the given variables abnormal.
 
     Worlds where every listed variable obeys its equation rank 0; any world
-    with a deviation ranks 1.  With no variables this is total equivalence.
+    with a deviation ranks 1.  With no variables this is total equivalence,
+    and ranking a world runs no solver.
     """
     _require_models(CausalModel, model)
-    rt = model._runtime()
-    exo = context_values(model, context)
-    idxs = tuple(_setting_index(rt, v, None, "not an endogenous variable") for v in variables)
+    rt, exo, idxs = _respect_inputs(model, context, variables)
 
     def rank(world: World) -> int:
-        return 1 if _deviates_on(model, exo, _own_values(rt, world), idxs) else 0
+        values = _own_values(rt, world)
+        return 1 if idxs and _deviations(rt, exo, values, idxs) else 0
 
     return NormalityOrder.from_ranks(rank)
 

@@ -10,7 +10,8 @@ import pytest
 
 import actualcause as ac
 from actualcause import errors
-from actualcause.corpus import verify_corpus
+from actualcause.corpus import model_path, verify_corpus
+from actualcause.dsl import parse_model
 from actualcause.formula import Held, PrimitiveEvent
 from actualcause.model import World
 
@@ -146,6 +147,36 @@ ROWS += [
      lambda m: ac.deviating_variables(m, U, World(("A", "B", "C", "D"), (1, 0, 1, 5))),
      *out_of_range("D", 5)),
 ]
+
+# a bare string of names, read at the parent as its characters ("DA" as D
+# and A); these rows fail at the parent
+STRING = errors.EngineError, "variables must be a collection of names, not 'DA'"
+ROWS += [
+    ("respects_equations/string",
+     lambda m: ac.respects_equations(ac.ExtendedCausalModel(m, FLAT), U, "DA"), *STRING),
+    ("normality_from_respect/string", lambda m: ac.normality_from_respect(m, U, "DA"), *STRING),
+]
+
+# a ranked world with a value outside its range: a rank table and a
+# respect order refuse the first such value, in declaration order, alike;
+# these rows fail at the parent, where both ranked the world
+TABLE = parse_model(
+    model_path("hopkins_pearl").read_text(encoding="utf-8")
+    + "normality ranks { D = 1 -> 1; default -> 0 }\n"
+).order()
+for label, order in (
+    ("ranks", lambda m: TABLE),
+    ("normality_from_respect", lambda m: ac.normality_from_respect(m, U, ["D"])),
+    ("normality_from_respect/no_variables", lambda m: ac.normality_from_respect(m, U, [])),
+):
+    ROWS += [
+        (f"{label}/world_value",
+         lambda m, o=order: o(m).rank(World(("A", "B", "C", "D"), (1, 0, 1, 5))),
+         *out_of_range("D", 5)),
+        (f"{label}/first_world_value",
+         lambda m, o=order: o(m).rank(World(("A", "B", "C", "D"), (1, 3, 1, 5))),
+         *out_of_range("B", 3)),
+    ]
 
 # a bool or a float equal to a value is no value; these rows fail at the parent
 for label, value in (("bool", True), ("float", 1.0)):

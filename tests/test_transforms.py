@@ -31,8 +31,10 @@ from actualcause.formula import Held, PrimitiveEvent, eval_formula
 from actualcause.model import solve
 from actualcause.transforms import (
     AgreementReport,
+    CECounterexample,
     Counterexample,
     ExtensionReport,
+    RespectReport,
     build_stability_model,
     check_formula_agreement,
     deviating_variables,
@@ -46,11 +48,13 @@ from actualcause.transforms import (
 )
 from oracle import (
     EXTENSION_KINDS,
+    interpret,
     naive_formula_holds,
     naive_solve,
     naive_worlds,
     random_effect,
     random_extension_pair,
+    random_context,
     random_multivalued_model,
     settings_read,
 )
@@ -269,6 +273,67 @@ def _naive_conservativity(extension, base):
     return ExtensionReport(True)
 
 
+def _base_settings(base):
+    """Every partial setting of the base variables, by size, then
+    combination, then values."""
+    names = base.endogenous_names
+    for size in range(len(names) + 1):
+        for combo in itertools.combinations(names, size):
+            for values in itertools.product(*map(base.range_of, combo)):
+                yield dict(zip(combo, values))
+
+
+def _naive_extended_conservativity(extension, base):
+    """`is_conservative_extension_extended` read literally on the oracle:
+    the plain reference, then, in every context, every partial setting of
+    the base variables solved in both models and compared with the actual
+    world under each model's own order."""
+    report = _naive_conservativity(extension.base, base.base)
+    if not report.is_conservative:
+        return report
+
+    def world(model, ctx, setting):
+        found = naive_worlds(model, ctx, setting)
+        if not found:
+            raise ValueOutOfRange("some variable", "a value outside its range")
+        return md.World(model.endogenous_names, tuple(found[0].values()))
+
+    b, e = base.base, extension.base
+    for values in itertools.product(*map(b.range_of, b.exogenous_names)):
+        ctx = dict(zip(b.exogenous_names, values))
+        actual_b, actual_e = world(b, ctx, {}), world(e, ctx, {})
+        for iv in _base_settings(b):
+            normal_b = base.order.at_least_as_normal(world(b, ctx, iv), actual_b)
+            normal_e = extension.order.at_least_as_normal(world(e, ctx, iv), actual_e)
+            if normal_b != normal_e:
+                return ExtensionReport(False, None, CECounterexample(ctx, iv, normal_b, normal_e))
+    return ExtensionReport(True)
+
+
+ORDER_KINDS = ("shared", "independent", "respect")
+
+
+def _random_orders(rng, kind, extension, base):
+    """Orders for the base and the extension, in that order: one rank over
+    base variables for both ("shared"), two drawn apart ("independent"),
+    or each model's own `normality_from_respect` order in one random
+    context ("respect")."""
+    if kind == "respect":
+        ctx = random_context(rng, base)
+        return tuple(
+            normality_from_respect(m, ctx, rng.sample(m.endogenous_names, rng.randint(0, 2)))
+            for m in (base, extension)
+        )
+
+    def ranks():
+        chosen = rng.sample(base.endogenous_names, rng.randint(1, 2))
+        weights = {n: {v: rng.randint(0, 2) for v in base.range_of(n)} for n in chosen}
+        return NormalityOrder.from_ranks(lambda w: sum(t[w[n]] for n, t in weights.items()))
+
+    first = ranks()
+    return first, first if kind == "shared" else ranks()
+
+
 def _outcome(check, *args):
     """The report, or the type of the error raised."""
     try:
@@ -284,24 +349,69 @@ def _looped_agreement(extension, base, samples, seed):
 
 
 def test_surgery_checks_match_references_on_random_extension_pairs():
-    """Both checks give the reports, first counterexample and first
+    """The three checks give the reports, first counterexample and first
     disagreeing formula and context included, and raise the errors that the
-    references give, on faithful, rewired and out-of-range pairs."""
+    references give, on faithful, rewired and out-of-range pairs; the
+    extended check, on the first half of the pairs, under shared,
+    independent and respect-built orders."""
     seen = set()
     for seed in range(150):
         kind = EXTENSION_KINDS[seed % 3]
-        base, extension = random_extension_pair(random.Random(7000 + seed), kind)
+        rng = random.Random(7000 + seed)
+        base, extension = random_extension_pair(rng, kind)
         report = _outcome(is_conservative_extension, extension, base)
         assert report == _outcome(_naive_conservativity, extension, base), (seed, kind)
         agreement = _outcome(check_formula_agreement, extension, base, 40, seed)
         assert agreement == _outcome(_looped_agreement, extension, base, 40, seed), (seed, kind)
         seen.add(("conservative", getattr(report, "is_conservative", report)))
         seen.add(("agreement", getattr(agreement, "agrees", agreement)))
+        if seed >= 75:
+            continue
+        in_base, in_ext = _random_orders(rng, ORDER_KINDS[seed // 3 % 3], extension, base)
+        pair = ExtendedCausalModel(extension, in_ext), ExtendedCausalModel(base, in_base)
+        extended = _outcome(is_conservative_extension_extended, *pair)
+        assert extended == _outcome(_naive_extended_conservativity, *pair), (seed, kind)
+        if isinstance(extended, ExtensionReport) and extended.ce_counterexample:
+            extended = "threshold"
+        seen.add(("extended", getattr(extended, "is_conservative", extended)))
     assert seen == {
         (check, result)
-        for check in ("conservative", "agreement")
+        for check in ("conservative", "agreement", "extended")
         for result in (True, False, ValueOutOfRange)
-    }, seen
+    } | {("extended", "threshold")}, seen
+
+
+def test_conservative_extensions_keep_every_base_world():
+    """The lemma the extended check rests on.  On a pair the plain check
+    accepts, every partial setting of the base variables gives the base the
+    extension's world restricted to the base, and no formula disagrees.  On
+    a pair it refuses, the counterexample is a disagreeing formula:
+    `[setting](X = value_base)` holds in the base and fails in the
+    extension."""
+    accepted = refused = 0
+    for seed in range(60):
+        base, extension = random_extension_pair(
+            random.Random(9000 + seed), EXTENSION_KINDS[seed % 3]
+        )
+        report = _outcome(is_conservative_extension, extension, base)
+        if report is ValueOutOfRange:
+            continue
+        if report.is_conservative:
+            accepted += 1
+            for ctx in base.contexts():
+                for iv in _base_settings(base):
+                    in_ext = naive_solve(extension, ctx, iv)
+                    assert naive_solve(base, ctx, iv) == {
+                        n: in_ext[n] for n in base.endogenous_names
+                    }, (seed, ctx, iv)
+            assert check_formula_agreement(extension, base, 40, seed).agrees, seed
+        else:
+            refused += 1
+            ce = report.counterexample
+            formula = Held(tuple(ce.setting.items()), PrimitiveEvent(ce.variable, ce.value_base))
+            assert eval_formula(base, ce.context, formula), seed
+            assert not eval_formula(extension, ce.context, formula), seed
+    assert accepted >= 20 and refused >= 5, (accepted, refused)
 
 
 def test_agreement_with_an_unsolvable_prefix_decides_as_before():
@@ -411,6 +521,24 @@ def test_extended_conservativity_scanner_chain(doc):
     assert is_conservative_extension_extended(last, middle).is_conservative
 
 
+def test_extended_conservativity_raises_where_only_every_base_setting_overflows():
+    """The plain check never sets every base variable at once, so it
+    accepts this pair; under A=1, B=1 the new variable N leaves its range,
+    and the extended check raises there as the reference does."""
+    exogenous, endogenous = {"U": (0, 1)}, {"A": (0, 1), "B": (0, 1)}
+    equations = {"A": md.Const(0), "B": md.Const(0)}
+    base = md.make_model(exogenous, endogenous, equations)
+    extension = md.make_model(exogenous, {**endogenous, "N": (0, 1)},
+                              {**equations, "N": md.Sum((md.Var("A"), md.Var("B")))})
+    assert is_conservative_extension(extension, base).is_conservative
+    flat = NormalityOrder.flat()
+    pair = ExtendedCausalModel(extension, flat), ExtendedCausalModel(base, flat)
+    with pytest.raises(ValueOutOfRange) as err:
+        is_conservative_extension_extended(*pair)
+    assert (err.value.variable, err.value.value) == ("N", 2)
+    assert _outcome(_naive_extended_conservativity, *pair) is ValueOutOfRange
+
+
 def test_extended_conservativity_flat_pair(doc):
     base = ExtendedCausalModel(doc("rock_throwing_naive").model, NormalityOrder.flat())
     ext = ExtendedCausalModel(doc("rock_throwing_detailed").model, NormalityOrder.flat())
@@ -452,6 +580,50 @@ def test_deviation_on_stability_trigger():
     records = deviating_variables(model, contexts["u1"], world)
     assert [r.variable for r in records] == ["X1"]
     assert records[0].expected == 1
+
+
+def test_deviations_match_the_oracle_on_random_worlds():
+    """Each record names a variable whose equation, read by the oracle's
+    interpreter on the world's values, yields another value: the raw value,
+    also where it leaves the variable's range."""
+    rng = random.Random(31)
+    escapes = 0
+    for trial in range(120):
+        if trial % 2:
+            model = random_multivalued_model(rng)
+        else:
+            model = random_extension_pair(rng, "overflow")[1]
+        names = model.endogenous_names
+        ctx = random_context(rng, model)
+        for _ in range(4):
+            world = md.World(names, tuple(rng.choice(model.range_of(n)) for n in names))
+            env = {**ctx, **world.as_dict()}
+            expected = []
+            for name, equation in model.equations:
+                raw = interpret(equation, env)
+                if raw != world[name]:
+                    expected.append((world, name, raw, world[name]))
+                    escapes += raw not in model.range_of(name)
+            given = world if rng.random() < 0.5 else world.as_dict()
+            records = deviating_variables(model, ctx, given)
+            assert [(r.world, r.variable, r.expected, r.actual) for r in records] == expected
+    assert escapes >= 10, escapes
+
+
+def test_no_variables_make_no_deviation_check(doc, monkeypatch):
+    """With no variables, `respects_equations` enumerates no world and the
+    rank of `normality_from_respect` runs no solver."""
+    direct = doc("scanner_vote_direct")
+    model, ctx = direct.model, direct.context("u")
+    extended = direct.extended()
+    rt = model._runtime()
+    calls = []
+    real = rt.solve
+    monkeypatch.setattr(rt, "solve", lambda *a: calls.append(a) or real(*a))
+    assert respects_equations(extended, ctx, []) == RespectReport(True)
+    order = normality_from_respect(model, ctx, ())
+    assert all(order.rank(w) == 0 for w in model.worlds())
+    assert calls == []
 
 
 def test_respect_reports(doc):
@@ -498,11 +670,11 @@ def test_kill_witness_matches_named_route(hopkins):
     killed = kill_witness(hopkins.model, u, {"A": 1}, ("D", 1), witness)
     # the watchdog nearly coincides with the named route E = A & B: they
     # differ exactly when everything fires at once
-    rt = killed._runtime()
-    watchdog = rt.fn(rt.endo_index["NW1"])
+    index = killed._runtime().endo_index
     differences = []
     for a, b, c in itertools.product((0, 1), repeat=3):
-        got = watchdog([a, b, c, 0, 0], (0, 0, 0))
+        forced = {index["A"]: a, index["B"]: b, index["C"]: c}
+        got = md.solve_values(killed, (0, 0, 0), forced)[index["NW1"]]
         named_route = 1 if (a and b) else 0
         if got != named_route:
             differences.append((a, b, c))
