@@ -14,6 +14,7 @@ order intact.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -21,6 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import (
     EngineError,
+    MalformedPhi,
     MissingNormalityOrder,
     NoWitness,
     SearchBudgetExceeded,
@@ -28,8 +30,10 @@ from .errors import (
 )
 from .formula import (
     CausalFormula,
-    compile_event_formula,
+    Held,
+    _walk,
     formula_variables,
+    holds,
     validate_formula,
 )
 from .model import CausalModel, World, _setting_index, context_values, solve, solve_values
@@ -255,12 +259,14 @@ def _validate_witness(
 class _Query:
     """One query session: a model, a context, an effect, a variant, a budget.
 
-    The constructor validates the inputs, compiles the effect and solves the
-    actual world, charging that solve to the budget.  `bind` gives the
-    session a candidate cause; a bound query shares the session's budget,
-    actual world and AC2 memo, so AC3 sub-searches and the candidates of
-    `find_all_causes` repeat none of that work; it keeps the restore
-    outcomes of its own cause (see `ac2b`).
+    The constructor validates the inputs, solves the actual world, charging
+    that solve to the budget, and decides the effect there (`phi_actual`),
+    so an effect too deep to decide is refused whatever AC1's outcome.
+    `phi_ok` decides it in a world's value tuple (`formula.holds`).  `bind`
+    gives the session a candidate cause; a bound query shares the session's
+    budget, actual world and AC2 memo, so AC3 sub-searches and the
+    candidates of `find_all_causes` repeat none of that work; it keeps the
+    restore outcomes of its own cause (see `ac2b`).
     """
 
     def __init__(self, model, context, phi, variant, budget):
@@ -271,11 +277,14 @@ class _Query:
                 "the extended variant needs a model with a normality order"
             )
         validate_formula(self.base, phi)
-        self.phi_ok = compile_event_formula(self.base, phi)
+        if any(isinstance(node, Held) for node, _ in _walk(phi)):
+            raise MalformedPhi("the effect formula must not contain interventions")
         self.budget = budget if budget is not None else SearchBudget()
         self.rt = self.base._runtime()
+        self.phi_ok = functools.partial(holds, phi, self.rt.endo_index)
         self.exo = context_values(self.base, context)
         self.actual = self._solve(None)
+        self.phi_actual = self.phi_ok(self.actual)
         # the variables that can change the effect: its own and their ancestors
         self.anc, self.desc = self.rt.closures()
         self.phi_anc = 0
@@ -296,7 +305,7 @@ class _Query:
         bound = object.__new__(_Query)
         bound.base, bound.order, bound.variant = self.base, self.order, self.variant
         bound.phi_ok, bound.budget, bound.rt = self.phi_ok, self.budget, self.rt
-        bound.exo, bound.actual = self.exo, self.actual
+        bound.exo, bound.actual, bound.phi_actual = self.exo, self.actual, self.phi_actual
         bound.actual_world, bound.memo = self.actual_world, self.memo
         bound.phi_anc, bound.anc, bound.desc = self.phi_anc, self.anc, self.desc
         bound.cause = _normalize_cause(self.base, cause)
@@ -330,7 +339,7 @@ class _Query:
         actual = self.actual
         return (
             tuple([actual[i] for i in self.cause_idx]) == self.cause_vals
-            and self.phi_ok(actual, ()) != 0
+            and self.phi_actual
         )
 
     def witness_iv(self, w_idx, w_vals, alt) -> dict[int, int]:
@@ -341,7 +350,7 @@ class _Query:
     def ac2a(self, w_idx, w_vals, alt) -> tuple[bool, bool]:
         """Returns (counterfactual holds, witness world passes normality)."""
         hypothetical = self._solve(self.witness_iv(w_idx, w_vals, alt))
-        if self.phi_ok(hypothetical, ()):
+        if self.phi_ok(hypothetical):
             return False, True
         if self.variant is not RuleVariant.EXTENDED:
             return True, True
@@ -393,7 +402,7 @@ class _Query:
                 if value != actual[i]:
                     moved |= desc[i]
             if not moved:
-                if not self.phi_ok(actual, ()):
+                if not self.phi_actual:
                     return self._refuted(items, ())
                 continue
             pool_mask = moved & resettable
@@ -407,7 +416,7 @@ class _Query:
                         iv.update(items)
                         for i in reset:
                             iv[i] = actual[i]
-                        ok = outcomes[key] = self.phi_ok(self._solve(iv), ()) != 0
+                        ok = outcomes[key] = self.phi_ok(self._solve(iv))
                     if not ok:
                         return self._refuted(items, reset)
         return True
@@ -824,7 +833,7 @@ def find_all_causes(
     if max_conjuncts is not None:
         _check_count(max_conjuncts, 1, "max_conjuncts must be a positive integer, not {}")
     session = _Query(model, context, phi, variant, budget)
-    if not session.phi_ok(session.actual, ()):
+    if not session.phi_actual:
         return []
     rt = session.rt
     excluded = formula_variables(phi)

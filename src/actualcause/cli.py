@@ -51,14 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _nonnegative_int(text: str, minimum: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    if value < minimum:
+        kind = "nonnegative" if minimum == 0 else "positive"
+        raise argparse.ArgumentTypeError(f"{value} is not a {kind} integer")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _nonnegative_int(text, minimum=1)
 
 
 def _variable_list(text: str) -> list[str]:
@@ -164,7 +169,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=_positive_int, default=None)
 
     p = sub.add_parser("stability", help="emit a member of the alternating chain")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_nonnegative_int, required=True)
 
     p = sub.add_parser("respects", help="check that deviations are abnormal")
     with_model(p)

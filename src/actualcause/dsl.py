@@ -249,6 +249,48 @@ class _Parser:
         self.expect_op("}")
         return tuple(arms), default
 
+    # -- query formulas -----------------------------------------------------
+
+    def formula(self) -> fm.CausalFormula:
+        out = self._f_and()
+        while self.accept_op("|"):
+            out = fm.Or(out, self._f_and())
+        return out
+
+    def _f_and(self) -> fm.CausalFormula:
+        out = self._f_not()
+        while self.accept_op("&"):
+            out = fm.And(out, self._f_not())
+        return out
+
+    def _f_not(self) -> fm.CausalFormula:
+        if self.accept_op("!"):
+            return fm.Not(self._f_not())
+        return self._f_atom()
+
+    def _f_atom(self) -> fm.CausalFormula:
+        if self.accept_op("["):
+            settings = []
+            if not self.accept_op("]"):
+                while True:
+                    var = self.expect_name("a variable name")
+                    self.expect_op("<-")
+                    settings.append((var, self.expect_int()))
+                    if not self.accept_op(","):
+                        break
+                self.expect_op("]")
+            self.expect_op("(")
+            body = self.formula()
+            self.expect_op(")")
+            return fm.Held(tuple(settings), body)
+        if self.accept_op("("):
+            inner = self.formula()
+            self.expect_op(")")
+            return inner
+        var = self.expect_name("a variable name")
+        self.expect_op("=")
+        return fm.PrimitiveEvent(var, self.expect_int())
+
 
 # ---------------------------------------------------------------------------
 # Model documents
@@ -312,7 +354,7 @@ def _build_order(
     table = Case(
         tuple((guard, Const(rank)) for guard, rank in decl.arms), Const(decl.default)
     )
-    ranks = compile_expression(table, rt.names)
+    ranks = compile_expression(table, {n: f"v[{i}]" for n, i in rt.endo_index.items()})
 
     def rank_of(world: World) -> int:
         return ranks(_own_values(rt, world), ())
@@ -409,55 +451,11 @@ def parse_model(text: str) -> ModelDocument:
 # Formulas and causes
 # ---------------------------------------------------------------------------
 
-def _parse_formula(parser: _Parser) -> fm.CausalFormula:
-    def f_or():
-        out = f_and()
-        while parser.accept_op("|"):
-            out = fm.Or(out, f_and())
-        return out
-
-    def f_and():
-        out = f_not()
-        while parser.accept_op("&"):
-            out = fm.And(out, f_not())
-        return out
-
-    def f_not():
-        if parser.accept_op("!"):
-            return fm.Not(f_not())
-        return atom()
-
-    def atom():
-        if parser.accept_op("["):
-            settings = []
-            if not parser.accept_op("]"):
-                while True:
-                    var = parser.expect_name("a variable name")
-                    parser.expect_op("<-")
-                    settings.append((var, parser.expect_int()))
-                    if not parser.accept_op(","):
-                        break
-                parser.expect_op("]")
-            parser.expect_op("(")
-            body = f_or()
-            parser.expect_op(")")
-            return fm.Held(tuple(settings), body)
-        if parser.accept_op("("):
-            inner = f_or()
-            parser.expect_op(")")
-            return inner
-        var = parser.expect_name("a variable name")
-        parser.expect_op("=")
-        return fm.PrimitiveEvent(var, parser.expect_int())
-
-    return f_or()
-
-
 def parse_formula(text: str, model: CausalModel | None = None) -> fm.CausalFormula:
     """Parse a query formula; validates against the model when given."""
     parser = _Parser(text)
     with parser.nesting_limit():
-        out = _parse_formula(parser)
+        out = parser.formula()
     tok = parser.peek()
     if tok.kind != "end":
         raise ParseError(tok.line, tok.column, f"trailing input {tok.value!r}")

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from . import model as mx
 from .errors import EngineError, MalformedPhi
 from .model import CausalModel, _setting_index, context_values, solve_values
 
@@ -156,42 +155,41 @@ def validate_formula(model: CausalModel, formula: CausalFormula) -> None:
             raise MalformedPhi(f"unknown formula node {type(node).__name__}")
 
 
-def compile_event_formula(model: CausalModel, formula: CausalFormula):
-    """Compile an intervention-free formula into a function of `(v, u)`
-    that returns 1 when it holds in the world with value tuple `v`, else 0.
-
-    The expression is built bottom-up: the walk reversed meets every node
-    after its operands.  A chain of one connective becomes one n-ary node,
-    so the code generated for a long conjunction is flat.
-    """
-    built: list[mx.Expression] = []
-    for node, _ in reversed(list(_walk(formula))):
-        if isinstance(node, PrimitiveEvent):
-            built.append(mx.Cmp("=", mx.Var(node.var), mx.Const(node.value)))
-        elif isinstance(node, Not):
-            built.append(mx.Not(built.pop()))
-        elif isinstance(node, (And, Or)):
-            kind = mx.And if isinstance(node, And) else mx.Or
-            items: tuple[mx.Expression, ...] = ()
-            for part in (built.pop(), built.pop()):  # the left operand, then the right
-                items += part.items if type(part) is kind else (part,)
-            built.append(kind(items))
-        else:
-            raise MalformedPhi("the effect formula must not contain interventions")
-    return mx.compile_expression(built.pop(), model._runtime().names)
+def holds(formula: CausalFormula, index: Mapping[str, int], world) -> bool:
+    """Decide a formula on its own tree.  `world` gives each endogenous
+    variable's value at its position in `index`: a value tuple, or a
+    `_Context`, whose `under` gives the world of a prefix too.  A chain of
+    one connective is decided from the left, with the short circuit of the
+    nested form.  Nesting too deep to recurse is an `EngineError`."""
+    try:
+        if isinstance(formula, PrimitiveEvent):
+            return world[index[formula.var]] == formula.value
+        if isinstance(formula, Not):
+            return not holds(formula.operand, index, world)
+        if isinstance(formula, Held):
+            return holds(formula.body, index, world.under(formula.settings))
+        # operands of the same kind, on either side, are opened on the stack
+        kind, stop = type(formula), isinstance(formula, Or)
+        stack = [formula]
+        while stack:
+            node = stack.pop()
+            if type(node) is kind:
+                stack += (node.right, node.left)
+            elif holds(node, index, world) is stop:
+                return stop
+        return not stop
+    except RecursionError:
+        raise EngineError("formula is nested too deeply to evaluate") from None
 
 
 class _Session:
     """Formula evaluation in one model, shared by every formula put to it.
 
-    `holds` decides a formula in a context on its own tree: an event reads
-    its variable in the world of the `Held` settings that enclose it, with
-    no settings outside any.  The worlds the session solves are kept, by
-    intervention and then by context, for the life of the session; an
-    intervention is keyed by the set of its settings, so one written in two
-    orders is solved once.  `solve` solves the worlds of one intervention in
-    the contexts not yet kept, with one intervention mapping, and `world`
-    reads one of them.
+    The worlds the session solves are kept, by intervention and then by
+    context, for the life of the session; an intervention is keyed by the
+    set of its settings, so one written in two orders is solved once.
+    `solve` solves the worlds of one intervention in the contexts not yet
+    kept, with one intervention mapping; `holds` reads them by `_Context`.
     """
 
     def __init__(self, model: CausalModel):
@@ -210,35 +208,25 @@ class _Session:
                 known[exo] = solve_values(self.model, exo, interventions)
         return [known[exo] for exo in contexts]
 
-    def world(self, exo: tuple[int, ...], settings: frozenset) -> tuple[int, ...]:
-        known = self.worlds.get(settings, {})
-        return known[exo] if exo in known else self.solve(settings, [exo])[0]
-
     def holds(self, formula: CausalFormula, exo: tuple[int, ...]) -> bool:
-        try:
-            return self._holds(formula, exo, frozenset())
-        except RecursionError:
-            raise EngineError("formula is nested too deeply to evaluate") from None
+        return holds(formula, self.index, _Context(self, exo))
 
-    def _holds(self, node: CausalFormula, exo: tuple[int, ...], settings: frozenset) -> bool:
-        if isinstance(node, PrimitiveEvent):
-            return self.world(exo, settings)[self.index[node.var]] == node.value
-        if isinstance(node, Not):
-            return not self._holds(node.operand, exo, settings)
-        if isinstance(node, Held):
-            return self._holds(node.body, exo, frozenset(node.settings))
-        # a chain of one connective is decided operand by operand from the
-        # left, with the short circuit of the nested form; operands of the
-        # same kind, on either side, are opened on the stack
-        kind, stop = type(node), isinstance(node, Or)
-        stack = [node]
-        while stack:
-            node = stack.pop()
-            if type(node) is kind:
-                stack += (node.right, node.left)
-            elif self._holds(node, exo, settings) is stop:
-                return stop
-        return not stop
+
+class _Context:
+    """The worlds of one context of a session, as `holds` reads them:
+    indexed like a value tuple, the world under no intervention, and
+    `under(settings)`.  A world is solved when first read, so a formula
+    whose events all lie under prefixes never solves the plain world."""
+
+    def __init__(self, session: _Session, exo: tuple[int, ...]):
+        self.session, self.exo = session, exo
+
+    def __getitem__(self, i: int) -> int:
+        return self.under(())[i]
+
+    def under(self, settings: Iterable) -> tuple[int, ...]:
+        known, exo = self.session.worlds.get(frozenset(settings), {}), self.exo
+        return known[exo] if exo in known else self.session.solve(settings, [exo])[0]
 
 
 def eval_formula(

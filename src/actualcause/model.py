@@ -353,7 +353,7 @@ class _Runtime:
     __slots__ = (
         "exo_names", "exo_index", "exo_ranges",
         "endo_names", "endo_index", "endo_ranges", "endo_range_sets",
-        "order", "names", "solve", "deps", "_closures",
+        "order", "solve", "deps", "_closures",
     )
 
     def __init__(self, model: "CausalModel"):
@@ -370,9 +370,6 @@ class _Runtime:
         order_names, self.deps = _dependency_order(model)
         self.order = tuple(self.endo_index[n] for n in order_names)
 
-        # variable name -> its lookup in the code `compile_expression` makes
-        self.names = {n: f"u[{i}]" for n, i in self.exo_index.items()}
-        self.names.update({n: f"v[{i}]" for n, i in self.endo_index.items()})
         self.solve = _compile_solver(self, tuple(expr for _, expr in model.equations))
         self._closures: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 

@@ -68,6 +68,14 @@ def test_phi_must_be_intervention_free(rt_naive):
                         Held((("BT", 0),), BS1))
 
 
+def test_an_effect_with_a_prefix_is_refused_before_any_solve(rt_naive):
+    for phi in (Held((("BT", 0),), BS1), And(BS1, Or(BS1, Held((("BT", 0),), BS1)))):
+        budget = SearchBudget()
+        with pytest.raises(MalformedPhi, match="must not contain interventions"):
+            is_actual_cause(rt_naive.model, {"U": 1}, {"ST": 1}, phi, budget=budget)
+        assert budget.used == 0
+
+
 # -- AC2(a) ------------------------------------------------------------------
 
 def test_ac2a_hopkins_contingency(hopkins):

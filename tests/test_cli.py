@@ -109,6 +109,15 @@ def test_stability_command(capsys):
     assert doc.model.endogenous_names == ("A", "B", "X1", "X2", "Y1")
 
 
+@pytest.mark.parametrize("n, message", [("-1", "not a nonnegative integer"),
+                                        ("x", "invalid int value")])
+def test_stability_index_is_a_nonnegative_int(capsys, n, message):
+    code, out, err = run(capsys, "stability", "--n", n)
+    assert code == 64 and message in err
+    assert out == ""
+    assert run(capsys, "stability", "--n", "0")[0] == 0
+
+
 def test_respects_command(capsys):
     code, out, _ = run(capsys, "respects", "-m", SCANNER, "-c", "u",
                        "--vars", "D'")

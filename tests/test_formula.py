@@ -5,7 +5,7 @@ import random
 import pytest
 
 from actualcause import formula
-from actualcause.causality import is_actual_cause
+from actualcause.causality import check_ac1, find_all_causes, is_actual_cause
 from actualcause.corpus import model_names
 from actualcause.errors import EngineError, MalformedPhi, UnknownVariable, ValueOutOfRange
 from actualcause.formula import (
@@ -14,7 +14,6 @@ from actualcause.formula import (
     Not,
     Or,
     PrimitiveEvent,
-    compile_event_formula,
     eval_formula,
     events_conj,
     valid_in_model,
@@ -27,7 +26,13 @@ from actualcause.transforms import (
     random_causal_formula,
     random_event_formula,
 )
-from oracle import event_holds, naive_formula_holds, random_extension_pair, settings_read
+from oracle import (
+    event_holds,
+    naive_formula_holds,
+    naive_is_cause,
+    random_extension_pair,
+    settings_read,
+)
 
 
 def test_hopkins_counterfactual(hopkins):
@@ -151,45 +156,70 @@ def test_validation_rejects_bad_formulas(hopkins):
         validate_formula(model, Held((("A", 1), ("A", 0)), PrimitiveEvent("D", 1)))
 
 
-def test_compiled_effect_matches_reference(doc):
-    """The compiled effect is 1 exactly where the oracle says it holds, on
-    every world of each corpus model with at most six endogenous variables."""
+def test_effect_walk_matches_reference(doc):
+    """The walk that decides effects holds exactly where the oracle says it
+    does, on every world of each corpus model with at most six endogenous
+    variables."""
     rng = random.Random(23)
     checked = 0
     for name in model_names():
         model = doc(name).model
         if len(model.endogenous_names) > 6:
             continue
+        index = model._runtime().endo_index
         formulas = [random_event_formula(rng, model) for _ in range(12)]
-        compiled = [compile_event_formula(model, f) for f in formulas]
         for world in model.worlds():
-            for f, holds in zip(formulas, compiled):
-                assert holds(world.values, ()) == int(event_holds(world, f))
+            for f in formulas:
+                assert formula.holds(f, index, world.values) is event_holds(world, f)
         checked += 1
     assert checked >= 10
 
 
 def test_long_and_deep_effects(rt_naive):
     model = rt_naive.model
-    # a chain of one connective compiles flat, however long
+    # a chain of one connective is decided on a stack, however long
     chain = parse_formula(" & ".join(["BS=1"] * 300), model)
     assert is_actual_cause(model, {"U": 1}, {"ST": 1}, chain).is_cause
 
     deep = PrimitiveEvent("BS", 1)
     for level in range(150):
         deep = Not(deep) if level % 2 else And(deep, PrimitiveEvent("ST", 1))
-    holds = compile_event_formula(model, deep)
-    for world in model.worlds():
-        assert holds(world.values, ()) == int(event_holds(world, deep))
+    verdicts = []
+    for u in (0, 1):
+        for cause in ({"ST": u}, {"BT": u}, {"BS": u}, {"ST": u, "BT": u}):
+            verdict = is_actual_cause(model, {"U": u}, cause, deep).is_cause
+            assert verdict == naive_is_cause(model, {"U": u}, cause, deep, False), (u, cause)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
+
+def test_effects_too_deep_to_walk_are_engine_errors(rt_naive):
+    """An effect nested deeper than Python can recurse is an `EngineError`
+    whatever AC1's outcome, and also where only a world off the actual one
+    reaches the deep branch."""
+    model = rt_naive.model
     too_deep = PrimitiveEvent("BS", 1)
     for _ in range(5000):
         too_deep = Not(too_deep)
     validate_formula(model, too_deep)
     with pytest.raises(EngineError, match="nested too deeply"):
-        compile_event_formula(model, too_deep)
-    with pytest.raises(EngineError, match="nested too deeply"):
         eval_formula(model, {"U": 1}, too_deep)
+    # ST = 1 holds in U = 1 and not in U = 0
+    for context in ({"U": 1}, {"U": 0}):
+        for decide, args in (
+            (is_actual_cause, (model, context, {"ST": 1}, too_deep)),
+            (find_all_causes, (model, context, too_deep)),
+            (check_ac1, (model, context, {"ST": 1}, too_deep)),
+        ):
+            with pytest.raises(EngineError, match="nested too deeply"):
+                decide(*args)
+    # in U = 1 the bottle shatters, so only a world where neither rock is
+    # thrown reads the deep branch
+    off_actual = Or(PrimitiveEvent("BS", 1), too_deep)
+    with pytest.raises(EngineError, match="nested too deeply"):
+        is_actual_cause(model, {"U": 1}, {"ST": 1}, off_actual)
+    with pytest.raises(EngineError, match="nested too deeply"):
+        find_all_causes(model, {"U": 1}, off_actual)
 
 
 def test_agreement_solves_each_context_and_prefix_once(monkeypatch, rt_naive, rt_detailed):
