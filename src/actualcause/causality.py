@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
@@ -315,18 +316,20 @@ class _Query:
         bound.non_cause = tuple(
             [i for i in range(len(self.rt.endo_names)) if i not in cause_set]
         )
-        # AC2(b) state: the effect's ancestors outside X, the descendants of
-        # the conjuncts X = x moves off their actual values, the effect's
-        # outcome per restore intervention, the failed restore
-        # interventions learned so far and their count (see `search`)
+        # AC2(b) state: the effect's ancestors outside X, desc(X) and the
+        # descendants of the conjuncts X = x moves off their actual values,
+        # the effect's outcome per restore intervention, the failed restore
+        # interventions learned so far, their count and the dead groups
+        # among them (see `search`)
         bound.resettable = self.phi_anc
-        bound.x_moved_desc = 0
+        bound.x_desc = bound.x_moved_desc = 0
         for i, value in zip(bound.cause_idx, bound.cause_vals):
             bound.resettable &= ~(1 << i)
+            bound.x_desc |= self.desc[i]
             if value != self.actual[i]:
                 bound.x_moved_desc |= self.desc[i]
         bound.restore_memo = {}
-        bound.nogoods, bound.learned = {}, 0
+        bound.nogoods, bound.learned, bound.dead = {}, 0, []
         return bound
 
     def _solve(self, interventions) -> tuple[int, ...]:
@@ -426,12 +429,22 @@ class _Query:
 
         Nogoods are grouped by the bit masks of their W' variables and reset
         set Z'.  A group keeps its W' variables, in the order of W, which
-        `search` lists in declaration order, and the set of their refuted
+        `search` lists in declaration order, the set of their refuted
         values: a tuple, or a bare value when |W'| = 1, as `itemgetter`
-        reads them (see `_refuting`).  `learned` counts the nogoods
+        reads them (see `_refuting`), and `_ranges(W')`, the values its W'
+        variables take in a scan of W' itself.  `learned` counts the nogoods
         recorded, so a scan in progress knows when to read the store again
         (see `_unrefuted`).  ORIGINAL fixes W' = W, so its failures refute
-        no other contingency."""
+        no other contingency.
+
+        A group is dead once its refuted values cover the product of those
+        ranges.  Only a new value inside that product can make it so, and a
+        dead group refutes all of them already, so it is listed once.  Its
+        entry in `dead` pairs the W' mask with `blocked`: Z' and the strict
+        ancestors of each W' variable whose range `_ranges` pruned.  A group
+        with an empty W' is dead from its first nogood, with `blocked = Z'`.
+        `search` skips the value scan of every contingency set it covers
+        (see `_covers`)."""
         if self.variant is not RuleVariant.ORIGINAL:
             w_vars, values = tuple(zip(*items)) or ((), ())
             w_mask = z_mask = 0
@@ -439,10 +452,41 @@ class _Query:
                 w_mask |= 1 << i
             for i in reset:
                 z_mask |= 1 << i
-            group = self.nogoods.setdefault((w_mask, z_mask), (w_vars, set()))
-            group[1].add(values[0] if len(values) == 1 else values)
+            group = self.nogoods.get((w_mask, z_mask))
+            if group is None:
+                group = (w_vars, set(), self._ranges(w_vars, w_mask))
+                self.nogoods[w_mask, z_mask] = group
+            _, refuted, ranges = group
+            value = values[0] if len(values) == 1 else values
+            if value not in refuted:
+                refuted.add(value)
+                if (
+                    len(refuted) >= math.prod(map(len, ranges))
+                    and all(v in r for v, r in zip(values, ranges))
+                    and all(c in refuted for c in (
+                        ranges[0] if len(ranges) == 1 else itertools.product(*ranges)))
+                ):
+                    blocked = z_mask
+                    for i, r in zip(w_vars, ranges):
+                        # `_ranges` hands back a variable's own range unpruned
+                        if r is not self.rt.endo_ranges[i]:
+                            blocked |= self.anc[i] & ~(1 << i)
+                    self.dead.append((w_mask, blocked))
             self.learned += 1
         return False
+
+    def _ranges(self, w_idx: tuple[int, ...], w_mask: int) -> list:
+        """The values the variables `w_idx` of the contingency set with bit
+        mask `w_mask` take in its scan: a variable outside desc(X) with no
+        other variable of the set among its ancestors loses its actual value
+        (see `search`); any other keeps its whole range."""
+        ranges, actual, anc, x_desc = self.rt.endo_ranges, self.actual, self.anc, self.x_desc
+        return [
+            [v for v in ranges[i] if v != actual[i]]
+            if not x_desc >> i & 1 and anc[i] & w_mask == 1 << i
+            else ranges[i]
+            for i in w_idx
+        ]
 
     # -- enumeration ---------------------------------------------------------
 
@@ -470,8 +514,21 @@ class _Query:
         nogood exists only after an AC2(b) failure, the deepest label there
         is.  The nogood groups that can apply to a contingency set W (W'
         variables inside W, Z' outside it) are picked when its scan starts
-        and again after each nogood learned in it; one with an empty W'
-        refutes the whole set.
+        and again after each nogood learned in it.
+
+        A dead group (see `_refuted`) refutes whole sets: its value scan is
+        skipped, before any range, name or test is built, for every set W
+        that contains its W' and misses its `blocked` mask.  Such a W misses
+        Z', so the group applies to W.  A W' variable whose range `_ranges`
+        pruned for W' alone lies outside desc(X) and, as W misses
+        `blocked`, has no W variable among its strict ancestors, so its
+        range is pruned in W too; every other W' variable takes values in W
+        from its whole range.  So every value tuple the scan of W can reach
+        restricts on W' to a tuple of the product the group refutes in full,
+        and each is refuted as above.  A dead set still places its copied
+        witnesses (below): a copy holds the actual value at its no-op
+        positions, outside their pruned ranges, so it is no tuple of the
+        scan, and being a witness it is refuted by no nogood.
 
         Each contingency set W is scanned once, by `_unrefuted`, which cuts
         the refuted value tuples out of its product by prefix instead of
@@ -523,11 +580,9 @@ class _Query:
         """
         witnesses: list[Witness] = []
         deepest = "AC2(a)"
-        names, ranges = self.rt.endo_names, self.rt.endo_ranges
+        names = self.rt.endo_names
         alts = self.alt_tuples()
-        actual, desc, x_desc = self.actual, self.desc, 0
-        for i in self.cause_idx:
-            x_desc |= desc[i]
+        actual, desc, x_desc = self.actual, self.desc, self.x_desc
         # contingency set mask -> (its items, D, alternate values) per
         # contingency with witnesses
         found: dict[int, list[tuple[dict[int, int], int, list[tuple[int, ...]]]]] = {}
@@ -537,13 +592,7 @@ class _Query:
                     w_mask = 0
                     for i in w_idx:
                         w_mask |= 1 << i
-                    w_ranges = [
-                        [v for v in ranges[i] if v != actual[i]]
-                        if not x_desc >> i & 1 and self.anc[i] & w_mask == 1 << i
-                        else ranges[i]
-                        for i in w_idx
-                    ]
-                    w_names = tuple(map(names.__getitem__, w_idx))
+                    dead = _covers(self.dead, w_mask)
                     # the no-op contingencies of W with witnesses, last first
                     copies = []
                     for r_mask, kept in found.items():
@@ -553,8 +602,13 @@ class _Query:
                             if d_mask & w_mask & ~r_mask == 0:
                                 copies.append(
                                     (tuple([held.get(i, actual[i]) for i in w_idx]), hits))
+                    if dead and not copies:
+                        continue
+                    w_names = tuple(map(names.__getitem__, w_idx))
                     copies.sort(reverse=True)
-                    for w_vals in self._unrefuted(w_idx, w_mask, w_ranges):
+                    scan = () if dead else self._unrefuted(
+                        w_idx, w_mask, self._ranges(w_idx, w_mask))
+                    for w_vals in scan:
                         while copies and copies[-1][0] < w_vals:
                             c_vals, hits = copies.pop()
                             witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
@@ -597,8 +651,8 @@ class _Query:
         with bit mask `w_mask`, drawn from `w_ranges` in product order, that
         no nogood refutes when the scan reaches them.
 
-        A value set at position q is tried at once against `tests[q + 1]`
-        (see `_refuting`), the tests whose positions all lie at or before q;
+        A value set at position q is tried at once against `tests[q]` (see
+        `_refuting`), the tests whose positions all lie at or before q;
         one that refutes the prefix refutes every extension of it, so the
         prefix is cut, and none of its extensions is built or tested.
 
@@ -606,24 +660,23 @@ class _Query:
         records in `learned`; when the count has moved since the last yield,
         the tests are read again, and the scan goes on after the shortest
         prefix of the tuple just yielded that they refute (after the tuple
-        itself when none does).  Each position's iterator still stands just
+        itself when none does); when a group now dead covers W, no tuple is
+        left and the scan ends.  Each position's iterator still stands just
         after the value it holds, so nothing is rebuilt.  A shorter prefix
         than the position last advanced may be refuted now, and with it
         every extension of that prefix still to come; no prefix before the
         resume position is refuted, since it is the shortest.
         """
-        tests = _refuting(self.nogoods, w_idx, w_mask)
-        if tests[0]:
-            return
         n = len(w_ranges)
         if not n:
             yield ()
             return
+        tests = _refuting(self.nogoods, w_idx, w_mask)
         values: list = [None] * n
         iters: list = [iter(w_ranges[0])] + [None] * (n - 1)
         q, seen = 0, self.learned
         while q >= 0:
-            bucket = tests[q + 1]
+            bucket = tests[q]
             for value in iters[q]:
                 values[q] = value
                 for get, refuted in bucket:
@@ -641,8 +694,20 @@ class _Query:
                 yield tuple(values)
                 if self.learned != seen:
                     seen = self.learned
+                    if _covers(self.dead, w_mask):
+                        return
                     tests = _refuting(self.nogoods, w_idx, w_mask)
                     q = _resume_at(tests, values)
+
+
+def _covers(dead, w_mask: int) -> bool:
+    """Whether a dead nogood group refutes every value tuple that the scan
+    of the contingency set with bit mask `w_mask` can reach: its W' lies
+    inside the set and its `blocked` mask outside (see `_Query._refuted`)."""
+    for vars_mask, blocked in dead:
+        if not (vars_mask & ~w_mask or w_mask & blocked):
+            return True
+    return False
 
 
 def _refuting(nogoods, w_idx: tuple[int, ...], w_mask: int) -> list:
@@ -652,33 +717,28 @@ def _refuting(nogoods, w_idx: tuple[int, ...], w_mask: int) -> list:
 
     A test pairs a getter of the W' positions with the group's set of
     refuted values, so one entry is read per group, not one per nogood.
-    Tests are bucketed by prefix length: `tests[k]`, for k >= 1, holds
-    those whose last position is k - 1, which decide every tuple sharing
-    its first k values; `tests[0]` is a flag, true when a group with an
-    empty W' applies, which refutes every tuple.  A test reads no position
-    after its bucket's prefix, which is what makes the prefix cut of
-    `_Query._unrefuted` sound."""
-    tests: list = [False] + [()] * len(w_idx)
-    for (vars_mask, z_mask), (w_vars, refuted) in nogoods.items():
+    Tests are bucketed by their last position: `tests[k]` holds those that
+    decide every tuple sharing its first k + 1 values.  A test reads no
+    position after its bucket's prefix, which is what makes the prefix cut
+    of `_Query._unrefuted` sound.  The caller has ruled out every dead group
+    that covers W (`_covers`); a group with an empty W' that applies to W
+    is one, so every group read here has a last position."""
+    tests: list = [()] * len(w_idx)
+    for (vars_mask, z_mask), (w_vars, refuted, _) in nogoods.items():
         if vars_mask & ~w_mask or z_mask & w_mask:
             continue
-        if not w_vars:
-            tests[0] = True
-            return tests
         # W' and W are both in declaration order, so the last W' variable
         # has the last position
         key = [w_idx.index(i) for i in w_vars]
-        tests[key[-1] + 1] += ((itemgetter(*key), refuted),)
+        tests[key[-1]] += ((itemgetter(*key), refuted),)
     return tests
 
 
 def _resume_at(tests, values: list) -> int:
     """The position to advance after the tuple `values`: the last of its
-    shortest prefix that a test refutes (-1 for the empty prefix), or its
-    last position when none does."""
-    if tests[0]:
-        return -1
-    for k, bucket in enumerate(tests[1:]):
+    shortest prefix that a test refutes, or its last position when none
+    does."""
+    for k, bucket in enumerate(tests):
         for get, refuted in bucket:
             if get(values) in refuted:
                 return k

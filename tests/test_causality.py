@@ -1,5 +1,6 @@
 """Actual-cause decisions: clause checks, verdicts, enumeration, grading."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -34,6 +35,7 @@ from actualcause.errors import (
 from actualcause.formula import And, Held, Or, PrimitiveEvent
 from actualcause.model import Var, World, make_model, solve
 from actualcause.transforms import build_stability_model
+import oracle
 from oracle import (
     event_holds,
     naive_is_cause,
@@ -727,16 +729,23 @@ def test_prefix_cut_yields_exactly_the_unrefuted_product():
     # few more variables, so some read outside W or reset inside it and
     # must not apply.  A nogood learned between yields applies from the
     # next tuple on, as when `ac2b` fails in the middle of a scan: the
-    # enumerator reads the live store and is never restarted.
+    # enumerator reads the live store and is never restarted.  Every
+    # variable descends from X, so `_ranges` prunes no range (and reads no
+    # ancestor or actual value), and a group whose refuted values cover its
+    # W' ranges is dead: as in `search`, it skips the whole scan of each W
+    # it covers.
     rng = random.Random(1414)
-    store = SimpleNamespace(variant=RuleVariant.UPDATED, nogoods={}, learned=0)
+    store = SimpleNamespace(variant=RuleVariant.UPDATED, nogoods={}, learned=0, dead=[],
+                            x_desc=-1, anc=None, actual=None)
+    store._ranges = functools.partial(causality._Query._ranges, store)
     seen = Counter()
     for _ in range(400):
         n = rng.choice((0, 1, 2, 3, 3, 4))
         ranges = [sorted(rng.sample((-1, 0, 1, 2), rng.choice((0, 1, 2, 2, 3, 3))))
                   for _ in range(n)]
         w_idx, w_mask = tuple(range(n)), (1 << n) - 1
-        store.nogoods, store.learned, learned = {}, 0, []
+        store.nogoods, store.learned, store.dead, learned = {}, 0, [], []
+        store.rt = SimpleNamespace(endo_ranges=ranges + [(-1, 0, 1, 2)] * 2)
 
         def learn():
             w_vars = sorted(rng.sample(range(n + 2), min(n + 2, rng.choice((0, 1, 1, 2, 2, 3)))))
@@ -754,13 +763,13 @@ def test_prefix_cut_yields_exactly_the_unrefuted_product():
             learn()
         assert store.learned == len(learned)
         wanted = (values for values in itertools.product(*ranges) if not refuted(values))
-        tests = causality._refuting(store.nogoods, w_idx, w_mask)
-        if not any(tests):
+        dead = causality._covers(store.dead, w_mask)
+        if not dead and not any(causality._refuting(store.nogoods, w_idx, w_mask)):
             assert not any(refuted(values) for values in itertools.product(*ranges))
-        seen["refute-all"] += tests[0]
+        seen["dead skip"] += dead
         seen["empty range"] += not all(ranges)
         seen["W = {}"] += not n
-        for values in causality._Query._unrefuted(store, w_idx, w_mask, ranges):
+        for values in () if dead else causality._Query._unrefuted(store, w_idx, w_mask, ranges):
             assert values == next(wanted), (ranges, learned)
             seen["yielded"] += 1
             if rng.random() < 0.4:
@@ -869,6 +878,80 @@ def test_no_op_contingencies_cost_no_solves(doc, monkeypatch, name, ctx, cause, 
                               find_all_witnesses=False)
     assert not verdict.is_cause and verdict.failure_reason == "AC2(b)"
     assert calls[0] <= bound
+
+
+# -- dead nogood groups against the reference -----------------------------------
+#
+# A nogood group whose refuted values cover every value its W' variables
+# take in a scan refutes whole contingency sets: the search skips their
+# value scans.  A skipped set must still place the witnesses it copies from
+# a smaller contingency, which hold actual values outside the pruned ranges.
+
+def test_dead_set_skips_match_reference(monkeypatch):
+    scanned = []
+    real = causality._Query._unrefuted
+
+    def recording(self, w_idx, w_mask, w_ranges):
+        scanned.append(w_mask)
+        return real(self, w_idx, w_mask, w_ranges)
+
+    # the oracle's solver filters every assignment; it is a pure function,
+    # so its worlds are kept per intervention to keep the reference fast
+    plain, worlds = oracle.naive_solve, {}
+
+    def remembered(model, context, interventions=None):
+        key = (id(model), tuple(context.items()), tuple(sorted((interventions or {}).items())))
+        if key not in worlds:
+            worlds[key] = plain(model, context, interventions)
+        return worlds[key]
+
+    monkeypatch.setattr(causality._Query, "_unrefuted", recording)
+    monkeypatch.setattr(oracle, "naive_solve", remembered)
+    rng = random.Random(4046)
+    seen = Counter()
+    for _ in range(40):
+        model = random_multivalued_model(rng)
+        ctx = random_context(rng, model)
+        world = solve(model, ctx)
+        names = model.endogenous_names
+        # the effect also asks one variable to keep its actual value, so
+        # every move of that variable fails the restore check: its group
+        # dies, and the sets it covers hold copies where it is a no-op
+        kept = rng.choice(names[:-1])
+        phi = And(PrimitiveEvent(kept, world[kept]), random_effect(rng, model, names[-2:]))
+        ranks = {w.values: rng.randint(0, 2) for w in model.worlds()}
+        extended = ExtendedCausalModel(
+            model, NormalityOrder.from_ranks(lambda w: ranks[w.values]))
+        rank = lambda w: ranks[tuple(w[n] for n in names)]
+        causes = [{n: world[n]} for n in names[:-1]]
+        moved = rng.choice(names[:-1])
+        causes.append({moved: rng.choice([v for v in model.range_of(moved)
+                                          if v != world[moved]])})
+        for cause in causes:
+            # every contingency set over the other variables, by bit mask
+            rest = [i for i, n in enumerate(names) if n not in cause]
+            sets = {sum(1 << i for i in c): tuple(names[i] for i in c)
+                    for k in range(len(rest) + 1) for c in itertools.combinations(rest, k)}
+            for variant, subject, ranked in (("updated", model, None),
+                                             ("extended", extended, rank)):
+                want, _ = _reference_scan(model, ctx, cause, phi, False, ranked)
+                reason = _reference_reason(model, ctx, cause, phi, False, ranked)
+                scanned.clear()
+                assert _triples(find_witnesses(subject, ctx, cause, phi, variant)) == want, (
+                    model, ctx, cause, phi, variant)
+                # an every-witness scan visits every set: each one it did
+                # not scan was skipped whole by a dead group
+                skipped = sets.keys() - set(scanned)
+                hit = {contingency for contingency, _, _ in want}
+                seen["dead skip"] += len(skipped)
+                seen["dead set with copies"] += sum(sets[m] in hit for m in skipped)
+                for find_all in (True, False):
+                    verdict = is_actual_cause(subject, ctx, cause, phi, variant,
+                                              find_all_witnesses=find_all)
+                    listed = [] if reason == "AC1" else want if find_all else want[:1]
+                    assert verdict.failure_reason == reason, (model, ctx, cause, phi, variant)
+                    assert _triples(verdict.witnesses) == listed, (model, ctx, cause, phi, variant)
+    assert min(seen["dead skip"], seen["dead set with copies"]) >= 20, seen
 
 
 def _budget_outcomes(args, variant):

@@ -122,3 +122,28 @@ def test_searched_cases_make_exactly_the_pinned_solves():
     assert (first["liv_norm_jack"], first["glymour_mech_a4"], first["weslake_two_a"]) == (
         1736, 148, 193)
     assert sum(_searched_solves(find_all_witnesses=True).values()) == 12712
+
+
+def test_searched_cases_start_exactly_the_pinned_value_scans(monkeypatch):
+    # a contingency set that a dead nogood group covers is skipped before
+    # its value scan starts; the solves stay those pinned above
+    scans = [0]
+    real = causality._Query._unrefuted
+
+    def counted(self, *args):
+        scans[0] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(causality._Query, "_unrefuted", counted)
+    for find_all_witnesses, solves, started in ((False, 3971, 941), (True, 12712, 2791)):
+        scans[0] = 0
+        assert sum(_searched_solves(find_all_witnesses).values()) == solves
+        assert scans[0] == started
+    # A4's negative verdict scanned all 256 of its sets before
+    mechanisms = load_document("glymour_mechanisms")
+    scans[0] = 0
+    verdict = is_actual_cause(mechanisms.model, mechanisms.context("u"),
+                              parse_cause("A4=0", mechanisms.model),
+                              parse_formula("O=1", mechanisms.model), "updated",
+                              find_all_witnesses=False)
+    assert not verdict.is_cause and scans[0] == 71
