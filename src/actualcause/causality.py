@@ -145,6 +145,7 @@ class NormalityOrder:
         if (rank_fn is None) == (pairs is None):
             raise EngineError("give exactly one of rank_fn or pairs")
         self._rank_fn = rank_fn
+        self._last_rank: tuple[World, int] | None = None
         self._edges: dict[World, set[World]] | None = None
         self._reach: dict[World, frozenset[World]] = {}
         if pairs is not None:
@@ -194,8 +195,18 @@ class NormalityOrder:
         return cached
 
     def at_least_as_normal(self, s: World, t: World) -> bool:
+        """Under a rank function, `s` is ranked first, then `t`, whose rank
+        is kept: a caller compares many worlds with one fixed world, and the
+        next call with that same object `t` reuses its rank.  That is sound
+        because a rank function is a function of the world and a `World` is
+        frozen; the kept entry holds `t` itself, so its identity cannot pass
+        to another object.  The first rank error is the one ranking both
+        worlds would raise."""
         if self._rank_fn is not None:
-            return self._rank_fn(s) <= self._rank_fn(t)
+            s_rank, last = self._rank_fn(s), self._last_rank
+            if last is None or last[0] is not t:
+                last = self._last_rank = t, self._rank_fn(t)
+            return s_rank <= last[1]
         return t == s or t in self._reachable(s)
 
     def strictly_more_normal(self, s: World, t: World) -> bool:

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EngineError, MalformedPhi
-from .model import CausalModel, _setting_index, context_values, solve_values
+from .errors import EngineError, MalformedPhi, ValueOutOfRange
+from .model import CausalModel, _setting_index, context_values, solve_contexts
 
 __all__ = [
     "CausalFormula",
@@ -189,7 +189,7 @@ class _Session:
     context, for the life of the session; an intervention is keyed by the
     set of its settings, so one written in two orders is solved once.
     `solve` solves the worlds of one intervention in the contexts not yet
-    kept, with one intervention mapping; `holds` reads them by `_Context`.
+    kept, in one `solve_contexts` call; `holds` reads them by `_Context`.
     """
 
     def __init__(self, model: CausalModel):
@@ -199,13 +199,23 @@ class _Session:
         self.worlds: dict[frozenset, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
     def solve(self, settings: Iterable, contexts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """The world of each context under one intervention, in order; the
-        contexts not yet kept are solved, and each is kept as it is solved."""
+        """The world of each context under one intervention, in order.  The
+        contexts not yet kept are solved together, and every world that
+        solves is kept, so no world is solved twice; then the first
+        `ValueOutOfRange` in context order is raised, as solving the
+        contexts one by one would have raised it."""
         known = self.worlds.setdefault(frozenset(settings), {})
-        interventions = {self.index[n]: x for n, x in settings}
-        for exo in contexts:
-            if exo not in known:
-                known[exo] = solve_values(self.model, exo, interventions)
+        missing = [exo for exo in contexts if exo not in known]
+        if missing:
+            interventions = {self.index[n]: x for n, x in settings}
+            error = None
+            for exo, row in zip(missing, solve_contexts(self.model, missing, interventions)):
+                if not isinstance(row, ValueOutOfRange):
+                    known[exo] = row
+                elif error is None:
+                    error = row
+            if error is not None:
+                raise error
         return [known[exo] for exo in contexts]
 
     def holds(self, formula: CausalFormula, exo: tuple[int, ...]) -> bool:
@@ -216,13 +226,17 @@ class _Context:
     """The worlds of one context of a session, as `holds` reads them:
     indexed like a value tuple, the world under no intervention, and
     `under(settings)`.  A world is solved when first read, so a formula
-    whose events all lie under prefixes never solves the plain world."""
+    whose events all lie under prefixes never solves the plain world; the
+    plain world is kept once read, so each later event reads it directly."""
 
     def __init__(self, session: _Session, exo: tuple[int, ...]):
         self.session, self.exo = session, exo
+        self.plain = None
 
     def __getitem__(self, i: int) -> int:
-        return self.under(())[i]
+        if self.plain is None:
+            self.plain = self.under(())
+        return self.plain[i]
 
     def under(self, settings: Iterable) -> tuple[int, ...]:
         known, exo = self.session.worlds.get(frozenset(settings), {}), self.exo

@@ -585,6 +585,28 @@ def solve_values(
     return model._runtime().solve(exo, (interventions or {}).get)
 
 
+def solve_contexts(
+    model: CausalModel,
+    exos: Iterable[tuple[int, ...]],
+    interventions: Mapping[int, int] | None = None,
+) -> list:
+    """`solve_values` under one intervention in each context of `exos`, in
+    order, for the callers that solve many contexts at once: the solver
+    and the intervention's `get` are looked up once.  One row per context:
+    its value tuple, or the `ValueOutOfRange` its solve raised, so a caller
+    can raise it exactly where a loop of `solve_values` calls would have.
+    The row carries no traceback, which would hold this frame and so the
+    rows themselves."""
+    solve, get = model._runtime().solve, (interventions or {}).get
+    rows = []
+    for exo in exos:
+        try:
+            rows.append(solve(exo, get))
+        except ValueOutOfRange as exc:
+            rows.append(exc.with_traceback(None))
+    return rows
+
+
 def solve(model: CausalModel, context: Mapping[str, int]) -> World:
     """The unique world satisfying all equations in the given context."""
     rt = model._runtime()

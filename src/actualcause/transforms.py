@@ -50,6 +50,7 @@ from .model import (
     context_values,
     disj,
     make_model,
+    solve_contexts,
     solve_values,
 )
 
@@ -146,6 +147,21 @@ def is_conservative_extension(
     setting, in lexicographic order, with a counterexample or an error has
     every variable outside R at its first value, since moving them there
     gives a setting no later with the same outcome.
+
+    The plan, each X and then each of its settings, is the outer loop, and
+    each setting is solved in every context in one `solve_contexts` call
+    per model.  The failure reported, or the error raised, is still the
+    first in (context, X, setting) order, the one a loop over contexts
+    first would meet.  A setting fails at its first context where the base
+    raises, else the extension raises, else X's values differ: the outcome
+    such a loop meets at that setting and context, which solves the base
+    first.  The least failing context wins, and among the settings that
+    fail there the first in the plan, which is met first.  After a failure
+    the later settings are solved only in the contexts before it, and the
+    check stops once the first context has failed.  So a refused pair may
+    enumerate the whole plan rather than stop at its first failure; that
+    costs no more than an accepted pair of the same models, which solves
+    every setting in every context.
     """
     _require_extension_signature(extension, base)
     base_rt = base._runtime()
@@ -153,8 +169,9 @@ def is_conservative_extension(
     base_names = base_rt.endo_names
     new_reads = {d for n in ext_rt.endo_names if n not in base_rt.endo_index
                  for d in ext_rt.deps[n]}
-    # per X, built once: the other base variables, their ranges restricted
-    # to the first value outside R, and their indices in each model
+    # per X, built once: X, its index in each model, the other base
+    # variables and their indices in each model; and their ranges,
+    # restricted to the first value outside R
     plans = []
     for x_name in base_names:
         reads = new_reads.union(base_rt.deps[x_name], ext_rt.deps[x_name])
@@ -162,25 +179,41 @@ def is_conservative_extension(
         base_idx = [base_rt.endo_index[n] for n in others]
         ranges = [base_rt.endo_ranges[i] if n in reads else base_rt.endo_ranges[i][:1]
                   for n, i in zip(others, base_idx)]
-        plans.append((x_name, others, ranges, base_idx, [ext_rt.endo_index[n] for n in others]))
-    for exo, exo_ext in _context_pairs(extension, base):
-        for x_name, others, ranges, base_idx, ext_idx in plans:
-            x_base, x_ext = base_rt.endo_index[x_name], ext_rt.endo_index[x_name]
-            for setting in itertools.product(*ranges):
-                got_base = solve_values(base, exo, dict(zip(base_idx, setting)))[x_base]
-                got_ext = solve_values(extension, exo_ext, dict(zip(ext_idx, setting)))[x_ext]
-                if got_base != got_ext:
-                    return ExtensionReport(
-                        False,
-                        Counterexample(
-                            dict(zip(base_rt.exo_names, exo)),
-                            x_name,
-                            dict(zip(others, setting)),
-                            got_base,
-                            got_ext,
-                        ),
-                    )
-    return ExtensionReport(True)
+        plans.append(((x_name, base_rt.endo_index[x_name], ext_rt.endo_index[x_name],
+                       others, base_idx, [ext_rt.endo_index[n] for n in others]), ranges))
+    contexts = list(_context_pairs(extension, base))
+    # the contexts still to solve: those before the first failure so far
+    base_exos, ext_exos = [c[0] for c in contexts], [c[1] for c in contexts]
+    first = None  # that failure: X's plan, the setting and its two rows
+    steps = ((plan, setting) for plan, ranges in plans for setting in itertools.product(*ranges))
+    for plan, setting in steps:
+        if not base_exos:
+            break
+        _, x_base, x_ext, _, base_idx, ext_idx = plan
+        in_base = solve_contexts(base, base_exos, dict(zip(base_idx, setting)))
+        in_ext = solve_contexts(extension, ext_exos, dict(zip(ext_idx, setting)))
+        for k, (got_base, got_ext) in enumerate(zip(in_base, in_ext)):
+            if (isinstance(got_base, ValueOutOfRange) or isinstance(got_ext, ValueOutOfRange)
+                    or got_base[x_base] != got_ext[x_ext]):
+                first = plan, setting, got_base, got_ext
+                base_exos, ext_exos = base_exos[:k], ext_exos[:k]
+                break
+    if first is None:
+        return ExtensionReport(True)
+    (x_name, x_base, x_ext, others, _, _), setting, got_base, got_ext = first
+    for row in (got_base, got_ext):
+        if isinstance(row, ValueOutOfRange):
+            raise row
+    return ExtensionReport(
+        False,
+        Counterexample(
+            dict(zip(base_rt.exo_names, contexts[len(base_exos)][0])),
+            x_name,
+            dict(zip(others, setting)),
+            got_base[x_base],
+            got_ext[x_ext],
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -27,3 +27,23 @@ def rt_detailed():
 @pytest.fixture(scope="session")
 def hopkins():
     return load_document("hopkins_pearl")
+
+
+@pytest.fixture
+def solved_rows(monkeypatch):
+    """`watch(module)` counts the solves made through `solve_contexts` as
+    `module` calls it: it returns a list that gains one (model, context,
+    sorted interventions) entry per context solved."""
+    def watch(module):
+        rows, real = [], module.solve_contexts
+
+        def counted(model, exos, interventions=None):
+            exos = list(exos)
+            key = tuple(sorted((interventions or {}).items()))
+            rows.extend((model, exo, key) for exo in exos)
+            return real(model, exos, interventions)
+
+        monkeypatch.setattr(module, "solve_contexts", counted)
+        return rows
+
+    return watch

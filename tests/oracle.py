@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 
 from actualcause import formula as fm
 from actualcause import model as md
@@ -51,10 +52,28 @@ def naive_solve(model, context, interventions=None):
     return solutions[0]
 
 
+# model -> (context, interventions) -> the worlds found.  A model is a frozen
+# value, so equal models share their worlds, and the entry of a model goes
+# when the model does.
+_WORLDS = weakref.WeakKeyDictionary()
+
+
 def naive_worlds(model, context, interventions=None):
     """Every assignment that satisfies the equations: one world in a
-    recursive model, none when an equation leaves its variable's range."""
+    recursive model, none when an equation leaves its variable's range.
+    The search is made once per model, context and interventions; each
+    call gets its own copies of the worlds."""
     iv = dict(interventions or {})
+    known = _WORLDS.get(model)
+    if known is None:
+        known = _WORLDS[model] = {}
+    key = frozenset(context.items()), frozenset(iv.items())
+    if key not in known:
+        known[key] = _filtered_worlds(model, context, iv)
+    return [dict(world) for world in known[key]]
+
+
+def _filtered_worlds(model, context, iv):
     names = model.endogenous_names
     equations = dict(model.equations)
     ranges = [model.range_of(n) for n in names]

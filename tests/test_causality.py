@@ -35,7 +35,6 @@ from actualcause.errors import (
 from actualcause.formula import And, Held, Or, PrimitiveEvent
 from actualcause.model import Var, World, make_model, solve
 from actualcause.transforms import build_stability_model
-import oracle
 from oracle import (
     event_holds,
     naive_is_cause,
@@ -895,18 +894,7 @@ def test_dead_set_skips_match_reference(monkeypatch):
         scanned.append(w_mask)
         return real(self, w_idx, w_mask, w_ranges)
 
-    # the oracle's solver filters every assignment; it is a pure function,
-    # so its worlds are kept per intervention to keep the reference fast
-    plain, worlds = oracle.naive_solve, {}
-
-    def remembered(model, context, interventions=None):
-        key = (id(model), tuple(context.items()), tuple(sorted((interventions or {}).items())))
-        if key not in worlds:
-            worlds[key] = plain(model, context, interventions)
-        return worlds[key]
-
     monkeypatch.setattr(causality._Query, "_unrefuted", recording)
-    monkeypatch.setattr(oracle, "naive_solve", remembered)
     rng = random.Random(4046)
     seen = Counter()
     for _ in range(40):

@@ -40,15 +40,8 @@ def test_hopkins_counterfactual(hopkins):
     assert eval_formula(hopkins.model, hopkins.context("u"), phi) is True
 
 
-def test_one_intervention_written_in_two_orders_is_solved_once(monkeypatch, hopkins):
-    solved = []
-    real = formula.solve_values
-
-    def counted(model, exo, interventions=None):
-        solved.append(interventions)
-        return real(model, exo, interventions)
-
-    monkeypatch.setattr(formula, "solve_values", counted)
+def test_one_intervention_written_in_two_orders_is_solved_once(solved_rows, hopkins):
+    solved = solved_rows(formula)
     phi = parse_formula("[A<-1, C<-0](D=0) & [C<-0, A<-1](D=0)", hopkins.model)
     assert eval_formula(hopkins.model, hopkins.context("u"), phi) is True
     assert len(solved) == 1
@@ -222,33 +215,19 @@ def test_effects_too_deep_to_walk_are_engine_errors(rt_naive):
         find_all_causes(model, {"U": 1}, off_actual)
 
 
-def test_agreement_solves_each_context_and_prefix_once(monkeypatch, rt_naive, rt_detailed):
+def test_agreement_solves_each_context_and_prefix_once(solved_rows, rt_naive, rt_detailed):
     # one formula session per model: a world is solved once per (context,
     # prefix) across all 200 formulas, not once per formula
-    solved = []
-    real = formula.solve_values
-
-    def counted(model, exo, interventions=None):
-        solved.append((model, exo, tuple(sorted((interventions or {}).items()))))
-        return real(model, exo, interventions)
-
-    monkeypatch.setattr(formula, "solve_values", counted)
+    solved = solved_rows(formula)
     report = check_formula_agreement(rt_detailed.model, rt_naive.model, samples=200, seed=7)
     assert report.agrees
     assert len(solved) == len(set(solved)) <= 150
 
 
-def test_agreement_solves_each_world_once_on_disagreeing_pairs(monkeypatch, doc):
+def test_agreement_solves_each_world_once_on_disagreeing_pairs(solved_rows, doc):
     # the masks keep the worlds they solve, so evaluating a flagged formula
     # solves none of them again, in the contexts its other prefixes flag too
-    solved = []
-    real = formula.solve_values
-
-    def counted(model, exo, interventions=None):
-        solved.append((model, exo, tuple(sorted((interventions or {}).items()))))
-        return real(model, exo, interventions)
-
-    monkeypatch.setattr(formula, "solve_values", counted)
+    solved = solved_rows(formula)
     pairs = [(doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model)] * 10
     for seed in range(30):
         base, extension = random_extension_pair(random.Random(8000 + seed), "rewired")

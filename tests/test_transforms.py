@@ -475,12 +475,8 @@ def test_agreement_decides_only_the_flagged_formulas(doc, monkeypatch):
     assert [next(run) for _, run in itertools.groupby(in_base, key=id)] == flagged
 
 
-def test_conservativity_enumerates_only_the_settings_that_matter(doc, monkeypatch):
-    calls = []
-    real = transforms.solve_values
-    monkeypatch.setattr(
-        transforms, "solve_values", lambda *a: calls.append(None) or real(*a)
-    )
+def test_conservativity_enumerates_only_the_settings_that_matter(doc, solved_rows):
+    calls = solved_rows(transforms)
     report = is_conservative_extension(
         doc("glymour_mechanisms").model, doc("glymour_naive").model
     )
@@ -506,6 +502,96 @@ def test_conservativity_enumerates_what_the_extension_reads():
         assert report.counterexample == Counterexample({"U": 0}, "C", {"A": 1, "B": 1}, 1, 0)
 
 
+def _context_first_conservativity(extension, base):
+    """`is_conservative_extension` as a loop over contexts, then X, then
+    the settings that matter, each solved by `solve_values` in the base
+    and then in the extension: the first failure met is reported, or its
+    error raised."""
+    base_rt, ext_rt = base._runtime(), extension._runtime()
+    names = base_rt.endo_names
+    new_reads = {d for n in ext_rt.endo_names if n not in base_rt.endo_index
+                 for d in ext_rt.deps[n]}
+    for exo, exo_ext in transforms._context_pairs(extension, base):
+        for x in names:
+            reads = new_reads.union(base_rt.deps[x], ext_rt.deps[x])
+            others = [n for n in names if n != x]
+            ranges = [base.range_of(n) if n in reads else base.range_of(n)[:1] for n in others]
+            for setting in itertools.product(*ranges):
+                got_base = md.solve_values(base, exo, {
+                    base_rt.endo_index[n]: v for n, v in zip(others, setting)
+                })[base_rt.endo_index[x]]
+                got_ext = md.solve_values(extension, exo_ext, {
+                    ext_rt.endo_index[n]: v for n, v in zip(others, setting)
+                })[ext_rt.endo_index[x]]
+                if got_base != got_ext:
+                    return ExtensionReport(False, Counterexample(
+                        dict(zip(base_rt.exo_names, exo)), x, dict(zip(others, setting)),
+                        got_base, got_ext))
+    return ExtensionReport(True)
+
+
+def _exact_outcome(check, *args):
+    """The report, or the error raised with its variable and value."""
+    try:
+        return check(*args)
+    except ValueOutOfRange as exc:
+        return ValueOutOfRange, exc.variable, exc.value
+
+
+def _rewritten_pair(contexts, ext_a, ext_b, base_a=md.Const(0)):
+    """A base with A = `base_a` and B = 0, both over (0, 1), in the contexts
+    U of `contexts`, and an extension that only gives A and B other
+    equations."""
+    exogenous, endogenous = {"U": contexts}, {"A": (0, 1), "B": (0, 1)}
+    base = md.make_model(exogenous, endogenous, {"A": base_a, "B": md.Const(0)})
+    return md.make_model(exogenous, endogenous, {"A": ext_a, "B": ext_b}), base
+
+
+def test_conservativity_fails_first_where_the_context_first_loop_did():
+    """The check runs X and the settings outside, the contexts inside, yet
+    it reports the same first counterexample, or raises the same error with
+    the same variable and value, as the loop over contexts first: on the
+    random pairs, out-of-range kinds included, and on pairs where an error
+    and a counterexample of different X compete, in one later context or
+    in two."""
+    outcomes = set()
+    for seed in range(150):
+        kind = EXTENSION_KINDS[seed % 3]
+        base, extension = random_extension_pair(random.Random(7000 + seed), kind)
+        got = _exact_outcome(is_conservative_extension, extension, base)
+        assert got == _exact_outcome(_context_first_conservativity, extension, base), seed
+        outcomes.add(getattr(got, "is_conservative", ValueOutOfRange))
+    assert outcomes == {True, False, ValueOutOfRange}
+
+    def is_u(k):
+        return md.Cmp("=", md.Var("U"), md.Const(k))
+
+    def times(n, test):  # n where the test holds, which leaves (0, 1) for n > 1
+        return md.Sum((test,) * n)
+
+    # an equation that leaves its range raises only where its variable is
+    # not set, so for its own X
+    cases = [
+        # in U=1, X=A raises in both models: the base's error is raised
+        (_rewritten_pair((0, 1), times(3, is_u(1)), md.Var("U"), times(2, is_u(1))), ("A", 2)),
+        # in U=1, X=A raises before X=B differs
+        (_rewritten_pair((0, 1), times(2, is_u(1)), md.Var("U")), ("A", 2)),
+        # in U=1, X=A differs before X=B raises
+        (_rewritten_pair((0, 1), md.Var("U"), times(2, is_u(1))), ("A", 1)),
+        # X=A differs in U=2, X=B raises in U=1
+        (_rewritten_pair((0, 1, 2), is_u(2), times(2, is_u(1))), ("B", 2)),
+        # X=A raises in U=2, X=B differs in U=1
+        (_rewritten_pair((0, 1, 2), times(2, is_u(2)), is_u(1)), ("B", 1)),
+    ]
+    for (extension, base), want in cases:
+        got = _exact_outcome(is_conservative_extension, extension, base)
+        assert got == _exact_outcome(_context_first_conservativity, extension, base)
+        if isinstance(got, tuple):
+            assert got[1:] == want, got
+        else:
+            assert (got.counterexample.variable, got.counterexample.value_extension) == want
+
+
 def test_agreement_refuses_a_sample_count_below_one(doc):
     base, ext = doc("rock_throwing_naive").model, doc("rock_throwing_detailed").model
     for samples in (0, -3):
@@ -519,6 +605,24 @@ def test_extended_conservativity_scanner_chain(doc):
     last = doc("scanner_vote_both").extended()
     assert is_conservative_extension_extended(middle, base).is_conservative
     assert is_conservative_extension_extended(last, middle).is_conservative
+
+
+def test_extended_conservativity_ranks_the_actual_world_once(doc, monkeypatch):
+    """A respect-built order ranks a world by a deviation check.  Each
+    comparison ranks the intervened world, while the actual world it is
+    compared with is ranked once per context: 66 and 260 checks where
+    ranking both worlds every time made 128 and 512."""
+    checks = []
+    real = transforms._deviations
+    monkeypatch.setattr(transforms, "_deviations", lambda *a: checks.append(a) or real(*a))
+    for (extension, base), want in (
+        (("scanner_vote_direct", "scanner_vote"), 66),
+        (("scanner_vote_both", "scanner_vote_direct"), 260),
+    ):
+        checks.clear()
+        pair = doc(extension).extended(), doc(base).extended()
+        assert is_conservative_extension_extended(*pair).is_conservative
+        assert len(checks) == want, (extension, base, len(checks))
 
 
 def test_extended_conservativity_raises_where_only_every_base_setting_overflows():
