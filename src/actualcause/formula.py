@@ -93,23 +93,6 @@ def _walk(formula: CausalFormula) -> Iterator[tuple[CausalFormula, Held | None]]
             stack.append((node.body, node))
 
 
-def _prefixes(formula: CausalFormula) -> set[tuple[tuple[str, int], ...]]:
-    """The distinct settings that the events of a formula are read under,
-    `()` outside any prefix; the walk stops at each `Held` node."""
-    found, stack = set(), [formula]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Held):
-            found.add(node.settings)
-        elif isinstance(node, (And, Or)):
-            stack += (node.left, node.right)
-        elif isinstance(node, Not):
-            stack.append(node.operand)
-        else:
-            found.add(())
-    return found
-
-
 def _chain_operands(formula: And | Or) -> list[CausalFormula]:
     """The operands, left to right, of a chain of one connective nested to
     the left, as the parser builds `a & b & c`; found by a loop, so chains

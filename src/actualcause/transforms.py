@@ -226,46 +226,60 @@ class AgreementReport:
     value_extension: bool | None = None
 
 
-def _random_event_combo(rng, names, ranges, depth):
+def _draw(rng: random.Random, rt, depth: int, events_only: bool = False):
+    """A random formula over a model runtime's endogenous variables, as a
+    recipe for `_build` (a nested tuple: a node class, then its fields), and
+    the set of the settings its events are read under, `()` outside any
+    prefix.  With `events_only`, a combination of events with no prefix."""
+    names, ranges = rt.endo_names, rt.endo_ranges
+    prefixes = set()
+
+    def events(depth):
+        roll = rng.random()
+        if depth <= 0 or roll < 0.45:
+            i = rng.randrange(len(names))
+            return fm.PrimitiveEvent, names[i], rng.choice(ranges[i])
+        if roll < 0.6:
+            return fm.Not, events(depth - 1)
+        return fm.And if roll < 0.8 else fm.Or, events(depth - 1), events(depth - 1)
+
+    def atom():
+        body = events(depth)
+        k = rng.randrange(0, min(3, len(names)) + 1)
+        if k == 0:
+            prefixes.add(())
+            return body
+        chosen = sorted(rng.sample(range(len(names)), k))
+        settings = tuple([(names[i], rng.choice(ranges[i])) for i in chosen])
+        prefixes.add(settings)
+        return fm.Held, settings, body
+
+    if events_only:
+        return events(depth), {()}
     roll = rng.random()
-    if depth <= 0 or roll < 0.45:
-        i = rng.randrange(len(names))
-        return fm.PrimitiveEvent(names[i], rng.choice(ranges[i]))
     if roll < 0.6:
-        return fm.Not(_random_event_combo(rng, names, ranges, depth - 1))
-    left = _random_event_combo(rng, names, ranges, depth - 1)
-    right = _random_event_combo(rng, names, ranges, depth - 1)
-    return fm.And(left, right) if roll < 0.8 else fm.Or(left, right)
+        return atom(), prefixes
+    if roll < 0.75:
+        return (fm.Not, atom()), prefixes
+    return (fm.And if roll < 0.9 else fm.Or, atom(), atom()), prefixes
 
 
-def _random_atom(rng, names, ranges, depth):
-    body = _random_event_combo(rng, names, ranges, depth)
-    k = rng.randrange(0, min(3, len(names)) + 1)
-    if k == 0:
-        return body
-    chosen = sorted(rng.sample(range(len(names)), k))
-    settings = tuple((names[i], rng.choice(ranges[i])) for i in chosen)
-    return fm.Held(settings, body)
+def _build(recipe) -> fm.CausalFormula:
+    """The formula a `_draw` recipe describes."""
+    kind, *fields = recipe
+    if kind is fm.Held:
+        return kind(fields[0], _build(fields[1]))
+    return kind(*fields) if kind is fm.PrimitiveEvent else kind(*map(_build, fields))
 
 
 def random_event_formula(rng: random.Random, model: CausalModel, depth: int = 3):
     """A random intervention-free boolean combination of events."""
-    rt = model._runtime()
-    return _random_event_combo(rng, rt.endo_names, rt.endo_ranges, depth)
+    return _build(_draw(rng, model._runtime(), depth, events_only=True)[0])
 
 
 def random_causal_formula(rng: random.Random, model: CausalModel, depth: int = 3):
     """A random causal formula over the model's endogenous variables."""
-    rt = model._runtime()
-    names, ranges = rt.endo_names, rt.endo_ranges
-    roll = rng.random()
-    if roll < 0.6:
-        return _random_atom(rng, names, ranges, depth)
-    if roll < 0.75:
-        return fm.Not(_random_atom(rng, names, ranges, depth))
-    left = _random_atom(rng, names, ranges, depth)
-    right = _random_atom(rng, names, ranges, depth)
-    return fm.And(left, right) if roll < 0.9 else fm.Or(left, right)
+    return _build(_draw(rng, model._runtime(), depth)[0])
 
 
 def check_formula_agreement(
@@ -277,7 +291,8 @@ def check_formula_agreement(
     """Randomized spot check that the two models satisfy the same formulas
     over the base variables, in every context.
 
-    Decided by comparing worlds: every event tests a base variable in the
+    The formulas are those `random_causal_formula` draws from the seed,
+    decided by comparing worlds: every event tests a base variable in the
     world of its prefix, so a formula has one truth value in both models
     wherever the two worlds of each of its prefixes agree on the base
     variables.  Each distinct prefix is solved in every context of both
@@ -289,11 +304,11 @@ def check_formula_agreement(
     (`ValueOutOfRange`) flags every context, so its formulas are decided,
     or raise, as by evaluation everywhere.
 
-    Prefixes are read from the drawn formula, and the drawn formula itself
-    is what both sessions decide; it is never validated.  That drops no
-    check: the formula is drawn from the base's own names and ranges, which
-    the extension shares, its `Held` settings are distinct, and nothing
-    nests, so `validate_formula` cannot fail on it.
+    The prefixes come from the draw (`_draw`), and a formula's tree is
+    built only when they flag a context.  It is never validated: it is
+    drawn from the base's own names and ranges, which the extension shares,
+    its `Held` settings are distinct, and nothing nests, so
+    `validate_formula` cannot fail on it.
     """
     _check_count(samples, 1, "the sample count must be a positive integer, not {}")
     _require_extension_signature(extension, base)
@@ -319,12 +334,13 @@ def check_formula_agreement(
         return mask
 
     for _ in range(samples):
-        candidate = random_causal_formula(rng, base)
+        recipe, prefixes = _draw(rng, base._runtime(), 3)
         flagged = 0
-        for settings in fm._prefixes(candidate):
+        for settings in prefixes:
             flagged |= differing(settings)
         if not flagged:
             continue
+        candidate = _build(recipe)
         for k, (exo_base, exo_ext) in enumerate(contexts):
             if not flagged >> k & 1:
                 continue

@@ -1,10 +1,11 @@
 """Formula language: satisfaction, validity, algebraic equivalences."""
 
+import hashlib
 import random
 
 import pytest
 
-from actualcause import formula
+from actualcause import formula, transforms
 from actualcause.causality import check_ac1, find_all_causes, is_actual_cause
 from actualcause.corpus import model_names
 from actualcause.errors import EngineError, MalformedPhi, UnknownVariable, ValueOutOfRange
@@ -19,7 +20,7 @@ from actualcause.formula import (
     valid_in_model,
     validate_formula,
 )
-from actualcause.dsl import parse_formula
+from actualcause.dsl import parse_formula, print_formula
 from actualcause.model import Var, make_model
 from actualcause.transforms import (
     check_formula_agreement,
@@ -242,17 +243,51 @@ def test_agreement_solves_each_world_once_on_disagreeing_pairs(solved_rows, doc)
 
 
 def test_drawn_formulas_validate_and_show_their_prefixes(doc):
-    # formula agreement reads the prefixes of a drawn formula from the
-    # formula itself and never validates it: every drawn formula must be
-    # valid, and its prefixes those an independent walk finds
+    # formula agreement takes the prefixes of a drawn formula from the draw
+    # and never validates the formula: every drawn formula must be valid,
+    # and the prefixes the draw collects those an independent walk finds
     rng = random.Random(12)
     for name in model_names():
         model = doc(name).model
         for depth in range(4):
             for _ in range(25):
-                phi = random_causal_formula(rng, model, depth)
+                recipe, prefixes = transforms._draw(rng, model._runtime(), depth)
+                phi = transforms._build(recipe)
                 validate_formula(model, phi)
-                assert formula._prefixes(phi) == settings_read(phi), (name, phi)
+                assert prefixes == settings_read(phi), (name, phi)
+
+
+# SHA-256 of the printed first 50 formulas of `random.Random(seed)` at each
+# depth, for seeds 0-3 and depths 0-3, by drawing function and model
+STREAM_DIGESTS = {
+    ("random_causal_formula", "glymour_naive"):
+        "8aed5c47d728472f21b522df0700a337da7fec46a041984062ae753b712e48d1",
+    ("random_causal_formula", "weslake_naive"):
+        "ca9be461c40254f2042732a0855702f2548dab671f5fa7456c48885921a30812",
+    ("random_causal_formula", "hopkins_pearl"):
+        "682e37ae055aa1962663a746d5b1a548dad3e1a171996d306b284a379c949020",
+    ("random_event_formula", "glymour_naive"):
+        "273702f4e05908b90231e8035bdb2128325d614cb5451c0a080212c5d1dd084e",
+    ("random_event_formula", "weslake_naive"):
+        "b08e4897b35d88d8c2cb6966845aa1c86cf470816eb594e99de178e88562f376",
+    ("random_event_formula", "hopkins_pearl"):
+        "fa5c6569429a873751bc1a8f21a556f36493905933acf2606d21db0fd650ee9d",
+}
+
+
+@pytest.mark.parametrize("draw", [random_causal_formula, random_event_formula])
+def test_each_seed_draws_the_pinned_formulas(doc, draw):
+    """A seed names the same formulas from one version to the next, so an
+    agreement report can be reproduced.  The digests were computed at commit
+    4f7a03b, before formulas were drawn as recipes."""
+    for name in ("glymour_naive", "weslake_naive", "hopkins_pearl"):
+        model, digest = doc(name).model, hashlib.sha256()
+        for seed in range(4):
+            for depth in range(4):
+                rng = random.Random(seed)
+                for _ in range(50):
+                    digest.update(print_formula(draw(rng, model, depth)).encode() + b"\n")
+        assert digest.hexdigest() == STREAM_DIGESTS[draw.__name__, name], name
 
 
 def _right_chain(kind, operands):

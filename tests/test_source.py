@@ -128,12 +128,43 @@ def test_the_dead_code_checker_sees_methods_of_top_level_classes():
     assert _unreferenced_definitions([source], [tests]) == ["dead"]
 
 
-def test_every_top_level_definition_is_referenced():
-    def parse_all(folder: Path) -> list[ast.Module]:
-        return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(folder.rglob("*.py"))]
+def _parse_all(folder: Path) -> list[ast.Module]:
+    return [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(folder.rglob("*.py"))]
 
+
+def test_every_top_level_definition_is_referenced():
     tests = Path(__file__).resolve().parent
-    assert _unreferenced_definitions(parse_all(SRC), parse_all(tests)) == []
+    assert _unreferenced_definitions(_parse_all(SRC), _parse_all(tests)) == []
+
+
+def _unused_private_helpers(sources: list[ast.Module]) -> list[str]:
+    """Module-level functions and classes named `_name` that nothing in
+    `sources` refers to outside their own definition: a private helper that
+    only a test still calls is dead code."""
+    everywhere = sum(map(_references, sources), Counter())
+    return [
+        node.name for tree in sources for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and everywhere[node.name] == _references(node)[node.name]
+    ]
+
+
+def test_the_private_helper_checker_reads_module_level_names_only():
+    source = ast.parse(
+        "def _used(): pass\n"
+        "def _dead(): return _dead()\n"
+        "def public(): return _used()\n"
+        "class _Gone: pass\n"
+        "class Kept:\n"
+        "    def _method(self): pass\n"
+        "    def __repr__(self): return ''\n"
+    )
+    assert _unused_private_helpers([source]) == ["_dead", "_Gone"]
+
+
+def test_every_private_helper_is_used_by_the_package():
+    assert _unused_private_helpers(_parse_all(SRC)) == []
 
 
 def _code_runners(tree: ast.Module) -> list[tuple[str, str]]:

@@ -414,6 +414,30 @@ def test_conservative_extensions_keep_every_base_world():
     assert accepted >= 20 and refused >= 5, (accepted, refused)
 
 
+def test_a_refused_extension_disagrees_on_its_counterexample_formula():
+    """The lemma read backwards: a pair that `is_conservative_extension`
+    refuses disagrees on a formula over the base variables.  From the
+    counterexample (u, X, setting), `[setting](X = value_base)` holds in
+    the base and fails in the extension in context u, by `eval_formula`
+    and by the oracle."""
+    refused = 0
+    for seed in range(400):
+        base, extension = random_extension_pair(
+            random.Random(9500 + seed), ("rewired", "overflow")[seed % 2]
+        )
+        report = _outcome(is_conservative_extension, extension, base)
+        if report is ValueOutOfRange or report.is_conservative:
+            continue
+        refused += 1
+        ce = report.counterexample
+        formula = Held(tuple(ce.setting.items()), PrimitiveEvent(ce.variable, ce.value_base))
+        assert fm.formula_variables(formula) <= set(base.endogenous_names), seed
+        for model, holds in ((base, True), (extension, False)):
+            assert eval_formula(model, ce.context, formula) is holds, (seed, model)
+            assert naive_formula_holds(model, ce.context, formula) is holds, (seed, model)
+    assert refused >= 60, refused
+
+
 def test_agreement_with_an_unsolvable_prefix_decides_as_before():
     """The extension cannot solve any world in context U=1, so every mask
     is full.  With seed 4 the first formula disagrees in U=0 and is reported
@@ -437,21 +461,36 @@ def test_agreement_with_an_unsolvable_prefix_decides_as_before():
 
 
 def test_agreement_decides_only_the_flagged_formulas(doc, monkeypatch):
-    """A formula is decided, in each model, only when the two worlds of one
-    of its prefixes differ in some context: on a conservative pair, never."""
+    """A formula is built, and decided in each model, only when the two
+    worlds of one of its prefixes differ in some context: on a conservative
+    pair, never."""
     cheat, detailed = doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model
     decided = []
     real = fm._Session.holds
     monkeypatch.setattr(
         fm._Session, "holds", lambda s, f, exo: decided.append((s.model, f)) or real(s, f, exo)
     )
+    # the formulas built from a recipe; a call made inside another builds
+    # a subformula and is not counted
+    built, depth, real_build = [], [0], transforms._build
+
+    def build(recipe):
+        depth[0] += 1
+        formula = real_build(recipe)
+        depth[0] -= 1
+        if not depth[0]:
+            built.append(formula)
+        return formula
+
+    monkeypatch.setattr(transforms, "_build", build)
     report = check_formula_agreement(
         detailed, doc("rock_throwing_naive").model, samples=50, seed=3
     )
-    assert report.agrees and decided == []
+    assert report.agrees and decided == [] and built == []
 
     report = check_formula_agreement(cheat, detailed, samples=200, seed=7)
     assert not report.agrees
+    built_by_check = list(built)
     names = detailed.endogenous_names
 
     def differs(settings):
@@ -473,6 +512,8 @@ def test_agreement_decides_only_the_flagged_formulas(doc, monkeypatch):
     in_base, in_ext = [f for _, f in decided[::2]], [f for _, f in decided[1::2]]
     assert in_base == in_ext
     assert [next(run) for _, run in itertools.groupby(in_base, key=id)] == flagged
+    # only the flagged formulas are built, in draw order
+    assert built_by_check == flagged
 
 
 def test_conservativity_enumerates_only_the_settings_that_matter(doc, solved_rows):
