@@ -171,8 +171,8 @@ class _Session:
     The worlds the session solves are kept, by intervention and then by
     context, for the life of the session; an intervention is keyed by the
     set of its settings, so one written in two orders is solved once.
-    `solve` solves the worlds of one intervention in the contexts not yet
-    kept, in one `solve_contexts` call; `holds` reads them by `_Context`.
+    `solve` solves one world, when `_Context` first reads it; `keep` takes
+    worlds solved elsewhere.  `holds` reads them by `_Context`.
     """
 
     def __init__(self, model: CausalModel):
@@ -181,25 +181,22 @@ class _Session:
         # set of settings -> context -> the world solved under them
         self.worlds: dict[frozenset, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
-    def solve(self, settings: Iterable, contexts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """The world of each context under one intervention, in order.  The
-        contexts not yet kept are solved together, and every world that
-        solves is kept, so no world is solved twice; then the first
-        `ValueOutOfRange` in context order is raised, as solving the
-        contexts one by one would have raised it."""
+    def solve(self, settings: Iterable, exo: tuple[int, ...]) -> tuple[int, ...]:
+        """The world of one context under one intervention, kept once it
+        solves; its `ValueOutOfRange` is raised."""
+        row = solve_contexts(self.model, [exo], {self.index[n]: x for n, x in settings})[0]
+        if isinstance(row, ValueOutOfRange):
+            raise row
+        self.worlds.setdefault(frozenset(settings), {})[exo] = row
+        return row
+
+    def keep(self, settings: Iterable, exos: Iterable, rows: Iterable) -> None:
+        """Keep the worlds among `solve_contexts` rows of one intervention,
+        one per context of `exos`; a row that did not solve is left out."""
         known = self.worlds.setdefault(frozenset(settings), {})
-        missing = [exo for exo in contexts if exo not in known]
-        if missing:
-            interventions = {self.index[n]: x for n, x in settings}
-            error = None
-            for exo, row in zip(missing, solve_contexts(self.model, missing, interventions)):
-                if not isinstance(row, ValueOutOfRange):
-                    known[exo] = row
-                elif error is None:
-                    error = row
-            if error is not None:
-                raise error
-        return [known[exo] for exo in contexts]
+        for exo, row in zip(exos, rows):
+            if not isinstance(row, ValueOutOfRange):
+                known[exo] = row
 
     def holds(self, formula: CausalFormula, exo: tuple[int, ...]) -> bool:
         return holds(formula, self.index, _Context(self, exo))
@@ -223,7 +220,7 @@ class _Context:
 
     def under(self, settings: Iterable) -> tuple[int, ...]:
         known, exo = self.session.worlds.get(frozenset(settings), {}), self.exo
-        return known[exo] if exo in known else self.session.solve(settings, [exo])[0]
+        return known[exo] if exo in known else self.session.solve(settings, exo)
 
 
 def eval_formula(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -230,27 +231,47 @@ def _draw(rng: random.Random, rt, depth: int, events_only: bool = False):
     """A random formula over a model runtime's endogenous variables, as a
     recipe for `_build` (a nested tuple: a node class, then its fields), and
     the set of the settings its events are read under, `()` outside any
-    prefix.  With `events_only`, a combination of events with no prefix."""
-    names, ranges = rt.endo_names, rt.endo_ranges
+    prefix.  With `events_only`, a combination of events with no prefix.
+
+    The stream is the one `random.Random`'s own methods draw: `random()`,
+    then `randrange`, `choice` and `sample`, replayed by taking each bounded
+    integer from `getrandbits` by the rule of their
+    `Random._randbelow_with_getrandbits`."""
+    names, ranges, bits = rt.endo_names, rt.endo_ranges, rng.getrandbits
     prefixes = set()
+
+    def below(n):
+        width = n.bit_length()
+        r = bits(width)
+        while r >= n:
+            r = bits(width)
+        return r
 
     def events(depth):
         roll = rng.random()
         if depth <= 0 or roll < 0.45:
-            i = rng.randrange(len(names))
-            return fm.PrimitiveEvent, names[i], rng.choice(ranges[i])
+            i = below(len(names))
+            return fm.PrimitiveEvent, names[i], ranges[i][below(len(ranges[i]))]
         if roll < 0.6:
             return fm.Not, events(depth - 1)
         return fm.And if roll < 0.8 else fm.Or, events(depth - 1), events(depth - 1)
 
     def atom():
         body = events(depth)
-        k = rng.randrange(0, min(3, len(names)) + 1)
+        n = len(names)
+        k = below(min(3, n) + 1)
         if k == 0:
             prefixes.add(())
             return body
-        chosen = sorted(rng.sample(range(len(names)), k))
-        settings = tuple([(names[i], rng.choice(ranges[i])) for i in chosen])
+        pool, chosen = list(range(n)), set()
+        while len(chosen) < k:
+            if n > 21:  # `sample`'s set branch: a repeat is drawn again
+                chosen.add(below(n))
+            else:  # its pool branch: the chosen swaps with the last unchosen
+                j = below(len(pool))
+                pool[j], pool[-1] = pool[-1], pool[j]
+                chosen.add(pool.pop())
+        settings = tuple([(names[i], ranges[i][below(len(ranges[i]))]) for i in sorted(chosen)])
         prefixes.add(settings)
         return fm.Held, settings, body
 
@@ -273,12 +294,16 @@ def _build(recipe) -> fm.CausalFormula:
 
 
 def random_event_formula(rng: random.Random, model: CausalModel, depth: int = 3):
-    """A random intervention-free boolean combination of events."""
+    """A random intervention-free boolean combination of events.  A seed
+    names the same formulas as long as the generator's `_randbelow` draws
+    from `getrandbits`, as `random.Random`'s does (see `_draw`); a subclass
+    that overrides only `random()` draws other formulas."""
     return _build(_draw(rng, model._runtime(), depth, events_only=True)[0])
 
 
 def random_causal_formula(rng: random.Random, model: CausalModel, depth: int = 3):
-    """A random causal formula over the model's endogenous variables."""
+    """A random causal formula over the model's endogenous variables, under
+    the condition on the generator that `random_event_formula` states."""
     return _build(_draw(rng, model._runtime(), depth)[0])
 
 
@@ -291,18 +316,21 @@ def check_formula_agreement(
     """Randomized spot check that the two models satisfy the same formulas
     over the base variables, in every context.
 
-    The formulas are those `random_causal_formula` draws from the seed,
-    decided by comparing worlds: every event tests a base variable in the
-    world of its prefix, so a formula has one truth value in both models
-    wherever the two worlds of each of its prefixes agree on the base
-    variables.  Each distinct prefix is solved in every context of both
-    models into a mask of the contexts where they differ.  A formula is
-    evaluated only in the contexts its prefixes flag, in order, which finds
-    the same first disagreement.  It reads the worlds the masks solved: the
-    sessions keep them all, since a context one prefix flags also reads the
-    formula's other prefixes there.  A prefix with an unsolvable world
-    (`ValueOutOfRange`) flags every context, so its formulas are decided,
-    or raise, as by evaluation everywhere.
+    The formulas are those `random_causal_formula` draws from the seed, a
+    nonnegative int, decided by comparing worlds: every event tests a base
+    variable in the world of its prefix, so a formula has one truth value
+    in both models wherever the two worlds of each of its prefixes agree on
+    the base variables.  Each distinct prefix is solved in every context of
+    both models, by one `solve_contexts` call per model, into a mask of the
+    contexts where they differ.  A formula is evaluated only in the
+    contexts its prefixes flag, in order, which finds the same first
+    disagreement.  It reads the worlds the masks solved, which its
+    prefixes hand to the sessions once it is flagged, since a context one
+    prefix flags also reads the formula's other prefixes there.  A prefix
+    with an unsolvable world (`ValueOutOfRange`) flags every context, so
+    its formulas are decided, or raise, as by evaluation everywhere; the
+    extension is not solved under a prefix the base cannot solve, and is
+    solved world by world when a formula reads it.
 
     The prefixes come from the draw (`_draw`), and a formula's tree is
     built only when they flag a context.  It is never validated: it is
@@ -311,35 +339,47 @@ def check_formula_agreement(
     `validate_formula` cannot fail on it.
     """
     _check_count(samples, 1, "the sample count must be a positive integer, not {}")
+    _check_count(seed, 0, "the seed must be a nonnegative integer, not {}")
     _require_extension_signature(extension, base)
     rng = random.Random(seed)
     base_s, ext_s = fm._Session(base), fm._Session(extension)
+    base_rt, ext_rt = base._runtime(), extension._runtime()
     contexts = list(_context_pairs(extension, base))
     base_exos, ext_exos = [c[0] for c in contexts], [c[1] for c in contexts]
-    exo_names, names = base._runtime().exo_names, base._runtime().endo_names
-    to_ext = [extension._runtime().endo_index[n] for n in names]
+    to_ext = [ext_rt.endo_index[n] for n in base_rt.endo_names]
+    # an itemgetter of one index gives a value, not a 1-tuple
+    project = operator.itemgetter(*to_ext) if len(to_ext) > 1 else lambda row: (row[to_ext[0]],)
+    solved = {}  # settings -> the rows of each model, until the sessions keep them
 
     @functools.cache
     def differing(settings: tuple) -> int:
-        """Bit k set: the worlds differ in context k.  All set: one does not solve."""
-        try:
-            in_base = base_s.solve(settings, base_exos)
-            in_ext = ext_s.solve(settings, ext_exos)
-        except ValueOutOfRange:
+        """Bit k set: the worlds differ in context k.  All set: one does not
+        solve; the extension is not solved where the base does not."""
+        in_base = solve_contexts(base, base_exos, {base_rt.endo_index[n]: x for n, x in settings})
+        in_ext = ()
+        if ValueOutOfRange not in map(type, in_base):
+            interventions = {ext_rt.endo_index[n]: x for n, x in settings}
+            in_ext = solve_contexts(extension, ext_exos, interventions)
+        solved[settings] = in_base, in_ext
+        if not in_ext or ValueOutOfRange in map(type, in_ext):
             return (1 << len(contexts)) - 1
         mask = 0
-        for k, world in enumerate(in_ext):
-            if in_base[k] != tuple([world[j] for j in to_ext]):
+        for k, (world, other) in enumerate(zip(in_base, in_ext)):
+            if world != project(other):
                 mask |= 1 << k
         return mask
 
     for _ in range(samples):
-        recipe, prefixes = _draw(rng, base._runtime(), 3)
+        recipe, prefixes = _draw(rng, base_rt, 3)
         flagged = 0
         for settings in prefixes:
             flagged |= differing(settings)
         if not flagged:
             continue
+        for settings in prefixes & solved.keys():
+            in_base, in_ext = solved.pop(settings)
+            base_s.keep(settings, base_exos, in_base)
+            ext_s.keep(settings, ext_exos, in_ext)
         candidate = _build(recipe)
         for k, (exo_base, exo_ext) in enumerate(contexts):
             if not flagged >> k & 1:
@@ -347,9 +387,8 @@ def check_formula_agreement(
             in_base = base_s.holds(candidate, exo_base)
             in_ext = ext_s.holds(candidate, exo_ext)
             if in_base != in_ext:
-                return AgreementReport(
-                    False, samples, candidate, dict(zip(exo_names, exo_base)), in_base, in_ext
-                )
+                context = dict(zip(base_rt.exo_names, exo_base))
+                return AgreementReport(False, samples, candidate, context, in_base, in_ext)
     return AgreementReport(True, samples)
 
 

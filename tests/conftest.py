@@ -31,19 +31,19 @@ def hopkins():
 
 @pytest.fixture
 def solved_rows(monkeypatch):
-    """`watch(module)` counts the solves made through `solve_contexts` as
-    `module` calls it: it returns a list that gains one (model, context,
-    sorted interventions) entry per context solved."""
-    def watch(module):
-        rows, real = [], module.solve_contexts
+    """`watch(*modules)` counts the solves made through `solve_contexts` as
+    each of `modules` calls it: it returns one list that gains one (model,
+    context, sorted interventions) entry per context solved."""
+    def watch(*modules):
+        rows = []
+        for module in modules:
+            def counted(model, exos, interventions=None, real=module.solve_contexts):
+                exos = list(exos)
+                key = tuple(sorted((interventions or {}).items()))
+                rows.extend((model, exo, key) for exo in exos)
+                return real(model, exos, interventions)
 
-        def counted(model, exos, interventions=None):
-            exos = list(exos)
-            key = tuple(sorted((interventions or {}).items()))
-            rows.extend((model, exo, key) for exo in exos)
-            return real(model, exos, interventions)
-
-        monkeypatch.setattr(module, "solve_contexts", counted)
+            monkeypatch.setattr(module, "solve_contexts", counted)
         return rows
 
     return watch

@@ -21,16 +21,18 @@ from actualcause.formula import (
     validate_formula,
 )
 from actualcause.dsl import parse_formula, print_formula
-from actualcause.model import Var, make_model
+from actualcause.model import Const, Var, make_model
 from actualcause.transforms import (
     check_formula_agreement,
     random_causal_formula,
     random_event_formula,
 )
 from oracle import (
+    EXTENSION_KINDS,
     event_holds,
     naive_formula_holds,
     naive_is_cause,
+    naive_worlds,
     random_extension_pair,
     settings_read,
 )
@@ -218,8 +220,9 @@ def test_effects_too_deep_to_walk_are_engine_errors(rt_naive):
 
 def test_agreement_solves_each_context_and_prefix_once(solved_rows, rt_naive, rt_detailed):
     # one formula session per model: a world is solved once per (context,
-    # prefix) across all 200 formulas, not once per formula
-    solved = solved_rows(formula)
+    # prefix) across all 200 formulas, not once per formula; the masks solve
+    # in `transforms`, a formula's own reads in `formula`
+    solved = solved_rows(transforms, formula)
     report = check_formula_agreement(rt_detailed.model, rt_naive.model, samples=200, seed=7)
     assert report.agrees
     assert len(solved) == len(set(solved)) <= 150
@@ -228,7 +231,7 @@ def test_agreement_solves_each_context_and_prefix_once(solved_rows, rt_naive, rt
 def test_agreement_solves_each_world_once_on_disagreeing_pairs(solved_rows, doc):
     # the masks keep the worlds they solve, so evaluating a flagged formula
     # solves none of them again, in the contexts its other prefixes flag too
-    solved = solved_rows(formula)
+    solved = solved_rows(transforms, formula)
     pairs = [(doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model)] * 10
     for seed in range(30):
         base, extension = random_extension_pair(random.Random(8000 + seed), "rewired")
@@ -240,6 +243,56 @@ def test_agreement_solves_each_world_once_on_disagreeing_pairs(solved_rows, doc)
         assert len(solved) == len(set(solved)), seed
         disagreements += not report.agrees
     assert disagreements >= 20, disagreements
+
+
+def _agreement_rows(extension, base, samples, seed):
+    """The rows `check_formula_agreement` solves, by a loop over the
+    formulas it draws up to the first that a context decides apart or
+    cannot decide: each distinct prefix in every context of the base, and
+    in every context of the extension unless a base row raised.  Also
+    whether the loop stopped at an error."""
+    rows, contexts, rng = set(), list(base.contexts()), random.Random(seed)
+
+    def row(model, context, settings):
+        index = model.endogenous_names.index
+        return (model, tuple(context[n] for n in model.exogenous_names),
+                tuple(sorted((index(n), x) for n, x in settings)))
+
+    for _ in range(samples):
+        phi = random_causal_formula(rng, base)
+        for settings in settings_read(phi):
+            rows.update(row(base, c, settings) for c in contexts)
+            if all(naive_worlds(base, c, dict(settings)) for c in contexts):
+                rows.update(row(extension, c, settings) for c in contexts)
+        try:
+            if any(eval_formula(base, c, phi) != eval_formula(extension, c, phi) for c in contexts):
+                return rows, False
+        except ValueOutOfRange:
+            return rows, True
+    return rows, False
+
+
+def test_agreement_solves_the_rows_of_the_drawn_prefixes(solved_rows):
+    """Agreement solves the rows `_agreement_rows` names and nothing more to
+    decide a flagged formula, on pairs of every kind.  The one repeat is the
+    row whose error the check raises: the masks solve it, and evaluation
+    solves it again where it reads it."""
+    cases = []
+    for seed in range(60):
+        base, extension = random_extension_pair(random.Random(6000 + seed), EXTENSION_KINDS[seed % 3])
+        cases.append((extension, base, seed, *_agreement_rows(extension, base, 40, seed)))
+    solved, outcomes = solved_rows(transforms, formula), set()
+    for extension, base, seed, rows, raised in cases:
+        solved.clear()
+        try:
+            outcome = check_formula_agreement(extension, base, 40, seed).agrees
+        except ValueOutOfRange:
+            outcome = ValueOutOfRange
+        assert (outcome is ValueOutOfRange) is raised, seed
+        assert set(solved) == rows, seed
+        assert len(solved) == len(rows) + raised, seed
+        outcomes.add(outcome)
+    assert outcomes == {True, False, ValueOutOfRange}
 
 
 def test_drawn_formulas_validate_and_show_their_prefixes(doc):
@@ -288,6 +341,76 @@ def test_each_seed_draws_the_pinned_formulas(doc, draw):
                 for _ in range(50):
                     digest.update(print_formula(draw(rng, model, depth)).encode() + b"\n")
         assert digest.hexdigest() == STREAM_DIGESTS[draw.__name__, name], name
+
+
+def _reference_draw(rng, model, depth, events_only=False):
+    """`transforms._draw` by `random.Random`'s own methods, the calls it
+    made before it took its bounded integers from `getrandbits`."""
+    names = model.endogenous_names
+    ranges = [model.range_of(n) for n in names]
+    prefixes = set()
+
+    def events(depth):
+        roll = rng.random()
+        if depth <= 0 or roll < 0.45:
+            i = rng.randrange(len(names))
+            return PrimitiveEvent, names[i], rng.choice(ranges[i])
+        if roll < 0.6:
+            return Not, events(depth - 1)
+        return And if roll < 0.8 else Or, events(depth - 1), events(depth - 1)
+
+    def atom():
+        body = events(depth)
+        k = rng.randrange(0, min(3, len(names)) + 1)
+        if k == 0:
+            prefixes.add(())
+            return body
+        chosen = sorted(rng.sample(range(len(names)), k))
+        settings = tuple([(names[i], rng.choice(ranges[i])) for i in chosen])
+        prefixes.add(settings)
+        return Held, settings, body
+
+    if events_only:
+        return events(depth), {()}
+    roll = rng.random()
+    if roll < 0.6:
+        return atom(), prefixes
+    if roll < 0.75:
+        return (Not, atom()), prefixes
+    return (And if roll < 0.9 else Or, atom(), atom()), prefixes
+
+
+class _FlippedBits(random.Random):
+    """A generator with its own `getrandbits`, which `randrange`, `choice`
+    and `sample` then draw from."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ ((1 << k) - 1)
+
+
+def _wide_model(n):
+    """A chain of `n` variables whose ranges hold one to five values, so
+    that each width of rejection sampling is drawn."""
+    ranges = {f"X{i}": tuple(range(i % 5 + 1)) for i in range(n)}
+    equations = {f"X{i}": Var("U") if i % 5 else Const(0) for i in range(n)}
+    return make_model({"U": (0, 1)}, ranges, equations)
+
+
+def test_the_draw_replays_the_random_methods(doc):
+    """`_draw` takes the same stream as `random.Random`'s `random`,
+    `randrange`, `choice` and `sample` calls, over every bundled model and
+    chains of 21 and 22 variables, on both sides of `sample`'s switch from
+    a pool to a set; so does a subclass with its own `getrandbits`."""
+    models = [doc(name).model for name in model_names()] + [_wide_model(21), _wide_model(22)]
+    for model in models:
+        rt = model._runtime()
+        for kind in (random.Random, _FlippedBits):
+            for seed in range(50):
+                depth, got, want = seed % 4, kind(seed), kind(seed)
+                for events_only in (False, True, False):
+                    drawn = transforms._draw(got, rt, depth, events_only)
+                    assert drawn == _reference_draw(want, model, depth, events_only)
+                    assert got.getstate() == want.getstate(), (model, kind, seed)
 
 
 def _right_chain(kind, operands):

@@ -244,6 +244,11 @@ for label, call, message in COUNTS:
 for n in (-1, 2.5, True):
     ROWS.append((f"stability index/{n!r}", lambda m, n=n: ac.build_stability_model(n),
                  *count("the family is indexed by nonnegative integers")))
+# `random.Random` would read -1 as 1 and True as 1, accept 2.5, and take
+# None to mean fresh entropy; these rows fail at the parent
+for n in (-1, 2.5, True, None):
+    ROWS.append((f"seed/{n!r}", lambda m, n=n: ac.check_formula_agreement(m, m, seed=n),
+                 *count(f"the seed must be a nonnegative integer, not {n}")))
 
 
 @pytest.mark.parametrize(

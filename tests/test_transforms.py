@@ -487,6 +487,12 @@ def test_agreement_decides_only_the_flagged_formulas(doc, monkeypatch):
         detailed, doc("rock_throwing_naive").model, samples=50, seed=3
     )
     assert report.agrees and decided == [] and built == []
+    # a base of one variable, whose worlds are compared as 1-tuples
+    one = md.make_model({"U": (0, 1)}, {"A": (0, 1)}, {"A": md.Var("U")})
+    wider = md.make_model({"U": (0, 1)}, {"N": (0, 1), "A": (0, 1)},
+                          {"N": md.Var("U"), "A": md.Var("N")})
+    assert check_formula_agreement(wider, one, samples=50, seed=3).agrees
+    assert decided == [] and built == []
 
     report = check_formula_agreement(cheat, detailed, samples=200, seed=7)
     assert not report.agrees
