@@ -6,15 +6,17 @@ full contingency set; `EXTENDED` is `UPDATED` plus a normality test on the
 witness world.  Witnesses are listed canonically (contingency sets by size
 then declaration order, value tuples lexicographically, then alternate
 cause values), so results are reproducible.  The search skips a
-contingency, or copies its witnesses, only where a nogood or a smaller
-contingency already decides it (see `_Query.search`), which leaves that
-order intact.
+contingency, or copies its witnesses, only where a nogood, a smaller
+contingency or a swap of interchangeable variables already decides it
+(see `_Query.search`), which leaves that order intact.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,7 +39,20 @@ from .formula import (
     holds,
     validate_formula,
 )
-from .model import CausalModel, World, _setting_index, context_values, solve, solve_values
+from .model import (
+    Case,
+    CausalModel,
+    Cmp,
+    Const,
+    Expression,
+    Not,
+    Var,
+    World,
+    _setting_index,
+    context_values,
+    solve,
+    solve_values,
+)
 
 __all__ = [
     "RuleVariant",
@@ -139,12 +154,20 @@ class NormalityOrder:
     generating pairs `(s, t)` meaning `s` is at least as normal as `t`,
     interpreted under reflexive-transitive closure and therefore possibly
     partial.
+
+    `_reads` names the endogenous variables the rank function reads, where
+    the order's builder knows them: `flat` and a rank table of a model
+    document set it after construction.  It is None otherwise, since an
+    opaque callable cannot be checked.  The cause search swaps
+    interchangeable variables only where the order cannot tell them apart
+    (see `_Query.search`).
     """
 
     def __init__(self, *, rank_fn=None, pairs=None):
         if (rank_fn is None) == (pairs is None):
             raise EngineError("give exactly one of rank_fn or pairs")
         self._rank_fn = rank_fn
+        self._reads: frozenset[str] | None = None
         self._last_rank: tuple[World, int] | None = None
         self._edges: dict[World, set[World]] | None = None
         self._reach: dict[World, frozenset[World]] = {}
@@ -174,7 +197,9 @@ class NormalityOrder:
     @classmethod
     def flat(cls) -> "NormalityOrder":
         """Total equivalence: every world is exactly as normal as any other."""
-        return cls(rank_fn=lambda world: 0)
+        order = cls(rank_fn=lambda world: 0)
+        order._reads = frozenset()
+        return order
 
     def rank(self, world: World) -> int | None:
         return self._rank_fn(world) if self._rank_fn is not None else None
@@ -268,6 +293,120 @@ def _validate_witness(
     return tuple(w_idx)
 
 
+def _canon(expr: Expression, leaves: Mapping[str, tuple]) -> tuple:
+    """A canonical form of an equation, each variable read as its entry in
+    `leaves` or else `("v", name)`: two equations have one form when they
+    differ only in the order of the items of an `And`, `Or` or `Sum`, and
+    of the two sides of an `=` or `!=`.  Forms are nested tuples headed by
+    a tag, and one tag heads one shape, so forms compare and sort."""
+    if isinstance(expr, Var):
+        return leaves.get(expr.name) or ("v", expr.name)
+    if isinstance(expr, Const):
+        return ("c", expr.value)
+    if isinstance(expr, Cmp):
+        sides = [_canon(expr.lhs, leaves), _canon(expr.rhs, leaves)]
+        if expr.op in ("=", "!="):
+            sides.sort()
+        return (expr.op, *sides)
+    if isinstance(expr, Not):
+        return ("!", _canon(expr.operand, leaves))
+    if isinstance(expr, Case):
+        arms = tuple((_canon(g, leaves), _canon(v, leaves)) for g, v in expr.arms)
+        return ("case", arms, _canon(expr.default, leaves))
+    return (type(expr).__name__, tuple(sorted(_canon(i, leaves) for i in expr.items)))
+
+
+def _interchangeable(rt) -> tuple:
+    """The classes of interchangeable variables of the model of runtime
+    `rt`: per bucket of `rt.buckets`, its classes of two or more, each a
+    tuple of (member, indices of its private exogenous parents) pairs in
+    declaration order.  Built when a query first keeps two members of one
+    bucket, and kept on the runtime (`_Runtime._classes`), whose size it
+    shares: it grows with the model, not with the queries asked of it.
+
+    A private exogenous parent is one that no other equation reads.
+    Variables a and b are interchangeable when the transposition (a b),
+    which also swaps a's private exogenous parents with b's, in declaration
+    order, maps every equation onto the equation of its image, up to
+    `_canon`: a's onto b's and every other one onto itself.  With equal
+    ranges, such a swap is an automorphism of the model: it maps the world
+    of any context and intervention onto the world of the swapped context
+    and intervention.  The members of a bucket share their range, their
+    readers and their endogenous parents, so only their own equations, with
+    their private parents read as placeholders that keep their ranges, and
+    their readers' equations can differ under the swap; and a and b cannot
+    read each other (if a read b, b's equation, the image of a's, would
+    read a: a cycle).  Automorphisms compose, so interchangeability is an
+    equivalence: a member joins the first class whose first member it swaps
+    with, and the transpositions of a class generate every permutation of
+    it.  A model's solver compiles only equations nested far less deeply
+    than the recursion limit, so `_canon` recurses safely.
+    """
+    if rt._classes is None:
+        names, exprs = rt.endo_names, rt.exprs
+        exo_deps = [[v for v in expr.variables() if v in rt.exo_index] for expr in exprs]
+        shared = collections.Counter(v for reads in exo_deps for v in reads)
+        per_bucket = []
+        for bucket in rt.buckets:
+            first = names[bucket[0]]
+            readers = [(exprs[c], _canon(exprs[c], {}))
+                       for c, n in enumerate(names) if first in rt.deps[n]]
+            built: list[tuple[tuple, list]] = []
+            for b in bucket:
+                private = sorted((rt.exo_index[v], v) for v in exo_deps[b] if shared[v] == 1)
+                leaves = {v: ("p", k, rt.exo_ranges[j]) for k, (j, v) in enumerate(private)}
+                form, entry = _canon(exprs[b], leaves), (b, tuple(j for j, _ in private))
+                for own, members in built:
+                    if own == form and _swaps(readers, names[members[0][0]], names[b]):
+                        members.append(entry)
+                        break
+                else:
+                    built.append((form, [entry]))
+            per_bucket.append(tuple(tuple(m) for _, m in built if len(m) > 1))
+        rt._classes = tuple(per_bucket)
+    return rt._classes
+
+
+def _swaps(readers, a: str, b: str) -> bool:
+    """Whether every reader of a and b, given as its equation and that
+    equation's `_canon` form, keeps its equation under (a b)."""
+    swap = {a: ("v", b), b: ("v", a)}
+    return all(_canon(expr, swap) == plain for expr, plain in readers)
+
+
+def _orbits(rt, fixed: frozenset[str], exo: tuple[int, ...], cause: tuple[int, ...]) -> tuple:
+    """The classes of the interchangeable variables outside `fixed` and
+    the indices `cause` that the context `exo` cannot tell apart, their
+    set tests and each member's predecessor in its class, as
+    `_Query.search` reads them (`classes`, `orbits`, `floor`).  The kept
+    members of one class of the model whose private parents the context
+    gives the same values form a class: the swap of any two of them fixes
+    the context.  A bucket left with fewer than two members is passed over
+    before any equation is compared, so a query whose cause or effect
+    leaves one member of each bucket builds no class of the model."""
+    names = rt.endo_names
+    classes, tests, floor = [], [], {}
+    for k, bucket in enumerate(rt.buckets):
+        if sum(i not in cause and names[i] not in fixed for i in bucket) < 2:
+            continue
+        for model_class in _interchangeable(rt)[k]:
+            split: dict[tuple, list[int]] = {}
+            for i, private in model_class:
+                if i not in cause and names[i] not in fixed:
+                    split.setdefault(tuple([exo[j] for j in private]), []).append(i)
+            for members in split.values():
+                if len(members) < 2:
+                    continue
+                prefix, prefixes = 0, {0}
+                for i in members:
+                    prefix |= 1 << i
+                    prefixes.add(prefix)
+                classes.append(tuple(members))
+                tests.append((prefix, frozenset(prefixes)))
+                floor.update(zip(members[1:], members))
+    return tuple(classes), tuple(tests), floor or ()
+
+
 class _Query:
     """One query session: a model, a context, an effect, a variant, a budget.
 
@@ -300,8 +439,17 @@ class _Query:
         # the variables that can change the effect: its own and their ancestors
         self.anc, self.desc = self.rt.closures()
         self.phi_anc = 0
-        for name in formula_variables(phi):
+        phi_vars = formula_variables(phi)
+        for name in phi_vars:
             self.phi_anc |= self.anc[self.rt.endo_index[name]]
+        # the variables the search may not swap (see `search`), or None
+        # when it may swap none
+        self.fixed = None
+        if self.rt.buckets:
+            if self.variant is not RuleVariant.EXTENDED:
+                self.fixed = phi_vars
+            elif self.order._reads is not None:
+                self.fixed = phi_vars | self.order._reads
         # only the extended variant compares witness worlds with this one
         self.actual_world = (
             World(self.rt.endo_names, self.actual)
@@ -320,6 +468,7 @@ class _Query:
         bound.exo, bound.actual, bound.phi_actual = self.exo, self.actual, self.phi_actual
         bound.actual_world, bound.memo = self.actual_world, self.memo
         bound.phi_anc, bound.anc, bound.desc = self.phi_anc, self.anc, self.desc
+        bound.fixed = self.fixed
         bound.cause = _normalize_cause(self.base, cause)
         bound.cause_idx = tuple([self.rt.endo_index[n] for n, _ in bound.cause])
         bound.cause_vals = tuple([v for _, v in bound.cause])
@@ -341,6 +490,11 @@ class _Query:
                 bound.x_moved_desc |= self.desc[i]
         bound.restore_memo = {}
         bound.nogoods, bound.learned, bound.dead = {}, 0, []
+        # the classes whose members the search may swap, their set tests and
+        # each member's predecessor in its class (see `search`)
+        bound.classes, bound.orbits, bound.floor = (
+            ((), (), ()) if self.fixed is None
+            else _orbits(self.rt, self.fixed, self.exo, bound.cause_idx))
         return bound
 
     def _solve(self, interventions) -> tuple[int, ...]:
@@ -588,6 +742,41 @@ class _Query:
         where none of W ∖ R may lie in D; its witnesses are copied, without
         any solve, at its canonical place among the value tuples of W.  A
         first-witness scan keeps nothing, so it copies nothing.
+
+        Interchangeable variables are scanned once per orbit.  Each class of
+        `classes` (see `_interchangeable` and `_orbits`) lies outside X and the
+        effect's variables, the context gives its members' private parents
+        equal values, and under EXTENDED the order reads none of them.  So a
+        permutation σ of a class, with the matching permutation of private
+        parents, maps the world of every intervention in this context onto
+        the world of the permuted intervention, and fixes x, x', the actual
+        world, φ's value and every rank.  It maps a state (W, w, x') onto a
+        state with the same outcome of AC2(a), of the normality test and of
+        every restore intervention, since it maps the W' subsets and reset
+        sets of one onto those of the other; and it keeps desc(X), the
+        ancestors and the actual values, so it maps the states the scan
+        builds onto themselves, and the members of a class in W take one
+        range (`_ranges`).  A state is orbit-minimal when, in each
+        class, the members in W form a prefix of the class and hold
+        non-decreasing values.  Each orbit has exactly one, and it comes
+        first in canonical order: moving a member onto an earlier member
+        outside W gives a smaller set, and swapping the values of two
+        members out of order gives a smaller tuple.  The scan skips, by
+        mask, every other set before its range is built (`orbits`), and
+        `_unrefuted` cuts every value prefix that decreases in a class
+        (`floor`).  The canonical first witness is orbit-minimal, because
+        its smallest image is also a witness, and it is found as before; a
+        set left out has the outcomes of its orbit's minimal state, which
+        the scan visits or a nogood refutes, so the deepest failing clause
+        cannot change either.  Nogoods and dead groups stay sound, since
+        each still records a restore intervention that failed.  An
+        every-witness scan places the images of each witness it finds
+        without a solve: they are kept with its contingency in the copy store, keyed
+        by their own sets, which come later in canonical order, and those in
+        W itself join W's copies.  The copy store thus holds every witness
+        the unreduced scan would find, each placed at its canonical place;
+        only scanned states are filtered, never copies, whose reduced
+        contingency need not be orbit-minimal.
         """
         witnesses: list[Witness] = []
         deepest = "AC2(a)"
@@ -597,14 +786,19 @@ class _Query:
         # contingency set mask -> (its items, D, alternate values) per
         # contingency with witnesses
         found: dict[int, list[tuple[dict[int, int], int, list[tuple[int, ...]]]]] = {}
+        orbits = self.orbits
         try:
             for size in range(len(self.non_cause) + 1):
                 for w_idx in itertools.combinations(self.non_cause, size):
                     w_mask = 0
                     for i in w_idx:
                         w_mask |= 1 << i
-                    dead = _covers(self.dead, w_mask)
-                    # the no-op contingencies of W with witnesses, last first
+                    scanned = not orbits or _orbit_minimal(orbits, w_mask)
+                    if not (scanned or find_all):
+                        continue
+                    scanned = scanned and not _covers(self.dead, w_mask)
+                    # the witnesses placed without a solve: those of the no-op
+                    # contingencies of W, and the images in W of witnesses found
                     copies = []
                     for r_mask, kept in found.items():
                         if r_mask & ~w_mask:
@@ -613,15 +807,15 @@ class _Query:
                             if d_mask & w_mask & ~r_mask == 0:
                                 copies.append(
                                     (tuple([held.get(i, actual[i]) for i in w_idx]), hits))
-                    if dead and not copies:
+                    if not (scanned or copies):
                         continue
                     w_names = tuple(map(names.__getitem__, w_idx))
-                    copies.sort(reverse=True)
-                    scan = () if dead else self._unrefuted(
-                        w_idx, w_mask, self._ranges(w_idx, w_mask))
+                    heapq.heapify(copies)
+                    scan = self._unrefuted(
+                        w_idx, w_mask, self._ranges(w_idx, w_mask)) if scanned else ()
                     for w_vals in scan:
-                        while copies and copies[-1][0] < w_vals:
-                            c_vals, hits = copies.pop()
+                        while copies and copies[0][0] < w_vals:
+                            c_vals, hits = heapq.heappop(copies)
                             witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
                         restored, first = None, len(witnesses)
                         for alt in alts:
@@ -641,21 +835,56 @@ class _Query:
                             if not find_all:
                                 return witnesses, "", True
                         if len(witnesses) > first:
-                            d_mask = x_desc
-                            for i, v in zip(w_idx, w_vals):
-                                if v != actual[i]:
-                                    d_mask |= desc[i]
-                            found.setdefault(w_mask, []).append(
-                                (dict(zip(w_idx, w_vals)), d_mask,
-                                 [w.alt for w in witnesses[first:]])
-                            )
-                    for c_vals, hits in reversed(copies):
+                            hits = [w.alt for w in witnesses[first:]]
+                            states = [(w_idx, w_vals)]
+                            if orbits:
+                                states += self._images(w_idx, w_vals)
+                            for s_idx, s_vals in states:
+                                s_mask, d_mask = 0, x_desc
+                                for i, v in zip(s_idx, s_vals):
+                                    s_mask |= 1 << i
+                                    if v != actual[i]:
+                                        d_mask |= desc[i]
+                                found.setdefault(s_mask, []).append(
+                                    (dict(zip(s_idx, s_vals)), d_mask, hits))
+                                if s_idx == w_idx and s_vals != w_vals:
+                                    heapq.heappush(copies, (s_vals, hits))
+                    while copies:
+                        c_vals, hits = heapq.heappop(copies)
                         witnesses.extend([Witness(w_names, c_vals, a) for a in hits])
         except SearchBudgetExceeded:
             if not witnesses:
                 raise
             return witnesses, "", False
         return witnesses, deepest, True
+
+    def _images(self, w_idx: tuple[int, ...], w_vals: tuple[int, ...]) -> list:
+        """The other states of the orbit of the orbit-minimal state (W, w),
+        as (indices, values) pairs: in each class, the members of W, a
+        prefix holding non-decreasing values, are moved onto as many members
+        of the class in every way, holding their values in every distinct
+        order."""
+        held = dict(zip(w_idx, w_vals))
+        moves = []
+        for members in self.classes:
+            values = [held.pop(i) for i in members if i in held]
+            if values:
+                orders = set(itertools.permutations(values))
+                moves.append([
+                    tuple(zip(chosen, order))
+                    for chosen in itertools.combinations(members, len(values))
+                    for order in orders
+                ])
+        images = []
+        for picked in itertools.product(*moves):
+            image = dict(held)
+            for items in picked:
+                image.update(items)
+            s_idx = tuple(sorted(image))
+            s_vals = tuple([image[i] for i in s_idx])
+            if s_idx != w_idx or s_vals != w_vals:
+                images.append((s_idx, s_vals))
+        return images
 
     def _unrefuted(self, w_idx: tuple[int, ...], w_mask: int, w_ranges):
         """The value tuples of the contingency set W, its variables `w_idx`
@@ -685,6 +914,15 @@ class _Query:
         tests = _refuting(self.nogoods, w_idx, w_mask)
         values: list = [None] * n
         iters: list = [iter(w_ranges[0])] + [None] * (n - 1)
+        # the position of each member's predecessor in its class, and the
+        # tail of the member's range from each value the predecessor takes
+        # (the ranges of a class are one range, see `search`)
+        lows: list = [None] * n
+        if self.floor:
+            for k, i in enumerate(w_idx):
+                if i in self.floor:
+                    r = w_ranges[k]
+                    lows[k] = w_idx.index(self.floor[i]), {v: r[j:] for j, v in enumerate(r)}
         q, seen = 0, self.learned
         while q >= 0:
             bucket = tests[q]
@@ -700,7 +938,8 @@ class _Query:
                 continue
             if q + 1 < n:
                 q += 1
-                iters[q] = iter(w_ranges[q])
+                low = lows[q]
+                iters[q] = iter(w_ranges[q] if low is None else low[1][values[low[0]]])
             else:
                 yield tuple(values)
                 if self.learned != seen:
@@ -709,6 +948,15 @@ class _Query:
                         return
                     tests = _refuting(self.nogoods, w_idx, w_mask)
                     q = _resume_at(tests, values)
+
+
+def _orbit_minimal(orbits, w_mask: int) -> bool:
+    """Whether the members of every class in the contingency set with bit
+    mask `w_mask` form a prefix of the class (see `_Query.search`)."""
+    for class_mask, prefixes in orbits:
+        if w_mask & class_mask not in prefixes:
+            return False
+    return True
 
 
 def _covers(dead, w_mask: int) -> bool:

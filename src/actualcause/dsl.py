@@ -78,63 +78,53 @@ _KEYWORDS = {
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
+    (?P<skip>[ \t\r\n]+|\#[^\n]*)
   | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<int>-?\d+)
   | (?P<op>->|<-|!=|<=|>=|[{}()\[\]:;,=<>&|!+])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # name | int | op | end
-    value: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of `text` as (kind, value, offset) tuples, kind one of
+    name, int, op and a closing end; whitespace and comments are dropped."""
     tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(line, col, f"unexpected character {text[pos]!r}")
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = match.end()
-    tokens.append(_Token("end", "", line, col))
+        if kind == "bad":
+            raise ParseError(*_line_column(text, match.start()),
+                             f"unexpected character {match.group()!r}")
+        if kind != "skip":
+            tokens.append((kind, match.group(), match.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset into `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.pos += 1
         return tok
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(tok.line, tok.column, message)
+        raise ParseError(*_line_column(self.text, self.peek()[2]), message)
 
     @contextmanager
     def nesting_limit(self):
@@ -147,35 +137,35 @@ class _Parser:
 
     def accept_op(self, op: str) -> bool:
         tok = self.peek()
-        if tok.kind == "op" and tok.value == op:
+        if tok[0] == "op" and tok[1] == op:
             self.next()
             return True
         return False
 
     def expect_op(self, op: str) -> None:
         if not self.accept_op(op):
-            self.fail(f"expected {op!r}, found {self.peek().value!r}")
+            self.fail(f"expected {op!r}, found {self.peek()[1]!r}")
 
     def accept_keyword(self, word: str) -> bool:
         tok = self.peek()
-        if tok.kind == "name" and tok.value == word:
+        if tok[0] == "name" and tok[1] == word:
             self.next()
             return True
         return False
 
     def expect_name(self, what: str = "a name") -> str:
         tok = self.peek()
-        if tok.kind != "name":
-            self.fail(f"expected {what}, found {tok.value!r}")
-        if tok.value in _KEYWORDS:
-            self.fail(f"{tok.value!r} is a keyword and cannot name a variable")
-        return self.next().value
+        if tok[0] != "name":
+            self.fail(f"expected {what}, found {tok[1]!r}")
+        if tok[1] in _KEYWORDS:
+            self.fail(f"{tok[1]!r} is a keyword and cannot name a variable")
+        return self.next()[1]
 
     def expect_int(self) -> int:
         tok = self.peek()
-        if tok.kind != "int":
-            self.fail(f"expected an integer, found {tok.value!r}")
-        return int(self.next().value)
+        if tok[0] != "int":
+            self.fail(f"expected an integer, found {tok[1]!r}")
+        return int(self.next()[1])
 
     # -- expressions --------------------------------------------------------
 
@@ -202,9 +192,9 @@ class _Parser:
     def _comparison(self) -> Expression:
         left = self._additive()
         tok = self.peek()
-        if tok.kind == "op" and tok.value in ("=", "!=", "<", "<=", ">", ">="):
+        if tok[0] == "op" and tok[1] in ("=", "!=", "<", "<=", ">", ">="):
             self.next()
-            return Cmp(tok.value, left, self._additive())
+            return Cmp(tok[1], left, self._additive())
         return left
 
     def _additive(self) -> Expression:
@@ -215,19 +205,19 @@ class _Parser:
 
     def _primary(self) -> Expression:
         tok = self.peek()
-        if tok.kind == "int":
+        if tok[0] == "int":
             return Const(self.expect_int())
-        if tok.kind == "name":
-            if tok.value == "case":
+        if tok[0] == "name":
+            if tok[1] == "case":
                 return self._case()
-            if tok.value in _KEYWORDS:
-                self.fail(f"unexpected keyword {tok.value!r} in an expression")
-            return Var(self.next().value)
+            if tok[1] in _KEYWORDS:
+                self.fail(f"unexpected keyword {tok[1]!r} in an expression")
+            return Var(self.next()[1])
         if self.accept_op("("):
             inner = self._disj()
             self.expect_op(")")
             return inner
-        self.fail(f"expected an expression, found {tok.value!r}")
+        self.fail(f"expected an expression, found {tok[1]!r}")
 
     def _case(self) -> Expression:
         self.next()  # 'case'
@@ -345,6 +335,7 @@ def _build_order(
             raise EngineError(f"normality block names unknown context {decl.context!r}")
         return normality_from_respect(model, contexts[decl.context], decl.variables)
     rt = model._runtime()
+    reads = frozenset().union(*(guard.variables() for guard, _ in decl.arms))
     for guard, _ in decl.arms:
         for ref in guard.variables():
             if ref not in rt.endo_index:
@@ -359,7 +350,9 @@ def _build_order(
     def rank_of(world: World) -> int:
         return ranks(_own_values(rt, world), ())
 
-    return NormalityOrder.from_ranks(rank_of)
+    order = NormalityOrder(rank_fn=rank_of)
+    order._reads = reads
+    return order
 
 
 def parse_model(text: str) -> ModelDocument:
@@ -385,7 +378,7 @@ def parse_model(text: str) -> ModelDocument:
 
     while True:
         tok = parser.peek()
-        if tok.kind == "end":
+        if tok[0] == "end":
             break
         if parser.accept_keyword("exogenous"):
             var = parser.expect_name("a variable name")
@@ -435,7 +428,7 @@ def parse_model(text: str) -> ModelDocument:
             else:
                 parser.fail("expected 'ranks' or 'respect_equations'")
         else:
-            parser.fail(f"unexpected {tok.value!r} at the top level")
+            parser.fail(f"unexpected {tok[1]!r} at the top level")
 
     model = make_model(exogenous, endogenous, equations, {"name": name})
     check_recursive(model)
@@ -457,8 +450,8 @@ def parse_formula(text: str, model: CausalModel | None = None) -> fm.CausalFormu
     with parser.nesting_limit():
         out = parser.formula()
     tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(tok.line, tok.column, f"trailing input {tok.value!r}")
+    if tok[0] != "end":
+        parser.fail(f"trailing input {tok[1]!r}")
     if model is not None:
         fm.validate_formula(model, out)
     return out

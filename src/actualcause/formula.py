@@ -172,14 +172,17 @@ class _Session:
     context, for the life of the session; an intervention is keyed by the
     set of its settings, so one written in two orders is solved once.
     `solve` solves one world, when `_Context` first reads it; `keep` takes
-    worlds solved elsewhere.  `holds` reads them by `_Context`.
+    worlds solved elsewhere, and the errors of those that did not solve,
+    which `_Context` raises where it reads them.  `holds` reads them by
+    `_Context`.
     """
 
     def __init__(self, model: CausalModel):
         self.model = model
         self.index = model._runtime().endo_index
-        # set of settings -> context -> the world solved under them
-        self.worlds: dict[frozenset, dict[tuple[int, ...], tuple[int, ...]]] = {}
+        # set of settings -> context -> the world solved under them, or the
+        # `ValueOutOfRange` its solve raised
+        self.worlds: dict[frozenset, dict[tuple[int, ...], tuple | ValueOutOfRange]] = {}
 
     def solve(self, settings: Iterable, exo: tuple[int, ...]) -> tuple[int, ...]:
         """The world of one context under one intervention, kept once it
@@ -191,12 +194,10 @@ class _Session:
         return row
 
     def keep(self, settings: Iterable, exos: Iterable, rows: Iterable) -> None:
-        """Keep the worlds among `solve_contexts` rows of one intervention,
-        one per context of `exos`; a row that did not solve is left out."""
-        known = self.worlds.setdefault(frozenset(settings), {})
-        for exo, row in zip(exos, rows):
-            if not isinstance(row, ValueOutOfRange):
-                known[exo] = row
+        """Keep the `solve_contexts` rows of one intervention, one per
+        context of `exos`: its worlds, and the errors of those that did not
+        solve."""
+        self.worlds.setdefault(frozenset(settings), {}).update(zip(exos, rows))
 
     def holds(self, formula: CausalFormula, exo: tuple[int, ...]) -> bool:
         return holds(formula, self.index, _Context(self, exo))
@@ -220,7 +221,12 @@ class _Context:
 
     def under(self, settings: Iterable) -> tuple[int, ...]:
         known, exo = self.session.worlds.get(frozenset(settings), {}), self.exo
-        return known[exo] if exo in known else self.session.solve(settings, exo)
+        if exo not in known:
+            return self.session.solve(settings, exo)
+        world = known[exo]
+        if isinstance(world, ValueOutOfRange):
+            raise world
+        return world
 
 
 def eval_formula(

@@ -347,13 +347,15 @@ class World:
 
 class _Runtime:
     """Derived, cached state for one model: indices, order, and the model's
-    one generated solver, `solve` (see `_compile_solver`).  The closures
-    are built on first use."""
+    one generated solver, `solve` (see `_compile_solver`).  The closures,
+    and the classes of interchangeable variables that the cause search
+    keeps in `_classes` (`causality._interchangeable`), are built on first
+    use; `buckets`, the candidates for those classes, with the runtime."""
 
     __slots__ = (
         "exo_names", "exo_index", "exo_ranges",
         "endo_names", "endo_index", "endo_ranges", "endo_range_sets",
-        "order", "solve", "deps", "_closures",
+        "order", "solve", "deps", "exprs", "buckets", "_closures", "_classes",
     )
 
     def __init__(self, model: "CausalModel"):
@@ -366,12 +368,24 @@ class _Runtime:
         self.endo_range_sets = tuple(frozenset(r) for r in self.endo_ranges)
         self.endo_index = {n: i for i, n in enumerate(self.endo_names)}
 
-        # variable name -> the endogenous variables its equation mentions
-        order_names, self.deps = _dependency_order(model)
+        # variable name -> the endogenous variables its equation mentions,
+        # and the variables whose equations mention it
+        order_names, self.deps, readers = _dependency_order(model)
         self.order = tuple(self.endo_index[n] for n in order_names)
 
-        self.solve = _compile_solver(self, tuple(expr for _, expr in model.equations))
+        # the variables that share their range, their readers and their
+        # endogenous parents, in groups of two or more, each in declaration
+        # order: the only ones the cause search may swap
+        groups: dict[tuple, list[int]] = {}
+        for i, n in enumerate(self.endo_names):
+            key = self.endo_ranges[i], tuple(readers[n]), tuple(self.deps[n])
+            groups.setdefault(key, []).append(i)
+        self.buckets = tuple(tuple(g) for g in groups.values() if len(g) > 1)
+
+        self.exprs = tuple(expr for _, expr in model.equations)
+        self.solve = _compile_solver(self, self.exprs)
         self._closures: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+        self._classes = None
 
     def closures(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Ancestor and descendant closures as bitmasks over endogenous
@@ -503,9 +517,12 @@ def check_recursive(model: CausalModel) -> list[str]:
     return [rt.endo_names[i] for i in rt.order]
 
 
-def _dependency_order(model: CausalModel) -> tuple[list[str], dict[str, list[str]]]:
-    """`check_recursive`'s order, and the endogenous variables each
-    equation mentions."""
+def _dependency_order(
+    model: CausalModel,
+) -> tuple[list[str], dict[str, list[str]], dict[str, list[str]]]:
+    """`check_recursive`'s order, the endogenous variables each equation
+    mentions, and the variables whose equations mention each one, in
+    declaration order."""
     endo_names = [n for n, _ in model.signature.endogenous]
     index = {n: i for i, n in enumerate(endo_names)}
     eqs = dict(model.equations)
@@ -549,7 +566,7 @@ def _dependency_order(model: CausalModel) -> tuple[list[str], dict[str, list[str
                 raise CyclicModel(sorted(cycle, key=index.__getitem__))
             trail.append(nxt)
             seen.add(nxt)
-    return order, deps
+    return order, deps, dependents
 
 
 def context_values(model: CausalModel, context: Mapping[str, int]) -> tuple[int, ...]:

@@ -385,3 +385,52 @@ def random_extension_pair(rng: random.Random, kind: str, max_endogenous=3):
     rng.shuffle(exogenous)
     extension = md.make_model(dict(exogenous), endogenous, {n: equations[n] for n in order})
     return base, extension
+
+
+def random_symmetric_model(rng: random.Random):
+    """A small random model with two or three planted interchangeable
+    variables S1, S2, ... (three-valued only when there are two).  They
+    share one equation template, a case on a guard over the shared
+    exogenous U and an upstream A, whose default reads each member's own
+    private exogenous P1, P2, ... or, in about a third of the models, a
+    constant.  Readers T and O treat the members alike, through a sum of one
+    test on each or a conjunction or disjunction of those tests.  Returns
+    the model and the member names."""
+    size = rng.choice((2, 3))
+    own = rng.choice(((0, 1), (0, 1, 2))) if size == 2 else (0, 1)
+    private = rng.random() < 0.7
+    exogenous = {"U": (0, 1)}
+    members = [f"S{j}" for j in range(1, size + 1)]
+    if private:
+        exogenous.update((f"P{j}", own) for j in range(1, size + 1))
+    endogenous = {"A": (0, 1)}
+    equations = {"A": md.Cmp("=", md.Var("U"), md.Const(rng.randint(0, 1)))}
+    # a guard that can go either way, so that the default is read in some
+    # worlds and not in others
+    guard = md.Cmp("=", md.Var(rng.choice(("U", "A"))), md.Const(rng.randint(0, 1)))
+    value = md.Const(rng.choice(own))
+    fallback = md.Const(rng.choice(own))
+    for j, name in enumerate(members, 1):
+        endogenous[name] = own
+        default = md.Var(f"P{j}") if private else fallback
+        equations[name] = md.Case(arms=((guard, value),), default=default)
+    # one test per member, its sides and the order of the tests drawn at
+    # random, which changes no reading of them
+    tested = md.Const(rng.choice(own[1:]))
+    tests = [md.Cmp("=", *rng.sample((md.Var(name), tested), 2)) for name in members]
+    rng.shuffle(tests)
+    roll = rng.random()
+    if roll < 0.4:
+        reader = md.Cmp(rng.choice((">=", "<=", "=")), md.Sum(tuple(tests)),
+                        md.Const(rng.randint(1, size)))
+    else:
+        reader = (md.And if roll < 0.7 else md.Or)(tuple(tests))
+    endogenous["T"] = (0, 1)
+    equations["T"] = md.Or((reader, md.Cmp("=", md.Var("A"), md.Const(1)))) \
+        if rng.random() < 0.3 else reader
+    endogenous["O"] = (0, 1)
+    equations["O"] = md.Case(
+        arms=((_random_guard(rng, ["A", "T"], {"A": (0, 1), "T": (0, 1)}, 1),
+               md.Const(rng.randint(0, 1))),),
+        default=md.Var("T"))
+    return md.make_model(exogenous, endogenous, equations), members

@@ -33,7 +33,7 @@ from actualcause.errors import (
     SearchBudgetExceeded,
 )
 from actualcause.formula import And, Held, Or, PrimitiveEvent
-from actualcause.model import Var, World, make_model, solve
+from actualcause.model import Case, Cmp, Const, Sum, Var, World, make_model, solve
 from actualcause.transforms import build_stability_model
 from oracle import (
     event_holds,
@@ -46,6 +46,7 @@ from oracle import (
     random_context,
     random_effect,
     random_multivalued_model,
+    random_symmetric_model,
 )
 
 BS1 = PrimitiveEvent("BS", 1)
@@ -735,7 +736,7 @@ def test_prefix_cut_yields_exactly_the_unrefuted_product():
     # it covers.
     rng = random.Random(1414)
     store = SimpleNamespace(variant=RuleVariant.UPDATED, nogoods={}, learned=0, dead=[],
-                            x_desc=-1, anc=None, actual=None)
+                            x_desc=-1, anc=None, actual=None, floor=())
     store._ranges = functools.partial(causality._Query._ranges, store)
     seen = Counter()
     for _ in range(400):
@@ -940,6 +941,134 @@ def test_dead_set_skips_match_reference(monkeypatch):
                     assert verdict.failure_reason == reason, (model, ctx, cause, phi, variant)
                     assert _triples(verdict.witnesses) == listed, (model, ctx, cause, phi, variant)
     assert min(seen["dead skip"], seen["dead set with copies"]) >= 20, seen
+
+
+# -- interchangeable variables against the reference ---------------------------
+#
+# The search scans one state per orbit of interchangeable variables and
+# places the images of each witness it finds without a solve.  Contexts that
+# give the members' private parents different values, causes and effects
+# that name a member, and rank tables that read one break the symmetry: the
+# witness lists and the failing clause must stay as the literal definition
+# gives them.
+
+def _orbit_minimal(query, contingency, w_values):
+    index = query.rt.endo_index
+    held = {index[n]: v for n, v in zip(contingency, w_values)}
+    for members in query.classes:
+        inside = [i for i in members if i in held]
+        if inside != list(members[:len(inside)]):
+            return False
+        if [held[i] for i in inside] != sorted(held[i] for i in inside):
+            return False
+    return True
+
+
+def test_orbit_scans_match_reference():
+    rng = random.Random(4047)
+    seen = Counter()
+    for _ in range(24):
+        model, members = random_symmetric_model(rng)
+        ctx = random_context(rng, model)
+        world = solve(model, ctx)
+        phi = random_effect(rng, model, rng.choice(
+            (["T"], ["T", "O"], ["T", members[-1]], [members[0], "O"], [members[0], "T"])))
+        read = rng.choice(((), ("A",), ("A", "T"), (members[0],), ("O", members[-1])))
+        table = {values: rng.randint(0, 2)
+                 for values in itertools.product(*(model.range_of(n) for n in read))}
+
+        def rank(w, read=read, table=table):
+            return table[tuple(w[n] for n in read)]
+
+        order = NormalityOrder(rank_fn=rank)
+        order._reads = frozenset(read)
+        extended = ExtendedCausalModel(model, order)
+        causes = [{n: world[n]} for n in ("A", members[0], members[-1], "T")]
+        causes.append({n: world[n] for n in ("A", members[1])})
+        causes.append({members[1]: rng.choice([v for v in model.range_of(members[1])
+                                               if v != world[members[1]]])})
+        for cause in causes:
+            for variant in ("original", "updated", "extended"):
+                subject = extended if variant == "extended" else model
+                original = variant == "original"
+                ranked = rank if variant == "extended" else None
+                want, _ = _reference_scan(model, ctx, cause, phi, original, ranked)
+                reason = _reference_reason(model, ctx, cause, phi, original, ranked)
+                for find_all in (True, False):
+                    verdict = is_actual_cause(subject, ctx, cause, phi, variant,
+                                              find_all_witnesses=find_all)
+                    listed = [] if reason == "AC1" else want if find_all else want[:1]
+                    case = (model, ctx, cause, phi, variant, read, find_all)
+                    assert verdict.failure_reason == reason, case
+                    assert _triples(verdict.witnesses) == listed, case
+                query = causality._Query(subject, ctx, phi, variant, None).bind(cause)
+                if query.classes:
+                    seen["orbits"] += 1
+                    seen["images"] += sum(not _orbit_minimal(query, c, v) for c, v, _ in want)
+                    split = len({ctx[f"P{j}"] for j in range(1, len(members) + 1)}) > 1 \
+                        if "P1" in ctx else False
+                    seen["context split"] += split
+                else:
+                    seen["no orbit"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_private_parents_pair_in_declaration_order():
+    # each member reads two private parents; S2 reads its pair the other
+    # way round in the flipped model, another function of the two, so
+    # the swap that pairs P1 with P2 and Q1 with Q2 is no automorphism
+    # there, even in a context that gives both pairs the same values
+    ctx = {"P1": 1, "Q1": 0, "P2": 1, "Q2": 0}
+    phi = PrimitiveEvent("T", 1)
+    for flipped in (False, True):
+        first, second = ("Q2", "P2") if flipped else ("P2", "Q2")
+        model = make_model(
+            {n: (0, 1) for n in ctx},
+            {"S1": (0, 1), "S2": (0, 1), "T": (0, 1)},
+            {"S1": Case(((Cmp("=", Var("P1"), Const(1)), Const(0)),), Var("Q1")),
+             "S2": Case(((Cmp("=", Var(first), Const(1)), Const(0)),), Var(second)),
+             "T": Cmp(">=", Sum((Var("S1"), Var("S2"))), Const(1))})
+        query = causality._Query(model, ctx, phi, "updated", None).bind({"T": 1})
+        assert query.classes == (() if flipped else ((0, 1),))
+        cause = {"S1": solve(model, ctx)["S1"]}
+        assert _triples(find_witnesses(model, ctx, cause, phi)) == naive_witnesses(
+            model, ctx, cause, phi, False)
+
+
+def test_a_reader_or_a_range_of_one_member_only_keeps_them_apart():
+    # T reads S1 and S2 alike.  In the first model O reads S2 alone, so the
+    # swap of S1 and S2 changes O's equation, though every equation the swap
+    # test reads for S1 is unchanged; in the second S2 can take a value S1
+    # cannot, and S2 = 2 is the only witness.  Neither pair is a class.
+    read_apart = make_model(
+        {"U": (0, 1)},
+        {"A": (0, 1), "S1": (0, 1), "S2": (0, 1), "T": (0, 1), "O": (0, 1)},
+        {"A": Var("U"), "S1": Var("A"), "S2": Var("A"),
+         "T": Cmp(">=", Sum((Var("S1"), Var("S2"))), Const(1)), "O": Var("S2")})
+    ranged_apart = make_model(
+        {"U": (0, 1)},
+        {"A": (0, 1), "S1": (0, 1), "S2": (0, 1, 2), "T": (0, 1)},
+        {"A": Var("U"), "S1": Var("A"), "S2": Var("A"),
+         "T": Cmp(">=", Sum((Var("S1"), Var("S2"))), Const(3))})
+    for model, ctx, cause, phis in (
+        (read_apart, {"U": 1}, {"A": 1},
+         (PrimitiveEvent("O", 1), And(PrimitiveEvent("O", 1), PrimitiveEvent("T", 1)))),
+        (ranged_apart, {"U": 0}, {"A": 0}, (PrimitiveEvent("T", 0),)),
+    ):
+        for phi in phis:
+            assert causality._Query(model, ctx, phi, "updated", None).bind(cause).classes == ()
+            for original in (True, False):
+                variant = "original" if original else "updated"
+                assert _triples(find_witnesses(model, ctx, cause, phi, variant)) == (
+                    naive_witnesses(model, ctx, cause, phi, original))
+
+
+def test_a_rank_table_records_the_variables_it_reads(doc):
+    assert doc("livengood_normality").order()._reads == {"Jack", "Jill"}
+    assert doc("bogus_prevention").order()._reads is not None
+    assert NormalityOrder.flat()._reads == frozenset()
+    assert NormalityOrder.from_ranks(lambda w: 0)._reads is None
+    assert NormalityOrder(rank_fn=lambda w: 0)._reads is None
 
 
 def _budget_outcomes(args, variant):

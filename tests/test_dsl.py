@@ -69,6 +69,22 @@ def test_parse_error_carries_position():
         parse_model("model m\nexogenous case: {0,1}\n")  # keyword as a name
 
 
+@pytest.mark.parametrize("parse, text, line, column, message", [
+    (parse_model, "model m\nexogenous U {0,1}\n", 2, 13, "expected ':', found '{'"),
+    (parse_model, "model m\n# note\nexogenous U: {0,1} @\n", 3, 20,
+     "unexpected character '@'"),
+    (parse_model, "model m\n  endogenous A: {0,1} = $\n", 2, 25, "unexpected character '$'"),
+    (parse_formula, "A = 1 &", 1, 8, "expected a variable name, found ''"),
+    (parse_formula, "A = 1\n  ) B", 2, 3, "trailing input ')'"),
+])
+def test_parse_error_names_the_line_and_column(parse, text, line, column, message):
+    # columns count from 1 after the last newline; the end of input is the
+    # position just past the last character
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+
 def test_duplicate_definitions_rejected():
     source = """
 model dup
