@@ -26,10 +26,20 @@ class UnknownVariable(EngineError):
 
 
 class ValueOutOfRange(EngineError):
-    def __init__(self, variable, value):
+    """A value outside its variable's range.  `assignment` is None for a
+    value given from outside; for an equation that can leave its range,
+    found when the model's runtime is built, it maps the equation's parents
+    to the values at which the equation gives `value`."""
+
+    def __init__(self, variable, value, assignment=None):
         self.variable = variable
         self.value = value
-        super().__init__(f"value {value!r} is not in the range of {variable!r}")
+        self.assignment = assignment
+        msg = f"value {value!r} is not in the range of {variable!r}"
+        if assignment is not None:
+            where = ", ".join(f"{n}={v}" for n, v in assignment.items())
+            msg += f", given by its equation at {where}" if where else ", given by its equation"
+        super().__init__(msg)
 
 
 class DuplicateDefinition(EngineError):

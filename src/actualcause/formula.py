@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import EngineError, MalformedPhi, ValueOutOfRange
+from .errors import EngineError, MalformedPhi
 from .model import CausalModel, _setting_index, context_values, solve_contexts
 
 __all__ = [
@@ -172,31 +172,24 @@ class _Session:
     context, for the life of the session; an intervention is keyed by the
     set of its settings, so one written in two orders is solved once.
     `solve` solves one world, when `_Context` first reads it; `keep` takes
-    worlds solved elsewhere, and the errors of those that did not solve,
-    which `_Context` raises where it reads them.  `holds` reads them by
-    `_Context`.
+    worlds solved elsewhere.  `holds` reads them by `_Context`.
     """
 
     def __init__(self, model: CausalModel):
         self.model = model
         self.index = model._runtime().endo_index
-        # set of settings -> context -> the world solved under them, or the
-        # `ValueOutOfRange` its solve raised
-        self.worlds: dict[frozenset, dict[tuple[int, ...], tuple | ValueOutOfRange]] = {}
+        # set of settings -> context -> the world solved under them
+        self.worlds: dict[frozenset, dict[tuple[int, ...], tuple[int, ...]]] = {}
 
     def solve(self, settings: Iterable, exo: tuple[int, ...]) -> tuple[int, ...]:
-        """The world of one context under one intervention, kept once it
-        solves; its `ValueOutOfRange` is raised."""
+        """The world of one context under one intervention, kept once solved."""
         row = solve_contexts(self.model, [exo], {self.index[n]: x for n, x in settings})[0]
-        if isinstance(row, ValueOutOfRange):
-            raise row
         self.worlds.setdefault(frozenset(settings), {})[exo] = row
         return row
 
     def keep(self, settings: Iterable, exos: Iterable, rows: Iterable) -> None:
-        """Keep the `solve_contexts` rows of one intervention, one per
-        context of `exos`: its worlds, and the errors of those that did not
-        solve."""
+        """Keep the worlds of one intervention that `solve_contexts`
+        solved, one per context of `exos`."""
         self.worlds.setdefault(frozenset(settings), {}).update(zip(exos, rows))
 
     def holds(self, formula: CausalFormula, exo: tuple[int, ...]) -> bool:
@@ -220,13 +213,8 @@ class _Context:
         return self.plain[i]
 
     def under(self, settings: Iterable) -> tuple[int, ...]:
-        known, exo = self.session.worlds.get(frozenset(settings), {}), self.exo
-        if exo not in known:
-            return self.session.solve(settings, exo)
-        world = known[exo]
-        if isinstance(world, ValueOutOfRange):
-            raise world
-        return world
+        world = self.session.worlds.get(frozenset(settings), {}).get(self.exo)
+        return self.session.solve(settings, self.exo) if world is None else world
 
 
 def eval_formula(

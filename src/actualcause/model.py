@@ -10,6 +10,7 @@ across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -210,63 +211,26 @@ def compile_expression(expr: Expression, names: Mapping[str, str]):
         raise EngineError("expression is nested too deeply to compile") from None
 
 
-def _stays_in(expr: Expression, allowed: frozenset, ranges: Mapping[str, frozenset]) -> bool:
-    """True when every value `expr` can take lies in `allowed`, provided
-    every variable it reads holds a value of its range (`ranges`).
-
-    A constant yields itself; a comparison or connective yields 0 or 1; a
-    variable yields a value of its range; a case yields the value of one of
-    its arms or its default, whatever its guards read.  Anything else, such
-    as a `Sum`, is not proven.
-    """
-    if isinstance(expr, Const):
-        return expr.value in allowed
-    if isinstance(expr, (Cmp, Not, And, Or)):
-        return 0 in allowed and 1 in allowed
-    if isinstance(expr, Var):
-        return ranges[expr.name] <= allowed
-    if isinstance(expr, Case):
-        return _stays_in(expr.default, allowed, ranges) and all(
-            _stays_in(value, allowed, ranges) for _, value in expr.arms
-        )
-    return False
-
-
 def _compile_solver(rt: "_Runtime", exprs: tuple[Expression, ...]):
     """Compile a model's equations, `exprs` in declaration order, into one
-    function `solve(u, get)`, using the indices and ranges of its runtime.
+    function `solve(u, get)`, using the indices of its runtime.
 
     The function is straight-line code in dependency order, with one local
     per endogenous variable.  Variable `i` takes `get(i, value)`: its forced
     value if it has one, else the value of its equation.  The equation is
     evaluated either way; integer arithmetic and comparisons cannot raise,
     so for a forced variable that only costs its evaluation, and one shape
-    of code per variable keeps the function short to compile.  A value that
-    leaves its range raises `ValueOutOfRange` with the variable and the
-    value.  The function returns the values in declaration order.
-
-    An equation whose values `_stays_in` proves inside its range has no range
-    test.  This is sound when every exogenous value and every forced value
-    lies in its range: then, by induction along the order, every variable an
-    equation reads already holds a value of its range, forced, tested or
-    proven, so a proven equation cannot leave its own.  The solver is
-    internal: the callers of `solve_values` and the deviation checks draw
-    the values they pass from the ranges or check them at the edge
-    (`context_values`, `_setting_index`, `_own_values`).  An unproven
-    equation keeps its test, which a forced value always passes, so the
-    first variable in the order whose equation leaves its range is
-    reported, with its value, as when every equation was tested.
-
-    The deviation checks of `transforms` rely on the equation being
-    evaluated for a forced variable: with every variable forced to a
-    world's values, `get` receives each equation's raw value on its
-    parents' values in that world, and every range test passes.
+    of code per variable keeps the function short to compile; the totality
+    check and the deviation checks read each equation's value that way
+    (`_equation_values`).  The function returns the values in declaration
+    order.  It tests no range: the runtime refuses a model with an equation
+    that can leave its range (`_check_totality`), and the callers check
+    every exogenous and forced value at the edge (`context_values`,
+    `_setting_index`, `_own_values`).
     """
     names = {n: f"u[{i}]" for n, i in rt.exo_index.items()}
     names.update({n: f"x{i}" for n, i in rt.endo_index.items()})
-    ranges = dict(zip(rt.exo_names, map(frozenset, rt.exo_ranges)))
-    ranges.update(zip(rt.endo_names, rt.endo_range_sets))
-    scope = {"__builtins__": {}, "E": ValueOutOfRange}
+    scope = {"__builtins__": {}}
     try:
         lines = ["def solve(u, get):"]
         for i in rt.order:
@@ -274,14 +238,96 @@ def _compile_solver(rt: "_Runtime", exprs: tuple[Expression, ...]):
             if code.startswith("("):  # drop the outer pair, which `get(` replaces,
                 code = code[1:-1]  # so code nests no deeper than in a lambda
             lines.append(f" x{i} = get({i}, {code})")
-            if not _stays_in(exprs[i], rt.endo_range_sets[i], ranges):
-                scope[f"R{i}"] = rt.endo_range_sets[i]
-                lines.append(f" if x{i} not in R{i}: raise E({rt.endo_names[i]!r}, x{i})")
         lines.append(" return (" + "".join(f"x{i}, " for i in range(len(exprs))) + ")")
         exec("\n".join(lines), scope)
     except (SyntaxError, RecursionError):
         raise EngineError("expression is nested too deeply to compile") from None
     return scope["solve"]
+
+
+def _equation_values(rt: "_Runtime", exo: tuple[int, ...], values: tuple[int, ...]) -> list[int]:
+    """The value of every equation, in declaration order, with every
+    endogenous variable held at `values`: one run of the model's solver
+    with every variable forced (see `_compile_solver`)."""
+    raw = list(values)
+
+    def get(i, value):
+        raw[i] = value
+        return values[i]
+
+    rt.solve(exo, get)
+    return raw
+
+
+# The most parent assignments the totality check enumerates for one equation.
+_ENUMERATION_CAP = 2 ** 16
+
+
+def _value_set(expr: Expression, ranges: Mapping[str, frozenset]) -> set | frozenset | None:
+    """A set holding every value `expr` can take when each variable it reads
+    holds a value of its range (`ranges`); None where the set would grow
+    past `_ENUMERATION_CAP` values.
+
+    A constant gives itself; a comparison or connective gives 0 and 1; a
+    variable gives its range; a case gives the union of its arms and its
+    default, whatever its guards read; a sum gives the set sum of its items.
+    """
+    if isinstance(expr, Const):
+        return {expr.value}
+    if isinstance(expr, (Cmp, Not, And, Or)):
+        return {0, 1}
+    if isinstance(expr, Var):
+        return ranges[expr.name]
+    if isinstance(expr, Case):
+        parts = [_value_set(value, ranges) for _, value in expr.arms]
+        parts.append(_value_set(expr.default, ranges))
+        return None if None in parts else set().union(*parts)
+    out = {0}
+    for item in expr.items:  # a `Sum`
+        values = _value_set(item, ranges)
+        if values is None or len(out) * len(values) > _ENUMERATION_CAP:
+            return None
+        out = {a + b for a in out for b in values}
+    return out
+
+
+def _check_totality(rt: "_Runtime") -> None:
+    """Refuse a model with an equation that can leave its variable's range.
+
+    An equation passes when `_value_set` proves its values inside the range.
+    Otherwise it is evaluated by the solver (`_equation_values`) at every
+    assignment of its parents, the variables it reads in declaration order
+    with the exogenous ones first, in lexicographic order.  The first
+    equation in declaration order that leaves its range, at its first such
+    assignment, raises `ValueOutOfRange` with the variable, the value and
+    the assignment.  An unproven equation with more than `_ENUMERATION_CAP`
+    parent assignments is refused with an `EngineError` that names it.
+    By induction along the dependency order, no solve of a model that
+    passes leaves a range when its exogenous and forced values lie in
+    theirs.
+    """
+    declared = dict(zip(rt.exo_names, rt.exo_ranges))
+    declared.update(zip(rt.endo_names, rt.endo_ranges))
+    ranges = {n: frozenset(r) for n, r in declared.items()}
+    first = {n: r[0] for n, r in declared.items()}
+    for i, expr in enumerate(rt.exprs):
+        name, allowed = rt.endo_names[i], rt.endo_range_sets[i]
+        values = _value_set(expr, ranges)
+        if values is not None and values <= allowed:
+            continue
+        reads = expr.variables()
+        parents = [n for n in declared if n in reads]
+        if math.prod(len(declared[n]) for n in parents) > _ENUMERATION_CAP:
+            raise EngineError(
+                f"cannot show that the equation of {name!r} stays in its range: "
+                f"its parents have more than {_ENUMERATION_CAP} assignments"
+            )
+        for assignment in itertools.product(*[declared[n] for n in parents]):
+            point = {**first, **dict(zip(parents, assignment))}
+            exo = tuple([point[n] for n in rt.exo_names])
+            value = _equation_values(rt, exo, tuple([point[n] for n in rt.endo_names]))[i]
+            if value not in allowed:
+                raise ValueOutOfRange(name, value, dict(zip(parents, assignment)))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +393,9 @@ class World:
 
 class _Runtime:
     """Derived, cached state for one model: indices, order, and the model's
-    one generated solver, `solve` (see `_compile_solver`).  The closures,
+    one generated solver, `solve` (see `_compile_solver`).  Building it
+    refuses a cyclic model and one whose equations are not total
+    (`_check_totality`).  The closures,
     and the classes of interchangeable variables that the cause search
     keeps in `_classes` (`causality._interchangeable`), are built on first
     use; `buckets`, the candidates for those classes, with the runtime."""
@@ -384,6 +432,7 @@ class _Runtime:
 
         self.exprs = tuple(expr for _, expr in model.equations)
         self.solve = _compile_solver(self, self.exprs)
+        _check_totality(self)
         self._closures: tuple[tuple[int, ...], tuple[int, ...]] | None = None
         self._classes = None
 
@@ -410,9 +459,9 @@ class CausalModel:
     """A signature plus one structural equation per endogenous variable.
 
     Construction validates structure (names, ranges, equation keys and
-    references).  Recursiveness is checked, and the equations compiled, when
-    the cached runtime is first built: by `check_recursive`, `solve` or any
-    query.
+    references).  Recursiveness and the totality of the equations are
+    checked, and the equations compiled, when the cached runtime is first
+    built: by `check_recursive`, `solve` or any query.
     """
 
     signature: Signature
@@ -511,7 +560,8 @@ def check_recursive(model: CausalModel) -> list[str]:
     inside unreachable case branches (dependency is syntactic).  Ties are
     broken by declaration order, so solve traces are reproducible.
     Raises `CyclicModel` with a concrete cycle when no order exists.  It is
-    the cached runtime's order: building the runtime compiles the equations.
+    the cached runtime's order: building the runtime compiles the equations,
+    and raises `ValueOutOfRange` for an equation that can leave its range.
     """
     rt = model._runtime()
     return [rt.endo_names[i] for i in rt.order]
@@ -593,8 +643,7 @@ def solve_values(
 ) -> tuple[int, ...]:
     """Solve along the dependency order; the fast path for searches.
 
-    One call to the model's generated solver (`_compile_solver`), which
-    tests an equation's range only where it is not proven closed.
+    One call to the model's generated solver (`_compile_solver`).
     `interventions` maps endogenous indices to forced values and leaves the
     model untouched, which keeps intervention-heavy searches cheap.  `exo`
     and every forced value must lie in their ranges.
@@ -609,19 +658,9 @@ def solve_contexts(
 ) -> list:
     """`solve_values` under one intervention in each context of `exos`, in
     order, for the callers that solve many contexts at once: the solver
-    and the intervention's `get` are looked up once.  One row per context:
-    its value tuple, or the `ValueOutOfRange` its solve raised, so a caller
-    can raise it exactly where a loop of `solve_values` calls would have.
-    The row carries no traceback, which would hold this frame and so the
-    rows themselves."""
+    and the intervention's `get` are looked up once."""
     solve, get = model._runtime().solve, (interventions or {}).get
-    rows = []
-    for exo in exos:
-        try:
-            rows.append(solve(exo, get))
-        except ValueOutOfRange as exc:
-            rows.append(exc.with_traceback(None))
-    return rows
+    return [solve(exo, get) for exo in exos]
 
 
 def solve(model: CausalModel, context: Mapping[str, int]) -> World:

@@ -32,7 +32,6 @@ from .errors import (
     PreconditionViolated,
     SignatureMismatch,
     UnknownVariable,
-    ValueOutOfRange,
     WitnessEqualsActual,
     _check_count,
 )
@@ -45,6 +44,7 @@ from .model import (
     Expression,
     Var,
     World,
+    _equation_values,
     _setting_index,
     _own_values,
     conj,
@@ -141,28 +141,28 @@ def is_conservative_extension(
     variables simply follow their equations under those interventions).
 
     Only the settings that can matter are enumerated.  With the other base
-    variables set, the two solves compute X and the new variables, so their
-    values and any `ValueOutOfRange` depend only on the set of base
-    variables R read by X's equation in either model or by a new equation.
-    A variable outside R takes only the first value of its range: the first
-    setting, in lexicographic order, with a counterexample or an error has
-    every variable outside R at its first value, since moving them there
-    gives a setting no later with the same outcome.
+    variables set, X's value in the base depends only on the base variables
+    its base equation reads.  In the extension it depends on those its
+    equation reads and on the new variables it reads, which follow from
+    the base variables that new equations read: `new_reads`, every base
+    variable any new equation reads, holds them all.  A variable outside
+    the union R takes only the first value of its range: the first
+    setting, in lexicographic order, with a counterexample has every
+    variable outside R at its first value, since moving them there gives a
+    setting no later with the same outcome.
 
     The plan, each X and then each of its settings, is the outer loop, and
     each setting is solved in every context in one `solve_contexts` call
-    per model.  The failure reported, or the error raised, is still the
-    first in (context, X, setting) order, the one a loop over contexts
-    first would meet.  A setting fails at its first context where the base
-    raises, else the extension raises, else X's values differ: the outcome
-    such a loop meets at that setting and context, which solves the base
-    first.  The least failing context wins, and among the settings that
-    fail there the first in the plan, which is met first.  After a failure
-    the later settings are solved only in the contexts before it, and the
-    check stops once the first context has failed.  So a refused pair may
-    enumerate the whole plan rather than stop at its first failure; that
-    costs no more than an accepted pair of the same models, which solves
-    every setting in every context.
+    per model.  The counterexample reported is still the first in
+    (context, X, setting) order, the one a loop over contexts first would
+    meet: the least context where some setting makes X's values differ
+    wins, and among the settings that fail there the first in the plan,
+    which is met first.  After a failure the later settings are solved
+    only in the contexts before it, and the check stops once the first
+    context has failed.  So a refused pair may enumerate the whole plan
+    rather than stop at its first failure; that costs no more than an
+    accepted pair of the same models, which solves every setting in every
+    context.
     """
     _require_extension_signature(extension, base)
     base_rt = base._runtime()
@@ -185,36 +185,22 @@ def is_conservative_extension(
     contexts = list(_context_pairs(extension, base))
     # the contexts still to solve: those before the first failure so far
     base_exos, ext_exos = [c[0] for c in contexts], [c[1] for c in contexts]
-    first = None  # that failure: X's plan, the setting and its two rows
+    first = None  # the counterexample of that failure
     steps = ((plan, setting) for plan, ranges in plans for setting in itertools.product(*ranges))
     for plan, setting in steps:
         if not base_exos:
             break
-        _, x_base, x_ext, _, base_idx, ext_idx = plan
+        x_name, x_base, x_ext, others, base_idx, ext_idx = plan
         in_base = solve_contexts(base, base_exos, dict(zip(base_idx, setting)))
         in_ext = solve_contexts(extension, ext_exos, dict(zip(ext_idx, setting)))
         for k, (got_base, got_ext) in enumerate(zip(in_base, in_ext)):
-            if (isinstance(got_base, ValueOutOfRange) or isinstance(got_ext, ValueOutOfRange)
-                    or got_base[x_base] != got_ext[x_ext]):
-                first = plan, setting, got_base, got_ext
+            if got_base[x_base] != got_ext[x_ext]:
+                context = dict(zip(base_rt.exo_names, base_exos[k]))
+                first = Counterexample(context, x_name, dict(zip(others, setting)),
+                                       got_base[x_base], got_ext[x_ext])
                 base_exos, ext_exos = base_exos[:k], ext_exos[:k]
                 break
-    if first is None:
-        return ExtensionReport(True)
-    (x_name, x_base, x_ext, others, _, _), setting, got_base, got_ext = first
-    for row in (got_base, got_ext):
-        if isinstance(row, ValueOutOfRange):
-            raise row
-    return ExtensionReport(
-        False,
-        Counterexample(
-            dict(zip(base_rt.exo_names, contexts[len(base_exos)][0])),
-            x_name,
-            dict(zip(others, setting)),
-            got_base[x_base],
-            got_ext[x_ext],
-        ),
-    )
+    return ExtensionReport(first is None, first)
 
 
 @dataclass(frozen=True)
@@ -326,11 +312,7 @@ def check_formula_agreement(
     contexts its prefixes flag, in order, which finds the same first
     disagreement.  It reads the worlds the masks solved, which its
     prefixes hand to the sessions once it is flagged, since a context one
-    prefix flags also reads the formula's other prefixes there.  A prefix
-    with an unsolvable world (`ValueOutOfRange`) flags every context, so
-    its formulas are decided, or raise, as by evaluation everywhere; the
-    extension is not solved under a prefix the base cannot solve, and is
-    solved world by world when a formula reads it.
+    prefix flags also reads the formula's other prefixes there.
 
     The prefixes come from the draw (`_draw`), and a formula's tree is
     built only when they flag a context.  It is never validated: it is
@@ -353,16 +335,10 @@ def check_formula_agreement(
 
     @functools.cache
     def differing(settings: tuple) -> int:
-        """Bit k set: the worlds differ in context k.  All set: one does not
-        solve; the extension is not solved where the base does not."""
+        """Bit k set: the worlds differ in context k."""
         in_base = solve_contexts(base, base_exos, {base_rt.endo_index[n]: x for n, x in settings})
-        in_ext = ()
-        if ValueOutOfRange not in map(type, in_base):
-            interventions = {ext_rt.endo_index[n]: x for n, x in settings}
-            in_ext = solve_contexts(extension, ext_exos, interventions)
+        in_ext = solve_contexts(extension, ext_exos, {ext_rt.endo_index[n]: x for n, x in settings})
         solved[settings] = in_base, in_ext
-        if not in_ext or ValueOutOfRange in map(type, in_ext):
-            return (1 << len(contexts)) - 1
         mask = 0
         for k, (world, other) in enumerate(zip(in_base, in_ext)):
             if world != project(other):
@@ -411,14 +387,7 @@ def is_conservative_extension_extended(
     under the total setting of the other base variables at their values
     there, where the plain check found X to take the same value in the base.
     So the restriction satisfies every base equation the setting leaves in
-    place, and a recursive model has one such world.  No base solve dropped
-    could raise: under a setting that leaves some base variable unset, the
-    first variable to leave its range would leave it under a total setting
-    of the other base variables, where the plain check would have raised;
-    and a setting of every base variable forces the whole base.  The
-    extension can still raise under a setting of every base variable,
-    which the plain check never makes; it is solved at every setting, in
-    the same order, so such an error is raised where it was.
+    place, and a recursive model has one such world.
 
     Each distinct extension world is compared once per context.  Both
     comparisons, base first, depend on that world alone, so a repeated
@@ -479,19 +448,11 @@ class RespectReport:
 
 
 def _deviations(rt, exo, values, idxs) -> list[tuple[int, int]]:
-    """(index, raw equation value) for each variable of `idxs` whose
-    equation, with every variable held at `values`, yields another value.
-    Read from the model's solver run with every variable forced, which
-    evaluates each equation on its parents' forced values (see
-    `_compile_solver`).  `values` must lie in their ranges, so no range
-    test fails; a raw value outside its range is returned as it is."""
-    raw = list(values)
-
-    def get(i, value):
-        raw[i] = value
-        return values[i]
-
-    rt.solve(exo, get)
+    """(index, equation value) for each variable of `idxs` whose equation,
+    with every variable held at `values`, yields another value.  Read from
+    the model's solver run with every variable forced, which evaluates
+    each equation on its parents' forced values (`model._equation_values`)."""
+    raw = _equation_values(rt, exo, values)
     return [(i, raw[i]) for i in idxs if raw[i] != values[i]]
 
 

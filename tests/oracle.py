@@ -45,6 +45,24 @@ def interpret(expr, env):
     raise TypeError(type(expr).__name__)
 
 
+def first_escape(model):
+    """The first value an equation gives outside its variable's range, as
+    (variable, value, parent assignment), or None when every equation is
+    total.  Equations are read in declaration order, and each one's parent
+    assignments in lexicographic order, its parents being the variables it
+    reads in declaration order, exogenous first."""
+    declared = model.signature.exogenous + model.signature.endogenous
+    for name, expr in model.equations:
+        reads = expr.variables()
+        parents = [(n, r) for n, r in declared if n in reads]
+        for values in itertools.product(*[r for _, r in parents]):
+            env = dict(zip([n for n, _ in parents], values))
+            value = interpret(expr, env)
+            if value not in model.range_of(name):
+                return name, value, env
+    return None
+
+
 def naive_solve(model, context, interventions=None):
     """Unique world by filtering all assignments against the equations."""
     solutions = naive_worlds(model, context, interventions)
@@ -340,7 +358,9 @@ def random_extension_pair(rng: random.Random, kind: str, max_endogenous=3):
       changes some relation;
     - "overflow": a new variable `Sum`s two others under a guard into the
       range (0, 1), which it can leave, and one base equation is routed
-      through a copy variable or rewired to read the sum.
+      through a copy variable or rewired to read the sum.  Where the sum can
+      leave the range the extension is not total, and the engine refuses it
+      when its runtime is built; these are the tests' non-total models.
 
     New variables sit at random places among the endogenous variables, and
     the exogenous variables are declared in a random order.

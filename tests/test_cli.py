@@ -195,6 +195,17 @@ def test_over_deep_equation_is_an_engine_error(capsys, tmp_path):
     assert code == 2 and "nested too deeply" in err and out == ""
 
 
+def test_a_non_total_equation_is_refused_at_load(capsys, tmp_path):
+    path = tmp_path / "sum.cm"
+    path.write_text("model sum\nexogenous U: {0,1}\nendogenous A: {0,1} = U\n"
+                    "endogenous B: {0,1} = U\nendogenous N: {0,1} = A + B\n"
+                    "context u { U = 0 }\n")
+    code, out, err = run(capsys, "cause", "-m", str(path), "-c", "u",
+                         "--cause", "A=0", "--effect", "B=0")
+    assert code == 2 and out == ""
+    assert err == "error: value 2 is not in the range of 'N', given by its equation at A=1, B=1\n"
+
+
 def test_eval_decides_a_long_chain(capsys):
     # a chain of one connective is walked, not recursed into, operand by operand
     conjunction = " & ".join(["BS=1"] * 1000)

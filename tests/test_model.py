@@ -29,7 +29,9 @@ from actualcause.model import (
     solve,
     solve_values,
 )
+from actualcause.dsl import parse_model
 from oracle import (
+    first_escape,
     interpret,
     naive_solve,
     naive_worlds,
@@ -37,6 +39,7 @@ from oracle import (
     random_context,
     random_extension_pair,
     random_multivalued_model,
+    random_symmetric_model,
 )
 
 
@@ -145,9 +148,19 @@ def test_signature_validation():
 
 
 def test_out_of_range_equation_value_raises():
+    """An equation that can leave its range is refused whenever the
+    runtime is built, by `check_recursive`, `parse_model` or the first
+    solve, with the variable, the value and its parents' values."""
     model = make_model({"U": (0, 1)}, {"A": (0, 1)}, {"A": Sum((Var("U"), Const(5)))})
-    with pytest.raises(ValueOutOfRange):
-        solve(model, {"U": 1})
+    text = "model m\nexogenous U: {0,1}\nendogenous A: {0,1} = U + 5\n"
+    for build in (check_recursive, lambda m: solve(m, {"U": 1}),
+                  lambda m: solve_values(m, (1,)), lambda m: parse_model(text)):
+        with pytest.raises(ValueOutOfRange) as err:
+            build(model)
+        assert (err.value.variable, err.value.value, err.value.assignment) == ("A", 5, {"U": 0})
+        assert str(err.value) == "value 5 is not in the range of 'A', given by its equation at U=0"
+    with pytest.raises(ValueOutOfRange, match=r"of 'A', given by its equation$"):
+        check_recursive(make_model({}, {"A": (0, 1)}, {"A": Const(2)}))
 
 
 def _compiled(expr, env):
@@ -274,18 +287,6 @@ def test_compiled_equations_match_interpreter():
 
 # -- the generated solver ------------------------------------------------------
 
-def _first_escape(model, context, forced):
-    """The first variable in `check_recursive` order whose equation leaves
-    its range, with that value, computed by the interpreter; None if none."""
-    env = dict(context)
-    for name in check_recursive(model):
-        value = forced[name] if name in forced else interpret(model.equation_of(name), env)
-        if value not in model.range_of(name):
-            return name, value
-        env[name] = value
-    return None
-
-
 def _settings(rng, model):
     """No intervention, two random ones, and one forcing every variable."""
     names = model.endogenous_names
@@ -299,92 +300,136 @@ def _settings(rng, model):
 
 def _check_solver_against_oracle(model, rng):
     rt = model._runtime()
-    escapes = 0
     for context in model.contexts():
         exo = context_values(model, context)
         for forced in _settings(rng, model):
             by_index = {rt.endo_index[n]: v for n, v in forced.items()}
-            worlds = naive_worlds(model, context, forced)
-            escape = _first_escape(model, context, forced)
-            if worlds:
-                assert escape is None and len(worlds) == 1
-                values = solve_values(model, exo, by_index)
-                assert dict(zip(rt.endo_names, values)) == worlds[0]
-            else:
-                with pytest.raises(ValueOutOfRange) as err:
-                    solve_values(model, exo, by_index)
-                assert (err.value.variable, err.value.value) == escape
-                escapes += 1
-    return escapes
+            values = solve_values(model, exo, by_index)
+            assert [dict(zip(rt.endo_names, values))] == naive_worlds(model, context, forced)
 
 
 def test_generated_solver_matches_oracle_on_random_models():
+    """Multi-valued models, and the extensions of "overflow" pairs that
+    are total, whose sums the value-set rule may leave unproven."""
     rng = random.Random(11)
-    escapes = 0
     for _ in range(100):
-        escapes += _check_solver_against_oracle(random_multivalued_model(rng), rng)
-    assert escapes == 0  # these equations stay in range by construction
+        _check_solver_against_oracle(random_multivalued_model(rng), rng)
+    total = 0
     for _ in range(100):
         base, extension = random_extension_pair(rng, "overflow")
-        escapes += _check_solver_against_oracle(extension, rng)
-        escapes += _check_solver_against_oracle(base, rng)
-    assert escapes > 100
+        _check_solver_against_oracle(base, rng)
+        if first_escape(extension) is None:
+            _check_solver_against_oracle(extension, rng)
+            total += 1
+    assert total >= 30, total
 
 
 def test_long_chain_solves_in_one_generated_function():
     n = 3000
-    endogenous = {f"A{i}": (0, 1) for i in range(n)}
+    endogenous = {f"A{i}": (0, 1) for i in range(n - 1)}
     equations = {"A0": Var("U")}
     equations.update({f"A{i}": Not(Var(f"A{i - 1}")) for i in range(1, n - 1)})
-    # the last link adds one, which leaves the range when its input is 1
+    # the last link adds one, into a range that holds both its values
     equations[f"A{n - 1}"] = Sum((Var(f"A{n - 2}"), Const(1)))
-    model = make_model({"U": (0, 1)}, endogenous, equations)
+    model = make_model({"U": (0, 1)}, {**endogenous, f"A{n - 1}": (1, 2)}, equations)
     assert solve_values(model, (0,)) == tuple(i % 2 for i in range(n - 1)) + (1,)
-    with pytest.raises(ValueOutOfRange) as err:
-        solve_values(model, (1,))
-    assert (err.value.variable, err.value.value) == (f"A{n - 1}", 2)
+    assert solve_values(model, (1,))[-2:] == (1, 2)
     # forcing the middle of the chain flips everything below it
     values = solve_values(model, (1,), {1500: 0})
     assert values[1499:1502] == (0, 0, 1) and values[-2:] == (0, 1)
+    # into (0, 1) the last link leaves its range where its input is 1
+    overflowing = make_model({"U": (0, 1)}, {**endogenous, f"A{n - 1}": (0, 1)}, equations)
+    with pytest.raises(ValueOutOfRange) as err:
+        check_recursive(overflowing)
+    assert (err.value.variable, err.value.value) == (f"A{n - 1}", 2)
+    assert err.value.assignment == {f"A{n - 2}": 1}
 
 
-@pytest.mark.parametrize("exogenous, endogenous, equations, context, escape", [
+@pytest.mark.parametrize("exogenous, endogenous, equations, escape", [
     # a copy of a wider-ranged endogenous variable
     ({"U": (0, 1, 2)}, {"A": (0, 1, 2), "B": (0, 1)},
-     {"A": Var("U"), "B": Var("A")}, (2,), ("B", 2)),
+     {"A": Var("U"), "B": Var("A")}, ("B", 2, {"A": 2})),
     # a copy of a wider-ranged exogenous variable
-    ({"U": (0, 1, 2)}, {"B": (0, 1)}, {"B": Var("U")}, (2,), ("B", 2)),
+    ({"U": (0, 1, 2)}, {"B": (0, 1)}, {"B": Var("U")}, ("B", 2, {"U": 2})),
     # a case arm with an out-of-range constant
     ({"U": (0, 1)}, {"A": (0, 1)},
      {"A": Case(arms=((Cmp("=", Var("U"), Const(1)), Const(5)),), default=Const(0))},
-     (1,), ("A", 5)),
+     ("A", 5, {"U": 1})),
     # a boolean equation into a range without 0
-    ({"U": (0, 1)}, {"A": (1, 2)}, {"A": Cmp("=", Var("U"), Const(1))}, (0,), ("A", 0)),
+    ({"U": (0, 1)}, {"A": (1, 2)}, {"A": Cmp("=", Var("U"), Const(1))}, ("A", 0, {"U": 0})),
     # a sum
-    ({"U": (0, 1)}, {"A": (0, 1)}, {"A": Sum((Var("U"), Var("U")))}, (1,), ("A", 2)),
+    ({"U": (0, 1)}, {"A": (0, 1)}, {"A": Sum((Var("U"), Var("U")))}, ("A", 2, {"U": 1})),
 ], ids=["endogenous-copy", "exogenous-copy", "case-arm", "boolean", "sum"])
-def test_unproven_equations_keep_their_range_test(
-    exogenous, endogenous, equations, context, escape
-):
+def test_unproven_equations_keep_their_range_test(exogenous, endogenous, equations, escape):
+    """An equation the value-set rule does not prove is tested at every
+    assignment of its parents when the runtime is built, and one that
+    leaves its range there refuses the model."""
     model = make_model(exogenous, endogenous, equations)
     with pytest.raises(ValueOutOfRange) as err:
-        solve_values(model, context)
-    assert (err.value.variable, err.value.value) == escape
+        check_recursive(model)
+    assert (err.value.variable, err.value.value, err.value.assignment) == escape
 
 
 def test_range_closure_rule():
-    from actualcause.model import _stays_in
+    from actualcause.model import _value_set
 
     ranges = {"U": frozenset((0, 1, 2)), "B": frozenset((0, 1))}
-    binary, shifted = frozenset((0, 1)), frozenset((1, 2))
-    assert _stays_in(Const(1), binary, ranges)
-    assert not _stays_in(Const(2), binary, ranges)
-    assert _stays_in(Cmp("=", Var("U"), Const(2)), binary, ranges)
-    assert _stays_in(Or((Var("U"), Not(Var("B")))), binary, ranges)
-    assert not _stays_in(And((Var("U"), Var("B"))), shifted, ranges)
-    assert _stays_in(Var("B"), binary, ranges)
-    assert not _stays_in(Var("U"), binary, ranges)
-    # a case passes on its arms and default, whatever its guards read
-    assert _stays_in(Case(((Var("U"), Var("B")),), Const(0)), binary, ranges)
-    assert not _stays_in(Case(((Var("B"), Const(1)),), Var("U")), binary, ranges)
-    assert not _stays_in(Sum((Const(0),)), binary, ranges)
+    assert _value_set(Const(2), ranges) == {2}
+    assert _value_set(Cmp("=", Var("U"), Const(2)), ranges) == {0, 1}
+    assert _value_set(Or((Var("U"), Not(Var("B")))), ranges) == {0, 1}
+    assert _value_set(Var("U"), ranges) == {0, 1, 2}
+    # a case gives its arms and default, whatever its guards read
+    assert _value_set(Case(((Var("U"), Var("B")),), Const(5)), ranges) == {0, 1, 5}
+    # a sum gives the set sum of its items
+    assert _value_set(Sum((Var("U"), Var("B"), Const(-1))), ranges) == {-1, 0, 1, 2}
+    assert _value_set(Sum((Not(Var("U")), Var("U"))), ranges) == {0, 1, 2, 3}
+    # a sum whose set would grow past the cap is not proven, nor a case over it
+    wide = {f"W{k}": frozenset((0, 1 << k)) for k in range(17)}
+    sum_of_powers = Sum(tuple(Var(n) for n in wide))
+    assert len(_value_set(Sum(sum_of_powers.items[:16]), wide)) == 2 ** 16
+    assert _value_set(sum_of_powers, wide) is None
+    assert _value_set(Case(((Const(1), sum_of_powers),), Const(0)), wide) is None
+
+
+def test_an_unproven_equation_past_the_enumeration_cap_is_refused():
+    """An equation with more parent assignments than the check enumerates
+    is refused, by name, unless the value-set rule proves it."""
+    parents = {f"W{k}": (0, 1) for k in range(17)}
+    total = {"S": (0, 1), "T": tuple(range(18))}
+    proven = {"S": Or(tuple(map(Var, parents))), "T": Sum(tuple(map(Var, parents)))}
+    check_recursive(make_model(parents, total, proven))
+    model = make_model(parents, {"S": (0, 1)}, {"S": Sum(tuple(map(Var, parents)))})
+    with pytest.raises(EngineError, match="equation of 'S' stays in its range") as err:
+        check_recursive(model)
+    assert not isinstance(err.value, ValueOutOfRange)
+
+
+def test_totality_check_matches_the_oracle_on_random_models():
+    """A model is refused exactly when the oracle finds an equation that
+    leaves its range at some assignment of its parents, and the refusal
+    names the oracle's first escape: on binary, multi-valued and symmetric
+    models, total by construction, and on the extensions of "overflow"
+    pairs, some of them total only because a guard keeps their sum in
+    range."""
+    rng = random.Random(23)
+    refused = accepted = 0
+    for trial in range(400):
+        kind = trial % 4
+        if kind == 0:
+            model = random_binary_model(rng)
+        elif kind == 1:
+            model = random_multivalued_model(rng)
+        elif kind == 2:
+            model = random_symmetric_model(rng)[0]
+        else:
+            model = random_extension_pair(rng, "overflow")[1]
+        escape = first_escape(model)
+        if escape is None:
+            check_recursive(model)
+            accepted += kind == 3
+        else:
+            with pytest.raises(ValueOutOfRange) as err:
+                check_recursive(model)
+            assert (err.value.variable, err.value.value, err.value.assignment) == escape, trial
+            refused += 1
+    assert refused >= 50 and accepted >= 10, (refused, accepted)
