@@ -344,8 +344,7 @@ def _interchangeable(rt) -> tuple:
     """
     if rt._classes is None:
         names, exprs = rt.endo_names, rt.exprs
-        exo_deps = [[v for v in expr.variables() if v in rt.exo_index] for expr in exprs]
-        shared = collections.Counter(v for reads in exo_deps for v in reads)
+        shared = collections.Counter(v for n in names for v in rt.exo_deps[n])
         per_bucket = []
         for bucket in rt.buckets:
             first = names[bucket[0]]
@@ -353,7 +352,8 @@ def _interchangeable(rt) -> tuple:
                        for c, n in enumerate(names) if first in rt.deps[n]]
             built: list[tuple[tuple, list]] = []
             for b in bucket:
-                private = sorted((rt.exo_index[v], v) for v in exo_deps[b] if shared[v] == 1)
+                private = sorted((rt.exo_index[v], v) for v in rt.exo_deps[names[b]]
+                                 if shared[v] == 1)
                 leaves = {v: ("p", k, rt.exo_ranges[j]) for k, (j, v) in enumerate(private)}
                 form, entry = _canon(exprs[b], leaves), (b, tuple(j for j, _ in private))
                 for own, members in built:

@@ -245,6 +245,17 @@ def _cmd_causes(args) -> int:
     return 0 if results else 1
 
 
+def _values(assignment: dict[str, int]) -> str:
+    return "{" + ", ".join(f"{n}={v}" for n, v in assignment.items()) + "}"
+
+
+def _counterexample(ce) -> str:
+    """A plain conservativity counterexample, as both commands print it."""
+    return (f"context {_values(ce.context)}, variable {ce.variable}, "
+            f"setting {_values(ce.setting)}, base {ce.value_base}, "
+            f"extension {ce.value_extension}")
+
+
 def _cmd_conservative(args) -> int:
     base = _load(args.base)
     extension = _load(args.extension)
@@ -253,11 +264,7 @@ def _cmd_conservative(args) -> int:
         print("conservative: true")
         return 0
     print("conservative: false")
-    ce = report.counterexample
-    setting = ", ".join(f"{n}={v}" for n, v in ce.setting.items())
-    context = ", ".join(f"{n}={v}" for n, v in ce.context.items())
-    print(f"counterexample: context {{{context}}}, variable {ce.variable}, "
-          f"setting {{{setting}}}, base {ce.value_base}, extension {ce.value_extension}")
+    print(f"counterexample: {_counterexample(report.counterexample)}")
     return 1
 
 
@@ -270,12 +277,11 @@ def _cmd_ce(args) -> int:
         return 0
     print("conservative: false")
     if report.counterexample is not None:
-        print(f"equation counterexample on {report.counterexample.variable}")
+        print(f"equation counterexample: {_counterexample(report.counterexample)}")
     if report.ce_counterexample is not None:
         ce = report.ce_counterexample
-        setting = ", ".join(f"{n}={v}" for n, v in ce.setting.items())
-        print(f"normality-threshold counterexample at setting {{{setting}}}: "
-              f"base {str(ce.normal_in_base).lower()}, "
+        print(f"normality-threshold counterexample: context {_values(ce.context)}, "
+              f"setting {_values(ce.setting)}: base {str(ce.normal_in_base).lower()}, "
               f"extension {str(ce.normal_in_extension).lower()}")
     return 1
 

@@ -403,7 +403,7 @@ class _Runtime:
     __slots__ = (
         "exo_names", "exo_index", "exo_ranges",
         "endo_names", "endo_index", "endo_ranges", "endo_range_sets",
-        "order", "solve", "deps", "exprs", "buckets", "_closures", "_classes",
+        "order", "solve", "deps", "exo_deps", "exprs", "buckets", "_closures", "_classes",
     )
 
     def __init__(self, model: "CausalModel"):
@@ -417,8 +417,9 @@ class _Runtime:
         self.endo_index = {n: i for i, n in enumerate(self.endo_names)}
 
         # variable name -> the endogenous variables its equation mentions,
-        # and the variables whose equations mention it
-        order_names, self.deps, readers = _dependency_order(model)
+        # the variables whose equations mention it, and the exogenous
+        # variables its equation mentions
+        order_names, self.deps, readers, self.exo_deps = _dependency_order(model)
         self.order = tuple(self.endo_index[n] for n in order_names)
 
         # the variables that share their range, their readers and their
@@ -569,19 +570,19 @@ def check_recursive(model: CausalModel) -> list[str]:
 
 def _dependency_order(
     model: CausalModel,
-) -> tuple[list[str], dict[str, list[str]], dict[str, list[str]]]:
+) -> tuple[list[str], dict[str, list[str]], dict[str, list[str]],
+           dict[str, frozenset[str]]]:
     """`check_recursive`'s order, the endogenous variables each equation
-    mentions, and the variables whose equations mention each one, in
-    declaration order."""
+    mentions and the variables whose equations mention each one, in
+    declaration order, and the set of exogenous variables each equation
+    mentions."""
     endo_names = [n for n, _ in model.signature.endogenous]
     index = {n: i for i, n in enumerate(endo_names)}
-    eqs = dict(model.equations)
-    deps = {
-        n: sorted(
-            (v for v in eqs[n].variables() if v in index), key=index.__getitem__
-        )
-        for n in endo_names
-    }
+    deps, exo_deps = {}, {}
+    for n, expr in model.equations:
+        reads = expr.variables()
+        deps[n] = sorted(reads.intersection(index), key=index.__getitem__)
+        exo_deps[n] = reads.difference(index)
     indegree = {n: len(deps[n]) for n in endo_names}
     dependents: dict[str, list[str]] = {n: [] for n in endo_names}
     for n, ds in deps.items():
@@ -616,7 +617,7 @@ def _dependency_order(
                 raise CyclicModel(sorted(cycle, key=index.__getitem__))
             trail.append(nxt)
             seen.add(nxt)
-    return order, deps, dependents
+    return order, deps, dependents, exo_deps
 
 
 def context_values(model: CausalModel, context: Mapping[str, int]) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ equations abnormal.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -140,66 +141,101 @@ def is_conservative_extension(
     other base variables, X must take the same value in both models (new
     variables simply follow their equations under those interventions).
 
-    Only the settings that can matter are enumerated.  With the other base
-    variables set, X's value in the base depends only on the base variables
-    its base equation reads.  In the extension it depends on those its
-    equation reads and on the new variables it reads, which follow from
-    the base variables that new equations read: `new_reads`, every base
-    variable any new equation reads, holds them all.  A variable outside
-    the union R takes only the first value of its range: the first
-    setting, in lexicographic order, with a counterexample has every
-    variable outside R at its first value, since moving them there gives a
-    setting no later with the same outcome.
+    Only the settings and contexts that can move X are enumerated.  With
+    the other base variables set, X's value in the base depends only on the
+    variables its base equation reads.  In the extension it depends on
+    those its equation reads, and on the new variables it reads.  A new
+    variable X reads follows from what its own equation reads: base
+    variables, which are set, exogenous ones, and new ones, which follow in
+    turn (none reads X, or the extension would be cyclic).  So X's values
+    in both models are a function of the variables in its reach: those
+    that X's equation reads in either model, and those read by the new
+    variables that feed X through new variables only.  Every equation is
+    total (`model._check_totality`), so no setting of a variable outside
+    the reach can stop a solve.
+
+    - A base variable outside the reach takes only the first value of its
+      range: the first setting, in lexicographic order, with a
+      counterexample has every such variable at its first value, since
+      moving them there gives a setting no later with the same outcome.
+    - Contexts that agree on the exogenous variables in the reach form a
+      class, on whose members X takes the same two values under every
+      setting; only the first context of each class is solved, the one
+      with every exogenous variable outside the reach at its first value.
+      The contexts where some setting makes X's values differ are a union
+      of classes, so the least of them is the first of its class and is
+      solved.
 
     The plan, each X and then each of its settings, is the outer loop, and
-    each setting is solved in every context in one `solve_contexts` call
-    per model.  The counterexample reported is still the first in
-    (context, X, setting) order, the one a loop over contexts first would
-    meet: the least context where some setting makes X's values differ
-    wins, and among the settings that fail there the first in the plan,
-    which is met first.  After a failure the later settings are solved
-    only in the contexts before it, and the check stops once the first
-    context has failed.  So a refused pair may enumerate the whole plan
-    rather than stop at its first failure; that costs no more than an
-    accepted pair of the same models, which solves every setting in every
-    context.
+    each setting is solved in the first contexts of X's classes in one
+    `solve_contexts` call per model.  The counterexample reported is still
+    the first in (context, X, setting) order, the one a loop over every
+    context, X and total setting would meet: the least context where some
+    setting makes X's values differ wins, and among the settings that fail
+    there the first in the plan, which is met first.  After a failure the
+    later settings are solved only in the contexts before it, so nothing
+    more is solved once the first context has failed.  A refused pair may
+    therefore enumerate the whole plan rather than stop at its first
+    failure; that costs no more than an accepted pair of the same models.
     """
     _require_extension_signature(extension, base)
     base_rt = base._runtime()
     ext_rt = extension._runtime()
     base_names = base_rt.endo_names
-    new_reads = {d for n in ext_rt.endo_names if n not in base_rt.endo_index
-                 for d in ext_rt.deps[n]}
+
+    def reach(name):
+        """The variables `name` reads in the extension, and the reach of
+        each new variable among them."""
+        deps = ext_rt.deps[name]
+        return set(deps).union(ext_rt.exo_deps[name], *[feeds[d] for d in deps if d in feeds])
+
+    feeds: dict[str, set] = {}  # new variable -> its reach
+    for i in ext_rt.order:
+        if ext_rt.endo_names[i] not in base_rt.endo_index:
+            feeds[ext_rt.endo_names[i]] = reach(ext_rt.endo_names[i])
+    contexts = list(_context_pairs(extension, base))
+    exo_names = frozenset(base_rt.exo_names)
+    # the exogenous variables in a reach -> the first context of each of
+    # their classes: its index in `contexts`, and its values in each model
+    classes: dict[frozenset, tuple] = {}
     # per X, built once: X, its index in each model, the other base
-    # variables and their indices in each model; and their ranges,
-    # restricted to the first value outside R
+    # variables and their indices in each model; their ranges, restricted
+    # to the first value outside the reach; and X's classes
     plans = []
     for x_name in base_names:
-        reads = new_reads.union(base_rt.deps[x_name], ext_rt.deps[x_name])
+        reads = reach(x_name).union(base_rt.deps[x_name], base_rt.exo_deps[x_name])
+        free = exo_names & reads
+        if free not in classes:
+            fixed = [(j, r[0]) for j, (n, r) in enumerate(base.signature.exogenous)
+                     if n not in free]
+            ks = [k for k, (exo, _) in enumerate(contexts) if all(exo[j] == v for j, v in fixed)]
+            classes[free] = ks, [contexts[k][0] for k in ks], [contexts[k][1] for k in ks]
         others = [n for n in base_names if n != x_name]
         base_idx = [base_rt.endo_index[n] for n in others]
         ranges = [base_rt.endo_ranges[i] if n in reads else base_rt.endo_ranges[i][:1]
                   for n, i in zip(others, base_idx)]
         plans.append(((x_name, base_rt.endo_index[x_name], ext_rt.endo_index[x_name],
-                       others, base_idx, [ext_rt.endo_index[n] for n in others]), ranges))
-    contexts = list(_context_pairs(extension, base))
-    # the contexts still to solve: those before the first failure so far
-    base_exos, ext_exos = [c[0] for c in contexts], [c[1] for c in contexts]
-    first = None  # the counterexample of that failure
-    steps = ((plan, setting) for plan, ranges in plans for setting in itertools.product(*ranges))
-    for plan, setting in steps:
-        if not base_exos:
-            break
+                       others, base_idx, [ext_rt.endo_index[n] for n in others]),
+                      ranges, classes[free]))
+    bound = len(contexts)  # the contexts still to solve: those before this index
+    first = None  # the counterexample of the failure there
+    for plan, ranges, (ks, base_exos, ext_exos) in plans:
         x_name, x_base, x_ext, others, base_idx, ext_idx = plan
-        in_base = solve_contexts(base, base_exos, dict(zip(base_idx, setting)))
-        in_ext = solve_contexts(extension, ext_exos, dict(zip(ext_idx, setting)))
-        for k, (got_base, got_ext) in enumerate(zip(in_base, in_ext)):
-            if got_base[x_base] != got_ext[x_ext]:
-                context = dict(zip(base_rt.exo_names, base_exos[k]))
-                first = Counterexample(context, x_name, dict(zip(others, setting)),
-                                       got_base[x_base], got_ext[x_ext])
-                base_exos, ext_exos = base_exos[:k], ext_exos[:k]
+        if first is not None:
+            live = bisect.bisect_left(ks, bound)
+            ks, base_exos, ext_exos = ks[:live], base_exos[:live], ext_exos[:live]
+        for setting in itertools.product(*ranges):
+            if not ks:
                 break
+            in_base = solve_contexts(base, base_exos, dict(zip(base_idx, setting)))
+            in_ext = solve_contexts(extension, ext_exos, dict(zip(ext_idx, setting)))
+            for p, (got_base, got_ext) in enumerate(zip(in_base, in_ext)):
+                if got_base[x_base] != got_ext[x_ext]:
+                    bound, context = ks[p], dict(zip(base_rt.exo_names, base_exos[p]))
+                    first = Counterexample(context, x_name, dict(zip(others, setting)),
+                                           got_base[x_base], got_ext[x_ext])
+                    ks, base_exos, ext_exos = ks[:p], base_exos[:p], ext_exos[:p]
+                    break
     return ExtensionReport(first is None, first)
 
 
@@ -385,8 +421,10 @@ def is_conservative_extension_extended(
     Take a base variable X the setting leaves unset.  The new variables
     follow from the base ones, so the extension's world is also its world
     under the total setting of the other base variables at their values
-    there, where the plain check found X to take the same value in the base.
-    So the restriction satisfies every base equation the setting leaves in
+    there, where the plain check found X to take the same value in the base:
+    it solves only some settings and contexts, but by the argument in its
+    docstring it covers every total setting in every context.  So the
+    restriction satisfies every base equation the setting leaves in
     place, and a recursive model has one such world.
 
     Each distinct extension world is compared once per context.  Both

@@ -90,6 +90,51 @@ def test_ce_command(capsys):
     assert code == 0 and "conservative: true" in out
 
 
+def _write_pair(tmp_path, base_text, ext_text):
+    """The base and the extension written as .cm files, base first."""
+    paths = tmp_path / "base.cm", tmp_path / "ext.cm"
+    for path, text in zip(paths, (base_text, ext_text)):
+        path.write_text(text)
+    return [str(p) for p in paths]
+
+
+# X reads U only through the new variable N, and differs at U=1, A=1
+PLAIN_BASE = ("model base\nexogenous U: {0,1}\nexogenous W: {0,1}\n"
+              "endogenous A: {0,1} = W\nendogenous X: {0,1} = A\n"
+              "context u { U = 1; W = 0 }\nnormality ranks { default -> 0 }\n")
+PLAIN_EXT = ("model ext\nexogenous U: {0,1}\nexogenous W: {0,1}\n"
+             "endogenous A: {0,1} = W\nendogenous N: {0,1} = U\n"
+             "endogenous X: {0,1} = case { N = 1 & A = 1 -> 0; default -> A }\n"
+             "context u { U = 1; W = 0 }\nnormality ranks { default -> 0 }\n")
+PLAIN_LINE = "context {U=1, W=0}, variable X, setting {A=1}, base 1, extension 0"
+
+
+def test_conservative_prints_the_counterexample(capsys, tmp_path):
+    base, ext = _write_pair(tmp_path, PLAIN_BASE, PLAIN_EXT)
+    code, out, _ = run(capsys, "conservative", "-m1", base, "-m2", ext)
+    assert code == 1
+    assert out.splitlines() == ["conservative: false", f"counterexample: {PLAIN_LINE}"]
+
+
+def test_ce_prints_both_kinds_of_counterexample(capsys, tmp_path):
+    """An equation counterexample with its context, setting and values, as
+    `conservative` prints it, and a normality-threshold one with its
+    context: the same equations, but the extension ranks A=0 abnormal."""
+    base, ext = _write_pair(tmp_path, PLAIN_BASE, PLAIN_EXT)
+    code, out, _ = run(capsys, "ce", "-m1", base, "-m2", ext)
+    assert code == 1
+    assert out.splitlines() == ["conservative: false", f"equation counterexample: {PLAIN_LINE}"]
+    ranked = PLAIN_BASE.replace("{ default", "{ A = 0 -> 1; default")
+    base, ext = _write_pair(tmp_path, PLAIN_BASE, ranked)
+    code, out, _ = run(capsys, "ce", "-m1", base, "-m2", ext)
+    assert code == 1
+    assert out.splitlines() == [
+        "conservative: false",
+        "normality-threshold counterexample: context {U=0, W=1}, setting {A=0}: "
+        "base true, extension false",
+    ]
+
+
 def test_kill_witnesses_emits_parseable_model(capsys):
     code, out, _ = run(capsys, "kill-witnesses", "-m", HOPKINS, "-c", "u",
                        "--cause", "A=1", "--effect", "D=1")

@@ -26,6 +26,7 @@ from actualcause.errors import (
     ValueOutOfRange,
     WitnessEqualsActual,
 )
+from actualcause.corpus import CONSERVATIVE_PAIRS
 from actualcause.dsl import parse_model
 from actualcause.formula import Held, PrimitiveEvent, eval_formula
 from actualcause.model import solve
@@ -511,8 +512,21 @@ def test_conservativity_enumerates_only_the_settings_that_matter(doc, solved_row
     report = is_conservative_extension(
         doc("glymour_mechanisms").model, doc("glymour_naive").model
     )
-    # every total setting of the other variables would be 12,288 solves
-    assert report.is_conservative and len(calls) <= 7168, len(calls)
+    # every total setting of the other variables in every context would be
+    # 12,288 solves, the settings that can reach X 2,368
+    assert report.is_conservative and len(calls) == 84, len(calls)
+
+
+def test_conservativity_solves_the_bundled_pairs_in_1040_rows(doc, solved_rows):
+    """The 15 bundled conservative pairs, each X solved only under the
+    settings of its reach and in the first context of each class: 21,412
+    rows when every base variable any new equation read was enumerated in
+    every context."""
+    calls = solved_rows(transforms)
+    for ext_name, base_name in CONSERVATIVE_PAIRS:
+        pair = doc(ext_name).model, doc(base_name).model
+        assert is_conservative_extension(*pair).is_conservative, ext_name
+    assert len(calls) == 1040, len(calls)
 
 
 def test_conservativity_enumerates_what_the_extension_reads():
@@ -535,18 +549,15 @@ def test_conservativity_enumerates_what_the_extension_reads():
 
 def _context_first_conservativity(extension, base):
     """`is_conservative_extension` as a loop over contexts, then X, then
-    the settings that matter, each solved by `solve_values` in the base
-    and then in the extension: the first failure met is reported."""
+    every total setting of the other base variables, with no pruning, each
+    solved by `solve_values` in the base and then in the extension: the
+    first failure met is reported."""
     base_rt, ext_rt = base._runtime(), extension._runtime()
     names = base_rt.endo_names
-    new_reads = {d for n in ext_rt.endo_names if n not in base_rt.endo_index
-                 for d in ext_rt.deps[n]}
     for exo, exo_ext in transforms._context_pairs(extension, base):
         for x in names:
-            reads = new_reads.union(base_rt.deps[x], ext_rt.deps[x])
             others = [n for n in names if n != x]
-            ranges = [base.range_of(n) if n in reads else base.range_of(n)[:1] for n in others]
-            for setting in itertools.product(*ranges):
+            for setting in itertools.product(*map(base.range_of, others)):
                 got_base = md.solve_values(base, exo, {
                     base_rt.endo_index[n]: v for n, v in zip(others, setting)
                 })[base_rt.endo_index[x]]
@@ -579,9 +590,10 @@ def _rewritten_pair(contexts, ext_a, ext_b, base_a=md.Const(0)):
 
 
 def test_conservativity_fails_first_where_the_context_first_loop_did():
-    """The check runs X and the settings outside, the contexts inside, yet
-    it reports the same first counterexample as the loop over contexts
-    first, or is refused with the same escape: on the random pairs,
+    """The check runs X and the settings outside, the contexts inside, and
+    prunes both, yet it reports the same first counterexample as the loop
+    over every context first, then X, then every total setting, or is
+    refused with the same escape: on the random pairs,
     overflow kinds included, and on pairs where counterexamples of two X,
     or of two settings of one X, compete in one context or in two."""
     outcomes = set()
@@ -610,6 +622,58 @@ def test_conservativity_fails_first_where_the_context_first_loop_did():
          ({"U": 1}, "A", {"B": 1})),
     ]
     for (extension, base), want in cases:
+        got = is_conservative_extension(extension, base)
+        assert got == _context_first_conservativity(extension, base)
+        ce = got.counterexample
+        assert (ce.context, ce.variable, ce.setting) == want, got
+
+
+def test_conservativity_fails_first_in_a_later_class_of_contexts():
+    """X reads exogenous variables only through new variables, so only the
+    contexts that differ on them are solved for X, and the first
+    counterexample lies in a later class than the first context's.  The
+    check finds it where the loop over every context and total setting
+    does: with one exogenous variable read through N; with two read
+    through a chain N1 -> N2 that also reads the base variable B, which X
+    reads only that way, and the extension declaring its exogenous
+    variables in another order; with one that only the base equation
+    reads; and with two X whose classes differ, declared in either order,
+    the one that fails in the earlier context winning."""
+    def eq(name, k):
+        return md.Cmp("=", md.Var(name), md.Const(k))
+
+    def make(exogenous, endogenous, equations):
+        return md.make_model(exogenous, dict.fromkeys(endogenous, (0, 1)), equations)
+
+    cases = []
+    # X reads U only through N
+    exogenous = {"U": (0, 1), "W": (0, 1)}
+    base = make(exogenous, ["A", "X"], {"A": md.Var("W"), "X": md.Var("A")})
+    extension = make(exogenous, ["A", "N", "X"], {
+        "A": md.Var("W"), "N": md.Var("U"),
+        "X": md.Case(((md.conj([eq("N", 1), eq("A", 1)]), md.Const(0)),), md.Var("A"))})
+    cases.append((extension, base, ({"U": 1, "W": 0}, "X", {"A": 1})))
+    # X reads U, W and B only through N1 -> N2; A, C and Z lie outside its reach
+    exogenous = {"U": (0, 1), "W": (0, 1, 2), "Z": (0, 1)}
+    equations = {"A": md.Var("U"), "B": md.Var("Z"), "C": md.Const(0)}
+    base = make(exogenous, ["A", "B", "X", "C"], {**equations, "X": md.Const(0)})
+    extension = make(dict(reversed(exogenous.items())), ["A", "B", "N1", "N2", "X", "C"], {
+        **equations, "N1": md.Var("U"),
+        "N2": md.Case(((md.conj([eq("W", 2), eq("B", 1)]), md.Var("N1")),), md.Const(0)),
+        "X": md.Var("N2")})
+    cases.append((extension, base, ({"U": 1, "W": 2, "Z": 0}, "X", {"A": 0, "B": 1, "C": 0})))
+    # X reads W in the base only
+    exogenous = {"U": (0, 1), "W": (0, 1)}
+    base = make(exogenous, ["X"], {"X": md.Var("W")})
+    cases.append((make(exogenous, ["X"], {"X": md.Const(0)}), base, ({"U": 0, "W": 1}, "X", {})))
+    # P fails first in context (U=0, W=1), through M; Q in (U=1, W=0), through N
+    news = {"M": md.Var("W"), "N": md.Var("U")}
+    for names in (["P", "Q"], ["Q", "P"]):
+        base = make(exogenous, names, {"P": md.Const(0), "Q": md.Const(0)})
+        extension = make(exogenous, [*news, *names],
+                         {**news, "P": md.Var("M"), "Q": md.Var("N")})
+        cases.append((extension, base, ({"U": 0, "W": 1}, "P", {"Q": 0})))
+    for extension, base, want in cases:
         got = is_conservative_extension(extension, base)
         assert got == _context_first_conservativity(extension, base)
         ce = got.counterexample
