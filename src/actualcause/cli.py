@@ -82,10 +82,6 @@ def _load(path: str) -> ModelDocument:
     return parse_model(text)
 
 
-def _subject(doc: ModelDocument, variant: RuleVariant):
-    return doc.extended() if variant is RuleVariant.EXTENDED else doc.model
-
-
 def _witness_json(witness: Witness) -> dict:
     return {
         "vars": list(witness.vars),
@@ -203,7 +199,7 @@ def _cmd_eval(args) -> int:
 def _cmd_cause(args) -> int:
     doc = _load(args.model)
     variant = RuleVariant.coerce(args.variant)
-    subject = _subject(doc, variant)
+    subject = doc.subject(variant)
     cause = parse_cause(args.cause, doc.model)
     effect = parse_formula(args.effect, doc.model)
     budget = SearchBudget(args.budget) if args.budget is not None else None
@@ -220,7 +216,7 @@ def _cmd_cause(args) -> int:
 def _cmd_causes(args) -> int:
     doc = _load(args.model)
     variant = RuleVariant.coerce(args.variant)
-    subject = _subject(doc, variant)
+    subject = doc.subject(variant)
     effect = parse_formula(args.effect, doc.model)
     budget = SearchBudget(args.budget) if args.budget is not None else None
     results = find_all_causes(

@@ -52,157 +52,153 @@ class CorpusCase:
     witness: Witness | None = None
 
 
-def _case(id, model, context, cause, effect, variant, expect, note, **kw):
-    return CorpusCase(id, model, context, cause, effect, variant, expect, note, **kw)
-
-
 CASES: tuple[CorpusCase, ...] = (
     # -- rock throwing -------------------------------------------------------
-    _case("rt_naive_st", "rock_throwing_naive", "u1", "ST=1", "BS=1", "updated",
-          "cause", "symmetric model: the first throw shatters"),
-    _case("rt_naive_bt", "rock_throwing_naive", "u1", "BT=1", "BS=1", "updated",
-          "cause", "symmetric model: the second throw shatters too"),
-    _case("rt_detail_st", "rock_throwing_detailed", "u1", "ST=1", "BS=1", "updated",
-          "cause", "with hits modeled, the arriving throw stays a cause"),
-    _case("rt_detail_bt", "rock_throwing_detailed", "u1", "BT=1", "BS=1", "updated",
-          "not-cause", "the preempted throw is no longer a cause"),
+    CorpusCase("rt_naive_st", "rock_throwing_naive", "u1", "ST=1", "BS=1", "updated",
+               "cause", "symmetric model: the first throw shatters"),
+    CorpusCase("rt_naive_bt", "rock_throwing_naive", "u1", "BT=1", "BS=1", "updated",
+               "cause", "symmetric model: the second throw shatters too"),
+    CorpusCase("rt_detail_st", "rock_throwing_detailed", "u1", "ST=1", "BS=1", "updated",
+               "cause", "with hits modeled, the arriving throw stays a cause"),
+    CorpusCase("rt_detail_bt", "rock_throwing_detailed", "u1", "BT=1", "BS=1", "updated",
+               "not-cause", "the preempted throw is no longer a cause"),
     # -- selector switch -----------------------------------------------------
-    _case("spohn_sw_a", "spohn_switch", "u", "A=1", "C=1", "updated",
-          "not-cause", "the dead route's source is not a cause"),
-    _case("spohn_sw_b", "spohn_switch", "u", "B=1", "C=1", "updated",
-          "cause", "the live route's source is a cause"),
-    _case("spohn_sw_s", "spohn_switch", "u", "S=1", "C=1", "updated",
-          "cause", "the switch position is a cause"),
-    _case("spohn_alt_a", "spohn_alternate", "u", "A=1", "C=1", "updated",
-          "cause", "under the other wiring story all three count"),
-    _case("spohn_alt_b", "spohn_alternate", "u", "B=1", "C=1", "updated",
-          "cause", "under the other wiring story all three count"),
-    _case("spohn_alt_s", "spohn_alternate", "u", "S=1", "C=1", "updated",
-          "cause", "under the other wiring story all three count"),
+    CorpusCase("spohn_sw_a", "spohn_switch", "u", "A=1", "C=1", "updated",
+               "not-cause", "the dead route's source is not a cause"),
+    CorpusCase("spohn_sw_b", "spohn_switch", "u", "B=1", "C=1", "updated",
+               "cause", "the live route's source is a cause"),
+    CorpusCase("spohn_sw_s", "spohn_switch", "u", "S=1", "C=1", "updated",
+               "cause", "the switch position is a cause"),
+    CorpusCase("spohn_alt_a", "spohn_alternate", "u", "A=1", "C=1", "updated",
+               "cause", "under the other wiring story all three count"),
+    CorpusCase("spohn_alt_b", "spohn_alternate", "u", "B=1", "C=1", "updated",
+               "cause", "under the other wiring story all three count"),
+    CorpusCase("spohn_alt_s", "spohn_alternate", "u", "S=1", "C=1", "updated",
+               "cause", "under the other wiring story all three count"),
     # -- three-position lamp -------------------------------------------------
-    _case("weslake_naive_a", "weslake_naive", "u", "A=1", "L=1", "updated",
-          "cause", "bare agreement equation makes the odd switch a cause"),
-    _case("weslake_naive_b", "weslake_naive", "u", "B=-1", "L=1", "updated",
-          "cause", "an agreeing switch is a cause"),
-    _case("weslake_naive_c", "weslake_naive", "u", "C=-1", "L=1", "updated",
-          "cause", "an agreeing switch is a cause"),
-    _case("weslake_two_a", "weslake_two", "u", "A=1", "L=1", "updated",
-          "not-cause", "with pair indicators the odd switch drops out"),
-    _case("weslake_two_b", "weslake_two", "u", "B=-1", "L=1", "updated",
-          "cause", "agreeing switches stay causes"),
-    _case("weslake_not_a", "weslake_not", "u", "A=1", "L=1", "updated",
-          "cause", "with avoidance indicators the odd switch is a cause"),
+    CorpusCase("weslake_naive_a", "weslake_naive", "u", "A=1", "L=1", "updated",
+               "cause", "bare agreement equation makes the odd switch a cause"),
+    CorpusCase("weslake_naive_b", "weslake_naive", "u", "B=-1", "L=1", "updated",
+               "cause", "an agreeing switch is a cause"),
+    CorpusCase("weslake_naive_c", "weslake_naive", "u", "C=-1", "L=1", "updated",
+               "cause", "an agreeing switch is a cause"),
+    CorpusCase("weslake_two_a", "weslake_two", "u", "A=1", "L=1", "updated",
+               "not-cause", "with pair indicators the odd switch drops out"),
+    CorpusCase("weslake_two_b", "weslake_two", "u", "B=-1", "L=1", "updated",
+               "cause", "agreeing switches stay causes"),
+    CorpusCase("weslake_not_a", "weslake_not", "u", "A=1", "L=1", "updated",
+               "cause", "with avoidance indicators the odd switch is a cause"),
     # -- two canvassers ------------------------------------------------------
-    _case("hall_m_d_e", "hall_agents", "u", "D=1", "E=1", "updated",
-          "cause", "each report drives its own record"),
-    _case("hall_m_d_b", "hall_agents", "u", "D=1", "B=1", "updated",
-          "not-cause", "reports do not cross over"),
-    _case("hall_mp_d_b", "hall_tabulator", "u", "D=1", "B=1", "updated",
-          "cause", "via the agreement report, D now feeds B"),
-    _case("hall_mp_d_e", "hall_tabulator", "u", "D=1", "E=1", "updated",
-          "cause", "D still drives its own record"),
+    CorpusCase("hall_m_d_e", "hall_agents", "u", "D=1", "E=1", "updated",
+               "cause", "each report drives its own record"),
+    CorpusCase("hall_m_d_b", "hall_agents", "u", "D=1", "B=1", "updated",
+               "not-cause", "reports do not cross over"),
+    CorpusCase("hall_mp_d_b", "hall_tabulator", "u", "D=1", "B=1", "updated",
+               "cause", "via the agreement report, D now feeds B"),
+    CorpusCase("hall_mp_d_e", "hall_tabulator", "u", "D=1", "E=1", "updated",
+               "cause", "D still drives its own record"),
     # -- ranch vote ----------------------------------------------------------
-    _case("glymour_naive_a1", "glymour_naive", "u", "A1=1", "O=1", "updated",
-          "cause", "plain outcome equation: every vote counts"),
-    _case("glymour_naive_a2", "glymour_naive", "u", "A2=1", "O=1", "updated",
-          "cause", "plain outcome equation: every vote counts"),
-    _case("glymour_naive_a3", "glymour_naive", "u", "A3=0", "O=1", "updated",
-          "cause", "plain outcome equation: even the losing votes count"),
-    _case("glymour_naive_a4", "glymour_naive", "u", "A4=0", "O=1", "updated",
-          "cause", "plain outcome equation: even the losing votes count"),
-    _case("glymour_naive_a5", "glymour_naive", "u", "A5=0", "O=1", "updated",
-          "cause", "plain outcome equation: even the losing votes count"),
-    _case("glymour_mech_a1", "glymour_mechanisms", "u", "A1=1", "O=1", "updated",
-          "cause", "the agreement mechanism needed the first leader"),
-    _case("glymour_mech_a2", "glymour_mechanisms", "u", "A2=1", "O=1", "updated",
-          "cause", "the agreement mechanism needed the second leader"),
-    _case("glymour_mech_m2", "glymour_mechanisms", "u", "M2=1", "O=1", "updated",
-          "cause", "the active mechanism itself is a cause"),
-    _case("glymour_mech_a3", "glymour_mechanisms", "u", "A3=0", "O=1", "updated",
-          "not-cause", "with mechanisms explicit the losing votes drop out"),
-    _case("glymour_mech_a4", "glymour_mechanisms", "u", "A4=0", "O=1", "updated",
-          "not-cause", "with mechanisms explicit the losing votes drop out"),
-    _case("glymour_mech_a5", "glymour_mechanisms", "u", "A5=0", "O=1", "updated",
-          "not-cause", "with mechanisms explicit the losing votes drop out"),
-    _case("glymour_alt_a1", "glymour_mechanisms_alt", "u", "A1=1", "O=1", "updated",
-          "cause", "under the other mechanism story all five count"),
-    _case("glymour_alt_a2", "glymour_mechanisms_alt", "u", "A2=1", "O=1", "updated",
-          "cause", "under the other mechanism story all five count"),
-    _case("glymour_alt_a3", "glymour_mechanisms_alt", "u", "A3=0", "O=1", "updated",
-          "cause", "under the other mechanism story all five count"),
-    _case("glymour_alt_a4", "glymour_mechanisms_alt", "u", "A4=0", "O=1", "updated",
-          "cause", "under the other mechanism story all five count"),
-    _case("glymour_alt_a5", "glymour_mechanisms_alt", "u", "A5=0", "O=1", "updated",
-          "cause", "under the other mechanism story all five count"),
+    CorpusCase("glymour_naive_a1", "glymour_naive", "u", "A1=1", "O=1", "updated",
+               "cause", "plain outcome equation: every vote counts"),
+    CorpusCase("glymour_naive_a2", "glymour_naive", "u", "A2=1", "O=1", "updated",
+               "cause", "plain outcome equation: every vote counts"),
+    CorpusCase("glymour_naive_a3", "glymour_naive", "u", "A3=0", "O=1", "updated",
+               "cause", "plain outcome equation: even the losing votes count"),
+    CorpusCase("glymour_naive_a4", "glymour_naive", "u", "A4=0", "O=1", "updated",
+               "cause", "plain outcome equation: even the losing votes count"),
+    CorpusCase("glymour_naive_a5", "glymour_naive", "u", "A5=0", "O=1", "updated",
+               "cause", "plain outcome equation: even the losing votes count"),
+    CorpusCase("glymour_mech_a1", "glymour_mechanisms", "u", "A1=1", "O=1", "updated",
+               "cause", "the agreement mechanism needed the first leader"),
+    CorpusCase("glymour_mech_a2", "glymour_mechanisms", "u", "A2=1", "O=1", "updated",
+               "cause", "the agreement mechanism needed the second leader"),
+    CorpusCase("glymour_mech_m2", "glymour_mechanisms", "u", "M2=1", "O=1", "updated",
+               "cause", "the active mechanism itself is a cause"),
+    CorpusCase("glymour_mech_a3", "glymour_mechanisms", "u", "A3=0", "O=1", "updated",
+               "not-cause", "with mechanisms explicit the losing votes drop out"),
+    CorpusCase("glymour_mech_a4", "glymour_mechanisms", "u", "A4=0", "O=1", "updated",
+               "not-cause", "with mechanisms explicit the losing votes drop out"),
+    CorpusCase("glymour_mech_a5", "glymour_mechanisms", "u", "A5=0", "O=1", "updated",
+               "not-cause", "with mechanisms explicit the losing votes drop out"),
+    CorpusCase("glymour_alt_a1", "glymour_mechanisms_alt", "u", "A1=1", "O=1", "updated",
+               "cause", "under the other mechanism story all five count"),
+    CorpusCase("glymour_alt_a2", "glymour_mechanisms_alt", "u", "A2=1", "O=1", "updated",
+               "cause", "under the other mechanism story all five count"),
+    CorpusCase("glymour_alt_a3", "glymour_mechanisms_alt", "u", "A3=0", "O=1", "updated",
+               "cause", "under the other mechanism story all five count"),
+    CorpusCase("glymour_alt_a4", "glymour_mechanisms_alt", "u", "A4=0", "O=1", "updated",
+               "cause", "under the other mechanism story all five count"),
+    CorpusCase("glymour_alt_a5", "glymour_mechanisms_alt", "u", "A5=0", "O=1", "updated",
+               "cause", "under the other mechanism story all five count"),
     # -- lopsided district ---------------------------------------------------
-    _case("liv_exo_jack", "livengood_exopref", "u1", "PJack=0", "O=2", "updated",
-          "not-cause", "with preferences exogenous, the loyalist's abstention is idle"),
-    _case("liv_exo_jill", "livengood_exopref", "u1", "PJill=0", "O=2", "updated",
-          "cause", "the dissenter's abstention matters"),
-    _case("liv_norm_jack_plain", "livengood_normality", "u1", "Jack=0", "O=2", "updated",
-          "cause", "without normality both abstentions count"),
-    _case("liv_norm_jack", "livengood_normality", "u1", "Jack=0", "O=2", "extended",
-          "not-cause", "Jack's only witnesses need his abnormal vote"),
-    _case("liv_norm_jill", "livengood_normality", "u1", "Jill=0", "O=2", "extended",
-          "cause", "Jill has a fully normal witness"),
+    CorpusCase("liv_exo_jack", "livengood_exopref", "u1", "PJack=0", "O=2", "updated",
+               "not-cause", "with preferences exogenous, the loyalist's abstention is idle"),
+    CorpusCase("liv_exo_jill", "livengood_exopref", "u1", "PJill=0", "O=2", "updated",
+               "cause", "the dissenter's abstention matters"),
+    CorpusCase("liv_norm_jack_plain", "livengood_normality", "u1", "Jack=0", "O=2", "updated",
+               "cause", "without normality both abstentions count"),
+    CorpusCase("liv_norm_jack", "livengood_normality", "u1", "Jack=0", "O=2", "extended",
+               "not-cause", "Jack's only witnesses need his abnormal vote"),
+    CorpusCase("liv_norm_jill", "livengood_normality", "u1", "Jill=0", "O=2", "extended",
+               "cause", "Jill has a fully normal witness"),
     # -- three-way plurality -------------------------------------------------
-    _case("liv520_v6", "livengood_5_2_0", "u", "V6=1", "O=0", "updated",
-          "cause", "a vote for the runner-up causes the winner's win"),
-    _case("liv520_v7", "livengood_5_2_0", "u", "V7=1", "O=0", "updated",
-          "cause", "a vote for the runner-up causes the winner's win"),
-    _case("liv1720_v18", "livengood_17_2_0", "u", "V18=1", "O=0", "updated",
-          "cause", "full-size tally, checked against one stated witness",
-          witness=Witness(tuple(f"V{i}" for i in range(1, 9)), (2,) * 8, (2,))),
+    CorpusCase("liv520_v6", "livengood_5_2_0", "u", "V6=1", "O=0", "updated",
+               "cause", "a vote for the runner-up causes the winner's win"),
+    CorpusCase("liv520_v7", "livengood_5_2_0", "u", "V7=1", "O=0", "updated",
+               "cause", "a vote for the runner-up causes the winner's win"),
+    CorpusCase("liv1720_v18", "livengood_17_2_0", "u", "V18=1", "O=0", "updated",
+               "cause", "full-size tally, checked against one stated witness",
+               witness=Witness(tuple(f"V{i}" for i in range(1, 9)), (2,) * 8, (2,))),
     # -- loaded gun ----------------------------------------------------------
-    _case("hp_a_original", "hopkins_pearl", "u", "A=1", "D=1", "original",
-          "cause", "fixed-contingency rules accept the idle loader"),
-    _case("hp_a_updated", "hopkins_pearl", "u", "A=1", "D=1", "updated",
-          "not-cause", "subset-robust rules reject the idle loader"),
-    _case("hp_c_updated", "hopkins_pearl", "u", "C=1", "D=1", "updated",
-          "cause", "the shooter is a cause under either rule"),
-    _case("hp_c_original", "hopkins_pearl", "u", "C=1", "D=1", "original",
-          "cause", "the shooter is a cause under either rule"),
-    _case("hpe_b_original", "hopkins_pearl_e", "u", "B=0", "D=1", "original",
-          "not-cause", "with the route named, the non-shooter drops out"),
-    _case("hpe_b_updated", "hopkins_pearl_e", "u", "B=0", "D=1", "updated",
-          "not-cause", "with the route named, the non-shooter drops out"),
-    _case("hpe_a_original", "hopkins_pearl_e", "u", "A=1", "D=1", "original",
-          "not-cause", "the named route fixes the fixed-contingency rules too"),
-    _case("hpe_c_updated", "hopkins_pearl_e", "u", "C=1", "D=1", "updated",
-          "cause", "the shooter survives the refinement"),
+    CorpusCase("hp_a_original", "hopkins_pearl", "u", "A=1", "D=1", "original",
+               "cause", "fixed-contingency rules accept the idle loader"),
+    CorpusCase("hp_a_updated", "hopkins_pearl", "u", "A=1", "D=1", "updated",
+               "not-cause", "subset-robust rules reject the idle loader"),
+    CorpusCase("hp_c_updated", "hopkins_pearl", "u", "C=1", "D=1", "updated",
+               "cause", "the shooter is a cause under either rule"),
+    CorpusCase("hp_c_original", "hopkins_pearl", "u", "C=1", "D=1", "original",
+               "cause", "the shooter is a cause under either rule"),
+    CorpusCase("hpe_b_original", "hopkins_pearl_e", "u", "B=0", "D=1", "original",
+               "not-cause", "with the route named, the non-shooter drops out"),
+    CorpusCase("hpe_b_updated", "hopkins_pearl_e", "u", "B=0", "D=1", "updated",
+               "not-cause", "with the route named, the non-shooter drops out"),
+    CorpusCase("hpe_a_original", "hopkins_pearl_e", "u", "A=1", "D=1", "original",
+               "not-cause", "the named route fixes the fixed-contingency rules too"),
+    CorpusCase("hpe_c_updated", "hopkins_pearl_e", "u", "C=1", "D=1", "updated",
+               "cause", "the shooter survives the refinement"),
     # -- poisoned coffee -----------------------------------------------------
-    _case("bogus_b_plain", "bogus_prevention", "u", "B=1", "VS=1", "updated",
-          "cause", "bare model wrongly blesses the antidote"),
-    _case("bogus_b_ext", "bogus_prevention", "u", "B=1", "VS=1", "extended",
-          "not-cause", "its witnesses all need the abnormal poisoning"),
-    _case("bogus_a_ext", "bogus_prevention", "u", "A=1", "VS=1", "extended",
-          "not-cause", "restraint is not a cause once poisoning is abnormal"),
-    _case("bogus_pn_b", "bogus_prevention_pn", "u", "B=1", "VS=1", "updated",
-          "not-cause", "with neutralization named, no normality is needed"),
+    CorpusCase("bogus_b_plain", "bogus_prevention", "u", "B=1", "VS=1", "updated",
+               "cause", "bare model wrongly blesses the antidote"),
+    CorpusCase("bogus_b_ext", "bogus_prevention", "u", "B=1", "VS=1", "extended",
+               "not-cause", "its witnesses all need the abnormal poisoning"),
+    CorpusCase("bogus_a_ext", "bogus_prevention", "u", "A=1", "VS=1", "extended",
+               "not-cause", "restraint is not a cause once poisoning is abnormal"),
+    CorpusCase("bogus_pn_b", "bogus_prevention_pn", "u", "B=1", "VS=1", "updated",
+               "not-cause", "with neutralization named, no normality is needed"),
     # -- scanner chain -------------------------------------------------------
-    _case("scan_m_bc", "scanner_vote", "u", "B=1 & C=1", "WIN=1", "extended",
-          "not-cause", "the pair fails minimality in the base model"),
-    _case("scan_mp_bc", "scanner_vote_direct", "u", "B=1 & C=1", "WIN=1", "extended",
-          "cause", "one refinement later the pair is a cause"),
-    _case("scan_mp_b", "scanner_vote_direct", "u", "B=1", "WIN=1", "extended",
-          "not-cause", "each scanner alone is preempted"),
-    _case("scan_mp_c", "scanner_vote_direct", "u", "C=1", "WIN=1", "extended",
-          "not-cause", "each scanner alone is preempted"),
-    _case("scan_mpp_bc", "scanner_vote_both", "u", "B=1 & C=1", "WIN=1", "extended",
-          "not-cause", "a second refinement kills the pair again"),
+    CorpusCase("scan_m_bc", "scanner_vote", "u", "B=1 & C=1", "WIN=1", "extended",
+               "not-cause", "the pair fails minimality in the base model"),
+    CorpusCase("scan_mp_bc", "scanner_vote_direct", "u", "B=1 & C=1", "WIN=1", "extended",
+               "cause", "one refinement later the pair is a cause"),
+    CorpusCase("scan_mp_b", "scanner_vote_direct", "u", "B=1", "WIN=1", "extended",
+               "not-cause", "each scanner alone is preempted"),
+    CorpusCase("scan_mp_c", "scanner_vote_direct", "u", "C=1", "WIN=1", "extended",
+               "not-cause", "each scanner alone is preempted"),
+    CorpusCase("scan_mpp_bc", "scanner_vote_both", "u", "B=1 & C=1", "WIN=1", "extended",
+               "not-cause", "a second refinement kills the pair again"),
     # -- alternating chain ---------------------------------------------------
-    _case("stab_0", "stability_0", "u1", "A=1", "B=1", "updated",
-          "not-cause", "alternating chain, even member"),
-    _case("stab_1", "stability_1", "u1", "A=1", "B=1", "updated",
-          "cause", "alternating chain, odd member"),
-    _case("stab_2", "stability_2", "u1", "A=1", "B=1", "updated",
-          "not-cause", "alternating chain, even member"),
-    _case("stab_3", "stability_3", "u1", "A=1", "B=1", "updated",
-          "cause", "alternating chain, odd member"),
-    _case("stab_4", "stability_4", "u1", "A=1", "B=1", "updated",
-          "not-cause", "alternating chain, even member"),
-    _case("stab_5", "stability_5", "u1", "A=1", "B=1", "updated",
-          "cause", "alternating chain, odd member"),
+    CorpusCase("stab_0", "stability_0", "u1", "A=1", "B=1", "updated",
+               "not-cause", "alternating chain, even member"),
+    CorpusCase("stab_1", "stability_1", "u1", "A=1", "B=1", "updated",
+               "cause", "alternating chain, odd member"),
+    CorpusCase("stab_2", "stability_2", "u1", "A=1", "B=1", "updated",
+               "not-cause", "alternating chain, even member"),
+    CorpusCase("stab_3", "stability_3", "u1", "A=1", "B=1", "updated",
+               "cause", "alternating chain, odd member"),
+    CorpusCase("stab_4", "stability_4", "u1", "A=1", "B=1", "updated",
+               "not-cause", "alternating chain, even member"),
+    CorpusCase("stab_5", "stability_5", "u1", "A=1", "B=1", "updated",
+               "cause", "alternating chain, odd member"),
 )
 
 # extension/base pairs that must pass the conservativity check; these also
@@ -272,7 +268,7 @@ def _run_case(case: CorpusCase, budget_limit: int | None) -> CaseResult:
     try:
         doc = load_document(case.model)
         variant = RuleVariant.coerce(case.variant)
-        subject = doc.extended() if variant is RuleVariant.EXTENDED else doc.model
+        subject = doc.subject(variant)
         context = doc.context(case.context)
         cause = parse_cause(case.cause, doc.model)
         effect = parse_formula(case.effect, doc.model)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import formula as fm
-from .causality import ExtendedCausalModel, NormalityOrder
+from .causality import ExtendedCausalModel, NormalityOrder, RuleVariant
 from .errors import DuplicateDefinition, EngineError, ParseError
 from .model import (
     And,
@@ -324,6 +324,11 @@ class ModelDocument:
             raise EngineError(f"model {self.name!r} has no normality block")
         return ExtendedCausalModel(self.model, order)
 
+    def subject(self, variant: RuleVariant) -> CausalModel | ExtendedCausalModel:
+        """The model a query under `variant` is put to: the extended model
+        for the extended rules, the plain one for the others."""
+        return self.extended() if variant is RuleVariant.EXTENDED else self.model
+
 
 def _build_order(
     model: CausalModel, contexts: Mapping[str, dict], decl: NormalityDecl
@@ -402,6 +407,8 @@ def parse_model(text: str) -> ModelDocument:
             parser.expect_op("{")
             assignment: dict[str, int] = {}
             while not parser.accept_op("}"):
+                if parser.peek()[1] in assignment:
+                    parser.fail(f"context {ctx_name!r} assigns {parser.peek()[1]!r} twice")
                 var = parser.expect_name("an exogenous variable")
                 parser.expect_op("=")
                 assignment[var] = parser.expect_int()

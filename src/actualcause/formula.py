@@ -141,9 +141,10 @@ def validate_formula(model: CausalModel, formula: CausalFormula) -> None:
 def holds(formula: CausalFormula, index: Mapping[str, int], world) -> bool:
     """Decide a formula on its own tree.  `world` gives each endogenous
     variable's value at its position in `index`: a value tuple, or a
-    `_Context`, whose `under` gives the world of a prefix too.  A chain of
-    one connective is decided from the left, with the short circuit of the
-    nested form.  Nesting too deep to recurse is an `EngineError`."""
+    `_Worlds` view of one context, whose `under` gives the world of a
+    prefix too.  A chain of one connective is decided from the left, with
+    the short circuit of the nested form.  Nesting too deep to recurse is
+    an `EngineError`."""
     try:
         if isinstance(formula, PrimitiveEvent):
             return world[index[formula.var]] == formula.value
@@ -165,56 +166,41 @@ def holds(formula: CausalFormula, index: Mapping[str, int], world) -> bool:
         raise EngineError("formula is nested too deeply to evaluate") from None
 
 
-class _Session:
-    """Formula evaluation in one model, shared by every formula put to it.
+class _Worlds:
+    """The worlds of context `k`, as `holds` reads them, from `rows`: the
+    set of an intervention's settings (the empty set for none) -> that
+    intervention's world in each context, as `solve_contexts` returns them.
+    Indexed like the plain world's value tuple; `under(settings)` is the
+    world of a prefix.  It solves nothing and keeps nothing."""
 
-    The worlds the session solves are kept, by intervention and then by
-    context, for the life of the session; an intervention is keyed by the
-    set of its settings, so one written in two orders is solved once.
-    `solve` solves one world, when `_Context` first reads it; `keep` takes
-    worlds solved elsewhere.  `holds` reads them by `_Context`.
-    """
-
-    def __init__(self, model: CausalModel):
-        self.model = model
-        self.index = model._runtime().endo_index
-        # set of settings -> context -> the world solved under them
-        self.worlds: dict[frozenset, dict[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def solve(self, settings: Iterable, exo: tuple[int, ...]) -> tuple[int, ...]:
-        """The world of one context under one intervention, kept once solved."""
-        row = solve_contexts(self.model, [exo], {self.index[n]: x for n, x in settings})[0]
-        self.worlds.setdefault(frozenset(settings), {})[exo] = row
-        return row
-
-    def keep(self, settings: Iterable, exos: Iterable, rows: Iterable) -> None:
-        """Keep the worlds of one intervention that `solve_contexts`
-        solved, one per context of `exos`."""
-        self.worlds.setdefault(frozenset(settings), {}).update(zip(exos, rows))
-
-    def holds(self, formula: CausalFormula, exo: tuple[int, ...]) -> bool:
-        return holds(formula, self.index, _Context(self, exo))
-
-
-class _Context:
-    """The worlds of one context of a session, as `holds` reads them:
-    indexed like a value tuple, the world under no intervention, and
-    `under(settings)`.  A world is solved when first read, so a formula
-    whose events all lie under prefixes never solves the plain world; the
-    plain world is kept once read, so each later event reads it directly."""
-
-    def __init__(self, session: _Session, exo: tuple[int, ...]):
-        self.session, self.exo = session, exo
-        self.plain = None
+    def __init__(self, rows: Mapping[frozenset, list], k: int):
+        self.rows, self.k = rows, k
 
     def __getitem__(self, i: int) -> int:
-        if self.plain is None:
-            self.plain = self.under(())
-        return self.plain[i]
+        return self.rows[frozenset()][self.k][i]
 
     def under(self, settings: Iterable) -> tuple[int, ...]:
-        world = self.session.worlds.get(frozenset(settings), {}).get(self.exo)
-        return self.session.solve(settings, self.exo) if world is None else world
+        return self.rows[frozenset(settings)][self.k]
+
+
+def _verdicts(model: CausalModel, formula: CausalFormula, exos: list) -> Iterator[bool]:
+    """Whether a validated formula holds in each context of `exos`, in
+    order.  The worlds it reads are solved first, in every context, into
+    the rows `_Worlds` reads: each distinct prefix, one written in two
+    orders once, and the plain world where some event lies outside every
+    prefix, each by one `solve_contexts` call."""
+    index = model._runtime().endo_index
+    wanted = {}
+    for node, prefix in _walk(formula):
+        if isinstance(node, Held):
+            wanted.setdefault(frozenset(node.settings), node.settings)
+        elif prefix is None and isinstance(node, PrimitiveEvent):
+            wanted.setdefault(frozenset(), ())
+    rows = {
+        key: solve_contexts(model, exos, {index[n]: x for n, x in settings})
+        for key, settings in wanted.items()
+    }
+    return (holds(formula, index, _Worlds(rows, k)) for k in range(len(exos)))
 
 
 def eval_formula(
@@ -222,12 +208,10 @@ def eval_formula(
 ) -> bool:
     """Decide whether the formula holds in the model under the context."""
     validate_formula(model, formula)
-    return _Session(model).holds(formula, context_values(model, context))
+    return next(_verdicts(model, formula, [context_values(model, context)]))
 
 
 def valid_in_model(model: CausalModel, formula: CausalFormula) -> bool:
     """True when the formula holds in every context of the model."""
     validate_formula(model, formula)
-    session = _Session(model)
-    contexts = itertools.product(*model._runtime().exo_ranges)
-    return all(session.holds(formula, exo) for exo in contexts)
+    return all(_verdicts(model, formula, list(itertools.product(*model._runtime().exo_ranges))))

@@ -346,9 +346,9 @@ def check_formula_agreement(
     both models, by one `solve_contexts` call per model, into a mask of the
     contexts where they differ.  A formula is evaluated only in the
     contexts its prefixes flag, in order, which finds the same first
-    disagreement.  It reads the worlds the masks solved, which its
-    prefixes hand to the sessions once it is flagged, since a context one
-    prefix flags also reads the formula's other prefixes there.
+    disagreement.  It is decided from the rows the masks solved (through
+    `formula._Worlds`), since a context one prefix flags also reads the
+    formula's other prefixes there.
 
     The prefixes come from the draw (`_draw`), and a formula's tree is
     built only when they flag a context.  It is never validated: it is
@@ -360,21 +360,21 @@ def check_formula_agreement(
     _check_count(seed, 0, "the seed must be a nonnegative integer, not {}")
     _require_extension_signature(extension, base)
     rng = random.Random(seed)
-    base_s, ext_s = fm._Session(base), fm._Session(extension)
     base_rt, ext_rt = base._runtime(), extension._runtime()
-    contexts = list(_context_pairs(extension, base))
-    base_exos, ext_exos = [c[0] for c in contexts], [c[1] for c in contexts]
+    base_exos, ext_exos = zip(*_context_pairs(extension, base))
     to_ext = [ext_rt.endo_index[n] for n in base_rt.endo_names]
     # an itemgetter of one index gives a value, not a 1-tuple
     project = operator.itemgetter(*to_ext) if len(to_ext) > 1 else lambda row: (row[to_ext[0]],)
-    solved = {}  # settings -> the rows of each model, until the sessions keep them
+    base_rows, ext_rows = {}, {}  # set of settings -> each model's rows
 
     @functools.cache
     def differing(settings: tuple) -> int:
         """Bit k set: the worlds differ in context k."""
-        in_base = solve_contexts(base, base_exos, {base_rt.endo_index[n]: x for n, x in settings})
-        in_ext = solve_contexts(extension, ext_exos, {ext_rt.endo_index[n]: x for n, x in settings})
-        solved[settings] = in_base, in_ext
+        key = frozenset(settings)
+        in_base = base_rows[key] = solve_contexts(
+            base, base_exos, {base_rt.endo_index[n]: x for n, x in settings})
+        in_ext = ext_rows[key] = solve_contexts(
+            extension, ext_exos, {ext_rt.endo_index[n]: x for n, x in settings})
         mask = 0
         for k, (world, other) in enumerate(zip(in_base, in_ext)):
             if world != project(other):
@@ -388,16 +388,12 @@ def check_formula_agreement(
             flagged |= differing(settings)
         if not flagged:
             continue
-        for settings in prefixes & solved.keys():
-            in_base, in_ext = solved.pop(settings)
-            base_s.keep(settings, base_exos, in_base)
-            ext_s.keep(settings, ext_exos, in_ext)
         candidate = _build(recipe)
-        for k, (exo_base, exo_ext) in enumerate(contexts):
+        for k, exo_base in enumerate(base_exos):
             if not flagged >> k & 1:
                 continue
-            in_base = base_s.holds(candidate, exo_base)
-            in_ext = ext_s.holds(candidate, exo_ext)
+            in_base = fm.holds(candidate, base_rt.endo_index, fm._Worlds(base_rows, k))
+            in_ext = fm.holds(candidate, ext_rt.endo_index, fm._Worlds(ext_rows, k))
             if in_base != in_ext:
                 context = dict(zip(base_rt.exo_names, exo_base))
                 return AgreementReport(False, samples, candidate, context, in_base, in_ext)

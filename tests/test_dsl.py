@@ -74,6 +74,8 @@ def test_parse_error_carries_position():
     (parse_model, "model m\n# note\nexogenous U: {0,1} @\n", 3, 20,
      "unexpected character '@'"),
     (parse_model, "model m\n  endogenous A: {0,1} = $\n", 2, 25, "unexpected character '$'"),
+    (parse_model, "model m\nexogenous U: {0,1}\ncontext u { U = 0; U = 1 }\n", 3, 20,
+     "context 'u' assigns 'U' twice"),
     (parse_formula, "A = 1 &", 1, 8, "expected a variable name, found ''"),
     (parse_formula, "A = 1\n  ) B", 2, 3, "trailing input ')'"),
 ])

@@ -48,6 +48,10 @@ def test_one_intervention_written_in_two_orders_is_solved_once(solved_rows, hopk
     phi = parse_formula("[A<-1, C<-0](D=0) & [C<-0, A<-1](D=0)", hopkins.model)
     assert eval_formula(hopkins.model, hopkins.context("u"), phi) is True
     assert len(solved) == 1
+    # in every context at once, one row each; where B = 1, D = 1
+    solved.clear()
+    assert valid_in_model(hopkins.model, phi) is False
+    assert len(set(solved)) == len(solved) == len(list(hopkins.model.contexts()))
 
 
 def test_naive_bottle_shatters(rt_naive):
@@ -122,10 +126,12 @@ def test_matches_reference_satisfaction(doc):
         model = doc(name).model
         for _ in range(30):
             candidate = random_causal_formula(rng, model)
+            everywhere = True
             for ctx in model.contexts():
-                assert eval_formula(model, ctx, candidate) == naive_formula_holds(
-                    model, ctx, candidate
-                )
+                want = naive_formula_holds(model, ctx, candidate)
+                assert eval_formula(model, ctx, candidate) == want
+                everywhere &= want
+            assert valid_in_model(model, candidate) == everywhere
 
 
 def test_events_conj_builder(hopkins):

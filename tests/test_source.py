@@ -1,10 +1,14 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
+import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "actualcause"
+README = SRC.parent.parent / "README.md"
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -194,3 +198,46 @@ def test_generated_code_runs_only_in_the_model_code_generator():
         ("model.py", "eval", "compile_expression"),
         ("model.py", "exec", "_compile_solver"),
     }
+
+
+def _docstrings(tree: ast.Module) -> list[str]:
+    """The docstrings of a module and of every class and function in it."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return [
+        doc for node in ast.walk(tree)
+        if isinstance(node, kinds) and (doc := ast.get_docstring(node)) is not None
+    ]
+
+
+def _stale_references(text: str, modules: set[str]) -> list[str]:
+    """Backticked `module.name` references in `text`, `module` one of the
+    package's `modules`, whose name (dotted or not) the module lacks.  A
+    reference with any other head, or a bare `_name`, is not checked."""
+    stale = []
+    for head, path in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_][\w.]*)`", text):
+        if head not in modules:
+            continue
+        owner = importlib.import_module(f"actualcause.{head}")
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            stale.append(f"{head}.{path}")
+    return stale
+
+
+def test_the_reference_checker_reads_package_modules_only():
+    text = ("`formula.holds`, `model.solve_contexts`, `formula._Gone`, "
+            "`model.CausalModel.contexts`, `model.CausalModel.gone`, `random.Random`, "
+            "`_Query.search`, `_Worlds`, `formula.holds.nothing`")
+    assert _stale_references(text, {"formula", "model"}) == [
+        "formula._Gone", "model.CausalModel.gone", "formula.holds.nothing",
+    ]
+
+
+def test_backticked_module_references_exist():
+    modules = {info.name for info in pkgutil.iter_modules([str(SRC)])}
+    texts = [README.read_text(encoding="utf-8")] + [
+        doc for path in sorted(SRC.rglob("*.py"))
+        for doc in _docstrings(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert [ref for text in texts for ref in _stale_references(text, modules)] == []

@@ -450,11 +450,22 @@ def test_agreement_decides_only_the_flagged_formulas(doc, monkeypatch):
     worlds of one of its prefixes differ in some context: on a conservative
     pair, never."""
     cheat, detailed = doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model
-    decided = []
-    real = fm._Session.holds
-    monkeypatch.setattr(
-        fm._Session, "holds", lambda s, f, exo: decided.append((s.model, f)) or real(s, f, exo)
-    )
+    # each formula `fm.holds` is called on, with the model whose variables
+    # index it; a call made inside another decides a subformula and is not
+    # counted
+    owner = {id(m._runtime().endo_index): m for m in (cheat, detailed)}
+    decided, holding, real_holds = [], [0], fm.holds
+
+    def holds(formula, index, world):
+        if not holding[0]:
+            decided.append((owner.get(id(index), index), formula))
+        holding[0] += 1
+        try:
+            return real_holds(formula, index, world)
+        finally:
+            holding[0] -= 1
+
+    monkeypatch.setattr(fm, "holds", holds)
     # the formulas built from a recipe; a call made inside another builds
     # a subformula and is not counted
     built, depth, real_build = [], [0], transforms._build
