@@ -111,18 +111,6 @@ def _require_models(kind: type, *models) -> None:
             raise EngineError(f"not a causal model: {got} (expected {want})")
 
 
-def _require_extension_signature(extension: CausalModel, base: CausalModel) -> None:
-    _require_models(CausalModel, extension, base)
-    if dict(extension.signature.exogenous) != dict(base.signature.exogenous):
-        raise SignatureMismatch("the exogenous signatures differ")
-    ext_endo = dict(extension.signature.endogenous)
-    for name, rng in base.signature.endogenous:
-        if name not in ext_endo:
-            raise SignatureMismatch(f"extension drops endogenous variable {name!r}")
-        if ext_endo[name] != rng:
-            raise SignatureMismatch(f"range of {name!r} differs between the models")
-
-
 def _context_pairs(extension: CausalModel, base: CausalModel):
     """Every context, as the base's exogenous values in the base's
     declaration order and in the extension's, which may differ."""
@@ -178,7 +166,15 @@ def is_conservative_extension(
     therefore enumerate the whole plan rather than stop at its first
     failure; that costs no more than an accepted pair of the same models.
     """
-    _require_extension_signature(extension, base)
+    _require_models(CausalModel, extension, base)
+    if dict(extension.signature.exogenous) != dict(base.signature.exogenous):
+        raise SignatureMismatch("the exogenous signatures differ")
+    ext_endo = dict(extension.signature.endogenous)
+    for name, rng in base.signature.endogenous:
+        if name not in ext_endo:
+            raise SignatureMismatch(f"extension drops endogenous variable {name!r}")
+        if ext_endo[name] != rng:
+            raise SignatureMismatch(f"range of {name!r} differs between the models")
     base_rt = base._runtime()
     ext_rt = extension._runtime()
     base_names = base_rt.endo_names
@@ -315,17 +311,11 @@ def _build(recipe) -> fm.CausalFormula:
     return kind(*fields) if kind is fm.PrimitiveEvent else kind(*map(_build, fields))
 
 
-def random_event_formula(rng: random.Random, model: CausalModel, depth: int = 3):
-    """A random intervention-free boolean combination of events.  A seed
-    names the same formulas as long as the generator's `_randbelow` draws
-    from `getrandbits`, as `random.Random`'s does (see `_draw`); a subclass
-    that overrides only `random()` draws other formulas."""
-    return _build(_draw(rng, model._runtime(), depth, events_only=True)[0])
-
-
 def random_causal_formula(rng: random.Random, model: CausalModel, depth: int = 3):
-    """A random causal formula over the model's endogenous variables, under
-    the condition on the generator that `random_event_formula` states."""
+    """A random causal formula over the model's endogenous variables.  A
+    seed names the same formulas as long as the generator's `_randbelow`
+    draws from `getrandbits`, as `random.Random`'s does (see `_draw`); a
+    subclass that overrides only `random()` draws other formulas."""
     return _build(_draw(rng, model._runtime(), depth)[0])
 
 
@@ -335,20 +325,27 @@ def check_formula_agreement(
     samples: int = 200,
     seed: int = 0,
 ) -> AgreementReport:
-    """Randomized spot check that the two models satisfy the same formulas
-    over the base variables, in every context.
+    """Whether the two models satisfy the same formulas over the base
+    variables, in every context, as a conservative extension does (the
+    lemma): decided by the plain check where it accepts, else by a
+    randomized spot check.
 
     The formulas are those `random_causal_formula` draws from the seed, a
-    nonnegative int, decided by comparing worlds: every event tests a base
-    variable in the world of its prefix, so a formula has one truth value
-    in both models wherever the two worlds of each of its prefixes agree on
-    the base variables.  Each distinct prefix is solved in every context of
-    both models, by one `solve_contexts` call per model, into a mask of the
-    contexts where they differ.  A formula is evaluated only in the
-    contexts its prefixes flag, in order, which finds the same first
-    disagreement.  It is decided from the rows the masks solved (through
-    `formula._Worlds`), since a context one prefix flags also reads the
-    formula's other prefixes there.
+    nonnegative int.  Each event of one reads a base variable in the world
+    of its prefix, a setting of at most 3 base variables or none, so the
+    formula has one truth value in both models wherever the two worlds of
+    each of its prefixes agree on the base variables.  Once
+    `is_conservative_extension` accepts, no such worlds differ (proof in
+    `is_conservative_extension_extended`), so no prefix would flag a
+    context, and the same report is returned with nothing drawn.  A pair
+    refused only under 4 or more set base variables is drawn and agrees.
+
+    Each distinct prefix is solved in every context of both models, by one
+    `solve_contexts` call per model, into a mask of the contexts where they
+    differ.  A formula is evaluated only in the contexts its prefixes flag,
+    in order, which finds the same first disagreement.  It is decided from
+    the rows the masks solved (through `formula._Worlds`), since a context
+    one prefix flags also reads the formula's other prefixes there.
 
     The prefixes come from the draw (`_draw`), and a formula's tree is
     built only when they flag a context.  It is never validated: it is
@@ -358,7 +355,8 @@ def check_formula_agreement(
     """
     _check_count(samples, 1, "the sample count must be a positive integer, not {}")
     _check_count(seed, 0, "the seed must be a nonnegative integer, not {}")
-    _require_extension_signature(extension, base)
+    if is_conservative_extension(extension, base).is_conservative:
+        return AgreementReport(True, samples)
     rng = random.Random(seed)
     base_rt, ext_rt = base._runtime(), extension._runtime()
     base_exos, ext_exos = zip(*_context_pairs(extension, base))

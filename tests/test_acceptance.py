@@ -26,6 +26,7 @@ from actualcause.transforms import (
     is_conservative_extension,
     kill_all_witnesses,
     normality_from_respect,
+    random_causal_formula,
 )
 from oracle import naive_is_cause, random_binary_model, random_context
 
@@ -231,6 +232,9 @@ def test_criterion_7_singleton_causes_under_original_rules():
 
 
 def test_criterion_8_randomized_formula_agreement():
+    # agreement decides a conservative pair by the lemma, with no draw; the
+    # seed-17 draw of 200 formulas is also decided directly in both models
+    # in every context, so the criterion tests the lemma, not the shortcut
     failures = []
     for ext_name, base_name in CONSERVATIVE_PAIRS:
         ext = load_document(ext_name).model
@@ -238,6 +242,12 @@ def test_criterion_8_randomized_formula_agreement():
         outcome = check_formula_agreement(ext, base, samples=200, seed=17)
         if not outcome.agrees:
             failures.append((ext_name, base_name, outcome.formula))
+        rng = random.Random(17)
+        for _ in range(200):
+            phi = random_causal_formula(rng, base)
+            for ctx in base.contexts():
+                if eval_formula(base, ctx, phi) != eval_formula(ext, ctx, phi):
+                    failures.append((ext_name, base_name, phi, ctx))
     _report(8, "randomized formula agreement", not failures,
             f"{len(CONSERVATIVE_PAIRS)} pairs x 200 formulas"
             if not failures else f"failures={failures}")

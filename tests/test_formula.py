@@ -24,8 +24,8 @@ from actualcause.dsl import parse_formula, print_formula
 from actualcause.model import Const, Var, make_model
 from actualcause.transforms import (
     check_formula_agreement,
+    is_conservative_extension,
     random_causal_formula,
-    random_event_formula,
 )
 from oracle import (
     EXTENSION_KINDS,
@@ -36,6 +36,14 @@ from oracle import (
     random_extension_pair,
     settings_read,
 )
+
+
+def random_event_formula(rng, model, depth=3):
+    """A random intervention-free boolean combination of events, drawn by
+    `transforms._draw` from the generator's stream as `random_causal_formula`
+    draws a causal formula; `STREAM_DIGESTS` pins what each seed names."""
+    recipe, _ = transforms._draw(rng, model._runtime(), depth, events_only=True)
+    return transforms._build(recipe)
 
 
 def test_hopkins_counterfactual(hopkins):
@@ -225,36 +233,72 @@ def test_effects_too_deep_to_walk_are_engine_errors(rt_naive):
 
 
 def test_agreement_solves_each_context_and_prefix_once(solved_rows, rt_naive, rt_detailed):
-    # one formula session per model: a world is solved once per (context,
-    # prefix) across all 200 formulas, not once per formula; the masks solve
-    # in `transforms`, a formula's own reads in `formula`
+    # a conservative pair is decided by the plain check alone, each row
+    # once, fewer rows than a draw of 200 formulas solving each (context,
+    # prefix) once would take; the plain check and the masks solve in
+    # `transforms`, a formula's own reads in `formula`
     solved = solved_rows(transforms, formula)
     report = check_formula_agreement(rt_detailed.model, rt_naive.model, samples=200, seed=7)
     assert report.agrees
     assert len(solved) == len(set(solved)) <= 150
 
 
-def test_agreement_solves_each_world_once_on_disagreeing_pairs(solved_rows, doc):
+@pytest.fixture
+def agreement_solves(solved_rows, monkeypatch):
+    """`decide(extension, base, samples, seed)` decides agreement on the pair
+    and checks what it solved: first exactly the rows that
+    `is_conservative_extension` solves alone on it; then, on a pair that
+    check accepts, nothing and no draw, and on one it refuses the rows
+    `_agreement_rows` names, each once.  It returns the report's `agrees`,
+    or `ValueOutOfRange` where both checks raise it."""
+    solved, drawn, real_draw = solved_rows(transforms, formula), [], transforms._draw
+    monkeypatch.setattr(transforms, "_draw", lambda *args: drawn.append(args) or real_draw(*args))
+
+    def outcome(check):
+        try:
+            return check()
+        except ValueOutOfRange:
+            return ValueOutOfRange
+
+    def decide(extension, base, samples, seed):
+        solved.clear()
+        plain = outcome(lambda: is_conservative_extension(extension, base).is_conservative)
+        plain_rows = list(solved)
+        solved.clear()
+        drawn.clear()
+        agrees = outcome(lambda: check_formula_agreement(extension, base, samples, seed).agrees)
+        assert solved[:len(plain_rows)] == plain_rows, seed
+        rest = solved[len(plain_rows):]
+        if plain is False:
+            assert drawn, seed
+            assert len(rest) == len(set(rest)), seed
+            assert set(rest) == _agreement_rows(extension, base, samples, seed), seed
+        else:  # accepted, or refused with the same error before any solve
+            assert (rest, drawn, agrees) == ([], [], plain), seed
+            assert plain is True or plain_rows == [], seed
+        return agrees
+
+    return decide
+
+
+def test_agreement_solves_each_world_once_on_disagreeing_pairs(agreement_solves, doc):
     # the masks keep the worlds they solve, so evaluating a flagged formula
     # solves none of them again, in the contexts its other prefixes flag too
-    solved = solved_rows(transforms, formula)
     pairs = [(doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model)] * 10
     for seed in range(30):
         base, extension = random_extension_pair(random.Random(8000 + seed), "rewired")
         pairs.append((extension, base))
     disagreements = 0
     for seed, (extension, base) in enumerate(pairs):
-        solved.clear()
-        report = check_formula_agreement(extension, base, samples=200, seed=seed)
-        assert len(solved) == len(set(solved)), seed
-        disagreements += not report.agrees
+        disagreements += not agreement_solves(extension, base, 200, seed)
     assert disagreements >= 20, disagreements
 
 
 def _agreement_rows(extension, base, samples, seed):
-    """The rows `check_formula_agreement` solves, by a loop over the
-    formulas it draws up to the first that a context decides apart: each
-    distinct prefix in every context of both models."""
+    """The rows `check_formula_agreement` solves after the plain check
+    refuses the pair, by a loop over the formulas it draws up to the first
+    that a context decides apart: each distinct prefix in every context of
+    both models."""
     rows, contexts, rng = set(), list(base.contexts()), random.Random(seed)
 
     def row(model, context, settings):
@@ -271,26 +315,17 @@ def _agreement_rows(extension, base, samples, seed):
     return rows
 
 
-def test_agreement_solves_the_rows_of_the_drawn_prefixes(solved_rows):
-    """Agreement solves the rows `_agreement_rows` names and nothing more to
-    decide a flagged formula, on pairs of every kind, each once; a pair
-    with a model that is not total is refused before any solve."""
-    cases = []
+def test_agreement_solves_the_rows_of_the_drawn_prefixes(agreement_solves):
+    """Agreement solves the plain check's rows, and on a pair that check
+    refuses the rows `_agreement_rows` names and nothing more to decide a
+    flagged formula, on pairs of every kind, each once; a pair with a model
+    that is not total is refused before any solve."""
+    outcomes = set()
     for seed in range(60):
         base, extension = random_extension_pair(random.Random(6000 + seed), EXTENSION_KINDS[seed % 3])
         total = first_escape(base) is None and first_escape(extension) is None
-        rows = _agreement_rows(extension, base, 40, seed) if total else set()
-        cases.append((extension, base, seed, total, rows))
-    solved, outcomes = solved_rows(transforms, formula), set()
-    for extension, base, seed, total, rows in cases:
-        solved.clear()
-        try:
-            outcome = check_formula_agreement(extension, base, 40, seed).agrees
-        except ValueOutOfRange:
-            outcome = ValueOutOfRange
+        outcome = agreement_solves(extension, base, 40, seed)
         assert (outcome is ValueOutOfRange) is not total, seed
-        assert set(solved) == rows, seed
-        assert len(solved) == len(rows), seed
         outcomes.add(outcome)
     assert outcomes == {True, False, ValueOutOfRange}
 

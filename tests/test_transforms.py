@@ -159,6 +159,37 @@ def test_formula_agreement_flags_the_cheat(doc):
     assert report.value_base != report.value_extension
 
 
+def test_formula_agreement_draws_on_a_pair_refused_only_under_four_settings(monkeypatch):
+    """The plain check refuses the pair only where all four of A-D are set
+    to 1, which no drawn prefix, of at most 3 variables, can reach; so
+    agreement does not take the refusal for a disagreement, but draws, and
+    every drawn formula agrees."""
+    ones = md.conj([md.Cmp("=", md.Var(n), md.Const(1)) for n in "ABCD"])
+    base = md.make_model({"U": (0, 1)}, {n: (0, 1) for n in "ABCDX"},
+                         {**{n: md.Const(0) for n in "ABCD"}, "X": md.Var("U")})
+    extension = md.make_model(
+        {"U": (0, 1)}, {**{n: (0, 1) for n in "ABCD"}, "N": (0, 1), "X": (0, 1)},
+        {**{n: md.Const(0) for n in "ABCD"}, "N": md.Case(((ones, md.Const(1)),), md.Const(0)),
+         "X": md.Case(((md.Cmp("=", md.Var("N"), md.Const(1)), md.Const(1)),), md.Var("U"))})
+    report = is_conservative_extension(extension, base)
+    assert not report.is_conservative
+    assert report.counterexample.setting == {"A": 1, "B": 1, "C": 1, "D": 1}
+    names = base.endogenous_names
+    for k in range(4):
+        for chosen in itertools.combinations(names, k):
+            for values in itertools.product((0, 1), repeat=k):
+                setting = dict(zip(chosen, values))
+                for ctx in base.contexts():
+                    world = naive_solve(extension, ctx, setting)
+                    assert {n: world[n] for n in names} == naive_solve(base, ctx, setting)
+    drawn, real_draw = [], transforms._draw
+    monkeypatch.setattr(transforms, "_draw", lambda *args: drawn.append(args) or real_draw(*args))
+    for seed in range(5):
+        drawn.clear()
+        assert check_formula_agreement(extension, base, samples=200, seed=seed).agrees, seed
+        assert len(drawn) == 200, seed
+
+
 def _naive_agreement(extension, base, samples, seed, holds=naive_formula_holds):
     """`check_formula_agreement` read literally: the same formulas, each
     decided from scratch in every context, by the oracle unless `holds`
