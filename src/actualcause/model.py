@@ -221,12 +221,13 @@ def _compile_solver(rt: "_Runtime", exprs: tuple[Expression, ...]):
     evaluated either way; integer arithmetic and comparisons cannot raise,
     so for a forced variable that only costs its evaluation, and one shape
     of code per variable keeps the function short to compile; the totality
-    check and the deviation checks read each equation's value that way
-    (`_equation_values`).  The function returns the values in declaration
-    order.  It tests no range: the runtime refuses a model with an equation
-    that can leave its range (`_check_totality`), and the callers check
-    every exogenous and forced value at the edge (`context_values`,
-    `_setting_index`, `_own_values`).
+    check, the deviation checks and the extended conservativity check
+    (`transforms.is_conservative_extension_extended`) read each equation's
+    value that way (`_equation_values`).  The function returns the values
+    in declaration order.  It tests no range: the runtime refuses a model
+    with an equation that can leave its range (`_check_totality`), and the
+    callers check every exogenous and forced value at the edge
+    (`context_values`, `_setting_index`, `_own_values`).
     """
     names = {n: f"u[{i}]" for n, i in rt.exo_index.items()}
     names.update({n: f"x{i}" for n, i in rt.endo_index.items()})
@@ -245,18 +246,19 @@ def _compile_solver(rt: "_Runtime", exprs: tuple[Expression, ...]):
     return scope["solve"]
 
 
-def _equation_values(rt: "_Runtime", exo: tuple[int, ...], values: tuple[int, ...]) -> list[int]:
-    """The value of every equation, in declaration order, with every
-    endogenous variable held at `values`: one run of the model's solver
-    with every variable forced (see `_compile_solver`)."""
+def _equation_values(rt: "_Runtime", exo: tuple[int, ...], values) -> tuple[tuple[int, ...], list]:
+    """One run of the model's solver (see `_compile_solver`) with each
+    endogenous variable held at its entry of `values`, in declaration
+    order, or following its equation where the entry is None: the world
+    it gives, and the value of every equation in that world."""
     raw = list(values)
 
     def get(i, value):
         raw[i] = value
-        return values[i]
+        held = values[i]
+        return value if held is None else held
 
-    rt.solve(exo, get)
-    return raw
+    return rt.solve(exo, get), raw
 
 
 # The most parent assignments the totality check enumerates for one equation.
@@ -325,7 +327,7 @@ def _check_totality(rt: "_Runtime") -> None:
         for assignment in itertools.product(*[declared[n] for n in parents]):
             point = {**first, **dict(zip(parents, assignment))}
             exo = tuple([point[n] for n in rt.exo_names])
-            value = _equation_values(rt, exo, tuple([point[n] for n in rt.endo_names]))[i]
+            value = _equation_values(rt, exo, tuple([point[n] for n in rt.endo_names]))[1][i]
             if value not in allowed:
                 raise ValueOutOfRange(name, value, dict(zip(parents, assignment)))
 

@@ -8,7 +8,6 @@ equations abnormal.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
@@ -154,17 +153,17 @@ def is_conservative_extension(
       of classes, so the least of them is the first of its class and is
       solved.
 
-    The plan, each X and then each of its settings, is the outer loop, and
-    each setting is solved in the first contexts of X's classes in one
-    `solve_contexts` call per model.  The counterexample reported is still
-    the first in (context, X, setting) order, the one a loop over every
-    context, X and total setting would meet: the least context where some
-    setting makes X's values differ wins, and among the settings that fail
-    there the first in the plan, which is met first.  After a failure the
-    later settings are solved only in the contexts before it, so nothing
-    more is solved once the first context has failed.  A refused pair may
-    therefore enumerate the whole plan rather than stop at its first
-    failure; that costs no more than an accepted pair of the same models.
+    The plan, each X and then each of its settings, is the outer loop; each
+    setting, written in place into one intervention per model, is solved
+    in the first contexts of X's classes.  The counterexample reported is
+    still the first in (context, X, setting) order, the one a loop over
+    every context, X and total setting would meet: the least context where
+    some setting makes X's values differ wins, and among the settings that
+    fail there the first in the plan, which is met first.  After a failure
+    the later settings are solved only in the contexts before it, so
+    nothing more is solved once the first context has failed.  A refused
+    pair may therefore enumerate the whole plan rather than stop at its
+    first failure; that costs no more than an accepted pair of the same models.
     """
     _require_models(CausalModel, extension, base)
     if dict(extension.signature.exogenous) != dict(base.signature.exogenous):
@@ -194,10 +193,9 @@ def is_conservative_extension(
     # the exogenous variables in a reach -> the first context of each of
     # their classes: its index in `contexts`, and its values in each model
     classes: dict[frozenset, tuple] = {}
-    # per X, built once: X, its index in each model, the other base
-    # variables and their indices in each model; their ranges, restricted
-    # to the first value outside the reach; and X's classes
-    plans = []
+    bound = len(contexts)  # the contexts still to solve: those before this index
+    first = None  # the counterexample of the failure there
+    base_solve, ext_solve = base_rt.solve, ext_rt.solve
     for x_name in base_names:
         reads = reach(x_name).union(base_rt.deps[x_name], base_rt.exo_deps[x_name])
         free = exo_names & reads
@@ -206,31 +204,31 @@ def is_conservative_extension(
                      if n not in free]
             ks = [k for k, (exo, _) in enumerate(contexts) if all(exo[j] == v for j, v in fixed)]
             classes[free] = ks, [contexts[k][0] for k in ks], [contexts[k][1] for k in ks]
+        ks, base_exos, ext_exos = classes[free]
+        # the other base variables, their indices in each model, and their
+        # ranges, restricted to the first value outside the reach
         others = [n for n in base_names if n != x_name]
         base_idx = [base_rt.endo_index[n] for n in others]
+        ext_idx = [ext_rt.endo_index[n] for n in others]
         ranges = [base_rt.endo_ranges[i] if n in reads else base_rt.endo_ranges[i][:1]
                   for n, i in zip(others, base_idx)]
-        plans.append(((x_name, base_rt.endo_index[x_name], ext_rt.endo_index[x_name],
-                       others, base_idx, [ext_rt.endo_index[n] for n in others]),
-                      ranges, classes[free]))
-    bound = len(contexts)  # the contexts still to solve: those before this index
-    first = None  # the counterexample of the failure there
-    for plan, ranges, (ks, base_exos, ext_exos) in plans:
-        x_name, x_base, x_ext, others, base_idx, ext_idx = plan
-        if first is not None:
-            live = bisect.bisect_left(ks, bound)
-            ks, base_exos, ext_exos = ks[:live], base_exos[:live], ext_exos[:live]
+        x_base, x_ext = base_rt.endo_index[x_name], ext_rt.endo_index[x_name]
+        base_iv, ext_iv = {}, {}  # the setting, updated in place
+        base_get, ext_get = base_iv.get, ext_iv.get
         for setting in itertools.product(*ranges):
-            if not ks:
+            if ks[0] >= bound:
                 break
-            in_base = solve_contexts(base, base_exos, dict(zip(base_idx, setting)))
-            in_ext = solve_contexts(extension, ext_exos, dict(zip(ext_idx, setting)))
-            for p, (got_base, got_ext) in enumerate(zip(in_base, in_ext)):
-                if got_base[x_base] != got_ext[x_ext]:
-                    bound, context = ks[p], dict(zip(base_rt.exo_names, base_exos[p]))
+            base_iv.update(zip(base_idx, setting))
+            ext_iv.update(zip(ext_idx, setting))
+            for k, exo, exo_ext in zip(ks, base_exos, ext_exos):
+                if k >= bound:
+                    break
+                got_base = base_solve(exo, base_get)[x_base]
+                got_ext = ext_solve(exo_ext, ext_get)[x_ext]
+                if got_base != got_ext:
+                    bound, context = k, dict(zip(base_rt.exo_names, exo))
                     first = Counterexample(context, x_name, dict(zip(others, setting)),
-                                           got_base[x_base], got_ext[x_ext])
-                    ks, base_exos, ext_exos = ks[:p], base_exos[:p], ext_exos[:p]
+                                           got_base, got_ext)
                     break
     return ExtensionReport(first is None, first)
 
@@ -403,29 +401,31 @@ def is_conservative_extension_extended(
 ) -> ExtensionReport:
     """The plain check plus agreement of the two normality thresholds.
 
-    For every context and every setting of base variables, the intervened
-    world must compare to the actual world identically under both orders,
-    each order applied to its own model's worlds.  The thresholds are
-    compared in every context, each with the one order its model carries,
-    whichever context that order was built for.
+    In every context, each order, whichever context it was built for,
+    compares the world of every setting of base variables in its own model
+    with the actual world; the two must agree.  The first failing setting,
+    by size, then combination, then values, is reported.
 
-    Once the plain check has passed, each setting is solved in the
-    extension only, and the base world is read as the extension's world
-    restricted to the base variables.  That restriction is the base world.
-    Take a base variable X the setting leaves unset.  The new variables
-    follow from the base ones, so the extension's world is also its world
-    under the total setting of the other base variables at their values
-    there, where the plain check found X to take the same value in the base:
-    it solves only some settings and contexts, but by the argument in its
-    docstring it covers every total setting in every context.  So the
-    restriction satisfies every base equation the setting leaves in
-    place, and a recursive model has one such world.
+    Once the plain check has passed, the base world is the extension's
+    world restricted to the base.  For a base variable X the setting leaves
+    unset, that world is also the extension's under the total setting of
+    the other base variables at their values there, since X and the new
+    variables obey their equations in it; there the plain check (which
+    covers every total setting, by its docstring) found X to take the same
+    value in the base.  So the restriction satisfies every base equation
+    the setting leaves in place, and a recursive model has one such world.
 
-    Each distinct extension world is compared once per context.  Both
-    comparisons, base first, depend on that world alone, so a repeated
-    world repeats the outcome of its first setting: the first failing
-    setting, the one reported, and the first error an order raises stay
-    those of comparing every setting.
+    Only total settings s are solved, one extension run each that forces
+    them and records every equation's value (`model._equation_values`):
+    the world of s, and D(s), the base variables whose equation disagrees
+    with s there.  Z = z gives the world of s exactly when z is s on Z and
+    Z contains D(s), since the base variables outside Z obey their
+    equations; so every setting's world is a total setting's, first given
+    by D(s) at s's values.  Both comparisons, base first, depend on the
+    world alone, so comparing each world once, sorted by (|D(s)|, D(s), s
+    on D(s)), finds the first failing setting, and the first error an
+    order raises, that comparing every setting finds.  The first world is
+    the actual one, the only one with no deviation.
     """
     _require_models(ExtendedCausalModel, extension, base)
     report = is_conservative_extension(extension.base, base.base)
@@ -435,29 +435,28 @@ def is_conservative_extension_extended(
     b_rt, e_rt = b._runtime(), e._runtime()
     names = b_rt.endo_names
     to_ext = [e_rt.endo_index[n] for n in names]
+    ranges = [b.range_of(n) if n in b_rt.endo_index else (None,) for n in e_rt.endo_names]
 
     def worlds(solved):
         """The base world and the extension's world of an extension solve."""
         return World(names, tuple([solved[j] for j in to_ext])), World(e_rt.endo_names, solved)
 
     for exo, exo_ext in _context_pairs(e, b):
-        u_base, u_ext = worlds(solve_values(e, exo_ext))
-        compared = set()
-        for size in range(len(names) + 1):
-            for combo in itertools.combinations(range(len(names)), size):
-                for vals in itertools.product(*[b_rt.endo_ranges[i] for i in combo]):
-                    solved = solve_values(e, exo_ext, {to_ext[i]: v for i, v in zip(combo, vals)})
-                    if solved in compared:
-                        continue
-                    compared.add(solved)
-                    s_b, s_e = worlds(solved)
-                    normal_b = base.order.at_least_as_normal(s_b, u_base)
-                    normal_e = extension.order.at_least_as_normal(s_e, u_ext)
-                    if normal_b != normal_e:
-                        context = dict(zip(b_rt.exo_names, exo))
-                        setting = {names[i]: v for i, v in zip(combo, vals)}
-                        ce = CECounterexample(context, setting, normal_b, normal_e)
-                        return ExtensionReport(False, None, ce)
+        met = []  # (sort key, world) of each total setting
+        for values in itertools.product(*ranges):
+            solved, raw = _equation_values(e_rt, exo_ext, values)
+            dev = tuple([k for k, j in enumerate(to_ext) if raw[j] != values[j]])
+            met.append(((len(dev), dev, tuple([values[to_ext[k]] for k in dev])), solved))
+        met.sort()
+        u_base, u_ext = worlds(met[0][1])
+        for (_, dev, vals), solved in met:
+            s_b, s_e = worlds(solved)
+            normal_b = base.order.at_least_as_normal(s_b, u_base)
+            normal_e = extension.order.at_least_as_normal(s_e, u_ext)
+            if normal_b != normal_e:
+                setting = {names[k]: v for k, v in zip(dev, vals)}
+                ce = CECounterexample(dict(zip(b_rt.exo_names, exo)), setting, normal_b, normal_e)
+                return ExtensionReport(False, None, ce)
     return ExtensionReport(True)
 
 
@@ -481,10 +480,9 @@ class RespectReport:
 
 def _deviations(rt, exo, values, idxs) -> list[tuple[int, int]]:
     """(index, equation value) for each variable of `idxs` whose equation,
-    with every variable held at `values`, yields another value.  Read from
-    the model's solver run with every variable forced, which evaluates
-    each equation on its parents' forced values (`model._equation_values`)."""
-    raw = _equation_values(rt, exo, values)
+    with every variable held at `values`, yields another value: one solver
+    run with every variable forced (`model._equation_values`)."""
+    raw = _equation_values(rt, exo, values)[1]
     return [(i, raw[i]) for i in idxs if raw[i] != values[i]]
 
 

@@ -31,19 +31,21 @@ def hopkins():
 
 @pytest.fixture
 def solved_rows(monkeypatch):
-    """`watch(*modules)` counts the solves made through `solve_contexts` as
-    each of `modules` calls it: it returns one list that gains one (model,
-    context, sorted interventions) entry per context solved."""
-    def watch(*modules):
+    """`watch(*models)` counts the solver runs of each of `models`, as its
+    runtime's `solve` makes them: it returns one list that gains one
+    (model, context, sorted interventions) entry per run.  The
+    interventions are read, as the run starts, from the mapping whose
+    `get` the run was handed."""
+    def watch(*models):
         rows = []
-        for module in modules:
-            def counted(model, exos, interventions=None, real=module.solve_contexts):
-                exos = list(exos)
-                key = tuple(sorted((interventions or {}).items()))
-                rows.extend((model, exo, key) for exo in exos)
-                return real(model, exos, interventions)
+        for model in models:
+            rt = model._runtime()
 
-            monkeypatch.setattr(module, "solve_contexts", counted)
+            def counted(exo, get, model=model, real=rt.solve):
+                rows.append((model, exo, tuple(sorted(get.__self__.items()))))
+                return real(exo, get)
+
+            monkeypatch.setattr(rt, "solve", counted)
         return rows
 
     return watch

@@ -52,7 +52,7 @@ def test_hopkins_counterfactual(hopkins):
 
 
 def test_one_intervention_written_in_two_orders_is_solved_once(solved_rows, hopkins):
-    solved = solved_rows(formula)
+    solved = solved_rows(hopkins.model)
     phi = parse_formula("[A<-1, C<-0](D=0) & [C<-0, A<-1](D=0)", hopkins.model)
     assert eval_formula(hopkins.model, hopkins.context("u"), phi) is True
     assert len(solved) == 1
@@ -235,9 +235,8 @@ def test_effects_too_deep_to_walk_are_engine_errors(rt_naive):
 def test_agreement_solves_each_context_and_prefix_once(solved_rows, rt_naive, rt_detailed):
     # a conservative pair is decided by the plain check alone, each row
     # once, fewer rows than a draw of 200 formulas solving each (context,
-    # prefix) once would take; the plain check and the masks solve in
-    # `transforms`, a formula's own reads in `formula`
-    solved = solved_rows(transforms, formula)
+    # prefix) once would take
+    solved = solved_rows(rt_detailed.model, rt_naive.model)
     report = check_formula_agreement(rt_detailed.model, rt_naive.model, samples=200, seed=7)
     assert report.agrees
     assert len(solved) == len(set(solved)) <= 150
@@ -251,7 +250,7 @@ def agreement_solves(solved_rows, monkeypatch):
     check accepts, nothing and no draw, and on one it refuses the rows
     `_agreement_rows` names, each once.  It returns the report's `agrees`,
     or `ValueOutOfRange` where both checks raise it."""
-    solved, drawn, real_draw = solved_rows(transforms, formula), [], transforms._draw
+    drawn, real_draw = [], transforms._draw
     monkeypatch.setattr(transforms, "_draw", lambda *args: drawn.append(args) or real_draw(*args))
 
     def outcome(check):
@@ -261,7 +260,8 @@ def agreement_solves(solved_rows, monkeypatch):
             return ValueOutOfRange
 
     def decide(extension, base, samples, seed):
-        solved.clear()
+        # a model that is not total has no runtime, so it solves nothing
+        solved = solved_rows(*[m for m in (extension, base) if first_escape(m) is None])
         plain = outcome(lambda: is_conservative_extension(extension, base).is_conservative)
         plain_rows = list(solved)
         solved.clear()

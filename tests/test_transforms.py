@@ -550,10 +550,9 @@ def test_agreement_decides_only_the_flagged_formulas(doc, monkeypatch):
 
 
 def test_conservativity_enumerates_only_the_settings_that_matter(doc, solved_rows):
-    calls = solved_rows(transforms)
-    report = is_conservative_extension(
-        doc("glymour_mechanisms").model, doc("glymour_naive").model
-    )
+    pair = doc("glymour_mechanisms").model, doc("glymour_naive").model
+    calls = solved_rows(*pair)
+    report = is_conservative_extension(*pair)
     # every total setting of the other variables in every context would be
     # 12,288 solves, the settings that can reach X 2,368
     assert report.is_conservative and len(calls) == 84, len(calls)
@@ -564,9 +563,10 @@ def test_conservativity_solves_the_bundled_pairs_in_1040_rows(doc, solved_rows):
     settings of its reach and in the first context of each class: 21,412
     rows when every base variable any new equation read was enumerated in
     every context."""
-    calls = solved_rows(transforms)
+    models = {name: doc(name).model for pair in CONSERVATIVE_PAIRS for name in pair}
+    calls = solved_rows(*models.values())
     for ext_name, base_name in CONSERVATIVE_PAIRS:
-        pair = doc(ext_name).model, doc(base_name).model
+        pair = models[ext_name], models[base_name]
         assert is_conservative_extension(*pair).is_conservative, ext_name
     assert len(calls) == 1040, len(calls)
 
@@ -773,6 +773,84 @@ def test_extended_conservativity_raises_where_only_every_base_setting_overflows(
     assert _exact_outcome(_naive_conservativity, extension, base) == want
     assert _exact_outcome(is_conservative_extension_extended, *pair) == want
     assert _exact_outcome(_naive_extended_conservativity, *pair) == want
+
+
+def test_extended_conservativity_solves_each_total_setting_once(doc, monkeypatch):
+    """After the plain check's 36 and 44 runs, each total setting of the
+    base variables is solved once in the extension, 64 and 128 runs, and the
+    actual world is read from them: 100 and 172 solver runs, where solving
+    every partial setting made 524 and 1,504.  The rank functions' own
+    deviation checks are not counted."""
+    documents = {name: doc(name) for name in ("scanner_vote", "scanner_vote_direct",
+                                              "scanner_vote_both")}
+    runs, checks = [], []
+    for document in documents.values():
+        rt = document.model._runtime()
+        monkeypatch.setattr(rt, "solve", lambda exo, get, real=rt.solve: runs.append(exo)
+                            or real(exo, get))
+    real = transforms._deviations
+    monkeypatch.setattr(transforms, "_deviations", lambda *a: checks.append(a) or real(*a))
+    for (extension, base), want in (
+        (("scanner_vote_direct", "scanner_vote"), 100),
+        (("scanner_vote_both", "scanner_vote_direct"), 172),
+    ):
+        runs.clear()
+        checks.clear()
+        pair = documents[extension].extended(), documents[base].extended()
+        assert is_conservative_extension_extended(*pair).is_conservative
+        assert len(runs) - len(checks) == want, (extension, len(runs), len(checks))
+
+
+def _raising_order(rng, model):
+    """A rank over one or two base variables that cannot rank the worlds
+    where one base variable takes one value of its range, and says which."""
+    names = model.endogenous_names
+    name = rng.choice(names)
+    bad = rng.choice(model.range_of(name))
+    weights = {n: {v: rng.randint(0, 2) for v in model.range_of(n)}
+               for n in rng.sample(names, rng.randint(1, 2))}
+
+    def rank(world):
+        if world[name] == bad:
+            raise EngineError(f"cannot rank {world}")
+        return sum(t[world[n]] for n, t in weights.items())
+
+    return NormalityOrder.from_ranks(rank)
+
+
+def test_extended_conservativity_matches_the_reference_on_multivalued_pairs():
+    """The extended check gives the reference's report, or raises the error
+    with the message it raises, on pairs of up to 4 base variables with up
+    to 3 values each, under shared, independent and respect-built orders
+    and under orders that cannot rank some worlds, whose first error names
+    the first world compared that they cannot rank."""
+    seen = set()
+    for seed in range(40):
+        rng = random.Random(9000 + seed)
+        base, extension = random_extension_pair(rng, EXTENSION_KINDS[seed % 3], max_endogenous=4)
+        kind = ("shared", "independent", "respect", "raising")[seed // 3 % 4]
+        try:
+            if kind == "raising":
+                in_base = _raising_order(rng, base)
+                in_ext = _raising_order(rng, base) if rng.random() < 0.5 else in_base
+            else:
+                in_base, in_ext = _random_orders(rng, kind, extension, base)
+        except ValueOutOfRange:  # a respect order of a refused model
+            in_base = in_ext = NormalityOrder.flat()
+        pair = ExtendedCausalModel(extension, in_ext), ExtendedCausalModel(base, in_base)
+        outcomes = []
+        for check in (is_conservative_extension_extended, _naive_extended_conservativity):
+            try:
+                outcomes.append(check(*pair))
+            except EngineError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], (seed, kind)
+        got = outcomes[0]
+        if isinstance(got, ExtensionReport):
+            seen.add("threshold" if got.ce_counterexample else got.is_conservative)
+        else:
+            seen.add("cannot rank" if got[1].startswith("cannot rank") else got[0])
+    assert seen == {True, False, "threshold", "cannot rank", ValueOutOfRange}, seen
 
 
 def test_extended_conservativity_flat_pair(doc):
