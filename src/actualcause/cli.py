@@ -3,12 +3,16 @@
 Exit codes: 0 for success or a positive verdict, 1 for a meaningful
 negative verdict (not a cause, not conservative, formula false, equations
 not respected, corpus failures), 2 for engine errors, 64 for usage errors.
+Run as a program (`main`), it restores the default SIGPIPE handler where
+the platform has one, so output into a closed pipe ends it silently by
+that signal, as `cat` does, rather than with a traceback and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from . import corpus as corpus_pkg
@@ -361,6 +365,8 @@ def run_command(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_command())
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from ..causality import (
@@ -222,21 +221,20 @@ CONSERVATIVE_PAIRS: tuple[tuple[str, str], ...] = (
 )
 
 
+_MODELS = Path(__file__).with_name("models")
+
+
 def model_path(name: str) -> Path:
-    path = resources.files(__package__) / "models" / f"{name}.cm"
-    with resources.as_file(path) as concrete:
-        return Path(concrete)
+    return _MODELS / f"{name}.cm"
 
 
 def model_names() -> list[str]:
-    folder = resources.files(__package__) / "models"
-    return sorted(p.name[:-3] for p in folder.iterdir() if p.name.endswith(".cm"))
+    return sorted(p.stem for p in _MODELS.glob("*.cm"))
 
 
 @lru_cache(maxsize=None)
 def load_document(name: str) -> ModelDocument:
-    path = resources.files(__package__) / "models" / f"{name}.cm"
-    return parse_model(path.read_text(encoding="utf-8"))
+    return parse_model(model_path(name).read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)

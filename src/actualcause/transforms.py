@@ -110,12 +110,17 @@ def _require_models(kind: type, *models) -> None:
             raise EngineError(f"not a causal model: {got} (expected {want})")
 
 
-def _context_pairs(extension: CausalModel, base: CausalModel):
+def _context_pairs(extension: CausalModel, base: CausalModel, free=None):
     """Every context, as the base's exogenous values in the base's
-    declaration order and in the extension's, which may differ."""
+    declaration order and in the extension's, which may differ; with a set
+    of names `free`, only the exogenous variables in it vary and every
+    other one stays at its first value.  Ranges strictly increase, so the
+    contexts come in increasing order of their base values."""
     base_rt = base._runtime()
     where = [base_rt.exo_index[n] for n in extension._runtime().exo_names]
-    for exo in itertools.product(*base_rt.exo_ranges):
+    ranges = [r if free is None or n in free else r[:1]
+              for n, r in zip(base_rt.exo_names, base_rt.exo_ranges)]
+    for exo in itertools.product(*ranges):
         yield exo, tuple([exo[k] for k in where])
 
 
@@ -138,24 +143,21 @@ def is_conservative_extension(
     in both models are a function of the variables in its reach: those
     that X's equation reads in either model, and those read by the new
     variables that feed X through new variables only.  Every equation is
-    total (`model._check_totality`), so no setting of a variable outside
-    the reach can stop a solve.
+    total (`model._check_totality`), so no value of a variable outside the
+    reach can stop a solve.
 
-    - A base variable outside the reach takes only the first value of its
-      range: the first setting, in lexicographic order, with a
-      counterexample has every such variable at its first value, since
-      moving them there gives a setting no later with the same outcome.
-    - Contexts that agree on the exogenous variables in the reach form a
-      class, on whose members X takes the same two values under every
-      setting; only the first context of each class is solved, the one
-      with every exogenous variable outside the reach at its first value.
-      The contexts where some setting makes X's values differ are a union
-      of classes, so the least of them is the first of its class and is
-      solved.
+    Hence a variable outside the reach, a base variable in the setting or
+    an exogenous one in the context alike, takes only the first value of its
+    range.  Moving every such variable of a counterexample to its first
+    value leaves X's two values as they were and gives a context and a
+    setting each no later, in lexicographic order, than before, since
+    ranges strictly increase.  So the first counterexample in (context, X,
+    setting) order has every such variable at its first value, and is
+    among those enumerated.
 
     The plan, each X and then each of its settings, is the outer loop; each
     setting, written in place into one intervention per model, is solved
-    in the first contexts of X's classes.  The counterexample reported is
+    in X's contexts in increasing order.  The counterexample reported is
     still the first in (context, X, setting) order, the one a loop over
     every context, X and total setting would meet: the least context where
     some setting makes X's values differ wins, and among the settings that
@@ -188,23 +190,14 @@ def is_conservative_extension(
     for i in ext_rt.order:
         if ext_rt.endo_names[i] not in base_rt.endo_index:
             feeds[ext_rt.endo_names[i]] = reach(ext_rt.endo_names[i])
-    contexts = list(_context_pairs(extension, base))
-    exo_names = frozenset(base_rt.exo_names)
-    # the exogenous variables in a reach -> the first context of each of
-    # their classes: its index in `contexts`, and its values in each model
-    classes: dict[frozenset, tuple] = {}
-    bound = len(contexts)  # the contexts still to solve: those before this index
-    first = None  # the counterexample of the failure there
+    bound = None  # the base context of the first failure
+    first = None  # its counterexample
     base_solve, ext_solve = base_rt.solve, ext_rt.solve
     for x_name in base_names:
         reads = reach(x_name).union(base_rt.deps[x_name], base_rt.exo_deps[x_name])
-        free = exo_names & reads
-        if free not in classes:
-            fixed = [(j, r[0]) for j, (n, r) in enumerate(base.signature.exogenous)
-                     if n not in free]
-            ks = [k for k, (exo, _) in enumerate(contexts) if all(exo[j] == v for j, v in fixed)]
-            classes[free] = ks, [contexts[k][0] for k in ks], [contexts[k][1] for k in ks]
-        ks, base_exos, ext_exos = classes[free]
+        # X's contexts, before the first failure's
+        contexts = [c for c in _context_pairs(extension, base, reads)
+                    if bound is None or c[0] < bound]
         # the other base variables, their indices in each model, and their
         # ranges, restricted to the first value outside the reach
         others = [n for n in base_names if n != x_name]
@@ -216,19 +209,18 @@ def is_conservative_extension(
         base_iv, ext_iv = {}, {}  # the setting, updated in place
         base_get, ext_get = base_iv.get, ext_iv.get
         for setting in itertools.product(*ranges):
-            if ks[0] >= bound:
+            if not contexts:
                 break
             base_iv.update(zip(base_idx, setting))
             ext_iv.update(zip(ext_idx, setting))
-            for k, exo, exo_ext in zip(ks, base_exos, ext_exos):
-                if k >= bound:
-                    break
+            for exo, exo_ext in contexts:
                 got_base = base_solve(exo, base_get)[x_base]
                 got_ext = ext_solve(exo_ext, ext_get)[x_ext]
                 if got_base != got_ext:
-                    bound, context = k, dict(zip(base_rt.exo_names, exo))
+                    bound, context = exo, dict(zip(base_rt.exo_names, exo))
                     first = Counterexample(context, x_name, dict(zip(others, setting)),
                                            got_base, got_ext)
+                    contexts = [c for c in contexts if c[0] < exo]
                     break
     return ExtensionReport(first is None, first)
 
@@ -247,47 +239,27 @@ def _draw(rng: random.Random, rt, depth: int, events_only: bool = False):
     """A random formula over a model runtime's endogenous variables, as a
     recipe for `_build` (a nested tuple: a node class, then its fields), and
     the set of the settings its events are read under, `()` outside any
-    prefix.  With `events_only`, a combination of events with no prefix.
-
-    The stream is the one `random.Random`'s own methods draw: `random()`,
-    then `randrange`, `choice` and `sample`, replayed by taking each bounded
-    integer from `getrandbits` by the rule of their
-    `Random._randbelow_with_getrandbits`."""
-    names, ranges, bits = rt.endo_names, rt.endo_ranges, rng.getrandbits
+    prefix.  With `events_only`, a combination of events with no prefix."""
+    names, ranges = rt.endo_names, rt.endo_ranges
     prefixes = set()
-
-    def below(n):
-        width = n.bit_length()
-        r = bits(width)
-        while r >= n:
-            r = bits(width)
-        return r
 
     def events(depth):
         roll = rng.random()
         if depth <= 0 or roll < 0.45:
-            i = below(len(names))
-            return fm.PrimitiveEvent, names[i], ranges[i][below(len(ranges[i]))]
+            i = rng.randrange(len(names))
+            return fm.PrimitiveEvent, names[i], rng.choice(ranges[i])
         if roll < 0.6:
             return fm.Not, events(depth - 1)
         return fm.And if roll < 0.8 else fm.Or, events(depth - 1), events(depth - 1)
 
     def atom():
         body = events(depth)
-        n = len(names)
-        k = below(min(3, n) + 1)
+        k = rng.randrange(min(3, len(names)) + 1)
         if k == 0:
             prefixes.add(())
             return body
-        pool, chosen = list(range(n)), set()
-        while len(chosen) < k:
-            if n > 21:  # `sample`'s set branch: a repeat is drawn again
-                chosen.add(below(n))
-            else:  # its pool branch: the chosen swaps with the last unchosen
-                j = below(len(pool))
-                pool[j], pool[-1] = pool[-1], pool[j]
-                chosen.add(pool.pop())
-        settings = tuple([(names[i], ranges[i][below(len(ranges[i]))]) for i in sorted(chosen)])
+        chosen = sorted(rng.sample(range(len(names)), k))
+        settings = tuple([(names[i], rng.choice(ranges[i])) for i in chosen])
         prefixes.add(settings)
         return fm.Held, settings, body
 
@@ -310,10 +282,7 @@ def _build(recipe) -> fm.CausalFormula:
 
 
 def random_causal_formula(rng: random.Random, model: CausalModel, depth: int = 3):
-    """A random causal formula over the model's endogenous variables.  A
-    seed names the same formulas as long as the generator's `_randbelow`
-    draws from `getrandbits`, as `random.Random`'s does (see `_draw`); a
-    subclass that overrides only `random()` draws other formulas."""
+    """A random causal formula over the model's endogenous variables."""
     return _build(_draw(rng, model._runtime(), depth)[0])
 
 

@@ -348,7 +348,7 @@ def random_context(rng: random.Random, model):
 EXTENSION_KINDS = ("faithful", "rewired", "overflow")
 
 
-def random_extension_pair(rng: random.Random, kind: str, max_endogenous=3):
+def random_extension_pair(rng: random.Random, kind: str, max_endogenous=3, max_exogenous=2):
     """A random multi-valued base model and an extension of it of one kind.
 
     - "faithful": one base equation is routed through a new copy variable
@@ -363,11 +363,12 @@ def random_extension_pair(rng: random.Random, kind: str, max_endogenous=3):
       when its runtime is built; these are the tests' non-total models.
 
     New variables sit at random places among the endogenous variables, and
-    the exogenous variables are declared in a random order.
+    the base's 1 to `max_exogenous` exogenous variables are declared in a
+    random order in the extension.
     """
     if kind not in EXTENSION_KINDS:
         raise ValueError(kind)
-    base = random_multivalued_model(rng, max_endogenous=max_endogenous)
+    base = random_multivalued_model(rng, max_endogenous, max_exogenous)
     ranges = dict(base.signature.exogenous + base.signature.endogenous)
     names = list(base.endogenous_names)
     equations = dict(base.equations)

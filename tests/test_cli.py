@@ -1,9 +1,15 @@
 """Command-line behavior: outputs, JSON schema, exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import actualcause
 from actualcause.cli import run_command
 from actualcause.corpus import model_path
 from actualcause.dsl import parse_model
@@ -286,3 +292,21 @@ def test_non_positive_limits_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 64 and "not a positive integer" in err
     assert out == ""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_output_pipe_ends_the_program_by_sigpipe():
+    """Writing into a pipe whose reader has gone ends the program by
+    SIGPIPE, as `cat` does, with no traceback and no exit 1 (which means a
+    negative verdict)."""
+    src = str(Path(actualcause.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "actualcause.cli", "corpus", "list"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == -signal.SIGPIPE

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -571,6 +572,30 @@ def test_conservativity_solves_the_bundled_pairs_in_1040_rows(doc, solved_rows):
     assert len(calls) == 1040, len(calls)
 
 
+def test_conservativity_keeps_no_list_of_every_context(solved_rows):
+    """14 binary exogenous variables U1..U14, each read by one base
+    variable, and a new variable N that carries O's equation: each X's
+    contexts vary only the U in its reach, so the check neither solves nor
+    holds the 16,384 contexts (listing them all took a 6 MB peak)."""
+    n = 14
+    exogenous = {f"U{i}": (0, 1) for i in range(1, n + 1)}
+    voters = {f"V{i}": md.Var(f"U{i}") for i in range(1, n + 1)}
+    endogenous = dict.fromkeys([*voters, "O"], (0, 1))
+    base = md.make_model(exogenous, endogenous, {**voters, "O": md.Var("V1")})
+    extension = md.make_model(exogenous, {**endogenous, "N": (0, 1)},
+                              {**voters, "N": md.Var("V1"), "O": md.Var("N")})
+    calls = solved_rows(extension, base)
+    tracemalloc.start()
+    try:
+        report = is_conservative_extension(extension, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_conservative
+    assert len(calls) == 60, len(calls)
+    assert peak < 500_000, peak
+
+
 def test_conservativity_enumerates_what_the_extension_reads():
     """C reads only A in the base, but in the extension B too, directly or
     through a new variable N, so B's values must be enumerated for C: the
@@ -635,17 +660,20 @@ def test_conservativity_fails_first_where_the_context_first_loop_did():
     """The check runs X and the settings outside, the contexts inside, and
     prunes both, yet it reports the same first counterexample as the loop
     over every context first, then X, then every total setting, or is
-    refused with the same escape: on the random pairs,
-    overflow kinds included, and on pairs where counterexamples of two X,
-    or of two settings of one X, compete in one context or in two."""
+    refused with the same escape: on the random pairs, overflow kinds
+    included, 100 of them with up to 4 exogenous variables, so that an X
+    has several classes of contexts; and on pairs where counterexamples of
+    two X, or of two settings of one X, compete in one context or in two."""
     outcomes = set()
-    for seed in range(150):
+    draws = [(7000 + seed, 2) for seed in range(150)] + [(7500 + seed, 4) for seed in range(100)]
+    for seed, max_exogenous in draws:
         kind = EXTENSION_KINDS[seed % 3]
-        base, extension = random_extension_pair(random.Random(7000 + seed), kind)
+        base, extension = random_extension_pair(
+            random.Random(seed), kind, max_exogenous=max_exogenous)
         got = _exact_outcome(is_conservative_extension, extension, base)
         assert got == _exact_outcome(_context_first_conservativity, extension, base), seed
-        outcomes.add(getattr(got, "is_conservative", ValueOutOfRange))
-    assert outcomes == {True, False, ValueOutOfRange}
+        outcomes.add((max_exogenous, getattr(got, "is_conservative", ValueOutOfRange)))
+    assert outcomes == {(m, o) for m in (2, 4) for o in (True, False, ValueOutOfRange)}
 
     def is_u(k):
         return md.Cmp("=", md.Var("U"), md.Const(k))
