@@ -183,23 +183,27 @@ class _Worlds:
         return self.rows[frozenset(settings)][self.k]
 
 
-def _verdicts(model: CausalModel, formula: CausalFormula, exos: list) -> Iterator[bool]:
+def _verdicts(
+    model: CausalModel, formula: CausalFormula, exos: list, rows: dict
+) -> Iterator[bool]:
     """Whether a validated formula holds in each context of `exos`, in
-    order.  The worlds it reads are solved first, in every context, into
-    the rows `_Worlds` reads: each distinct prefix, one written in two
-    orders once, and the plain world where some event lies outside every
-    prefix, each by one `solve_contexts` call."""
+    order, decided from `rows`: the set of an intervention's settings -> its
+    world in each context of `exos`, as `_Worlds` reads them.  Each world
+    the formula reads that `rows` lacks is solved first, in every context,
+    into `rows`: each distinct prefix, one written in two orders once, and
+    the plain world where some event lies outside every prefix, each by one
+    `solve_contexts` call.  Formulas decided on the same contexts with one
+    mapping share the worlds their prefixes share."""
     index = model._runtime().endo_index
-    wanted = {}
     for node, prefix in _walk(formula):
         if isinstance(node, Held):
-            wanted.setdefault(frozenset(node.settings), node.settings)
+            key, settings = frozenset(node.settings), node.settings
         elif prefix is None and isinstance(node, PrimitiveEvent):
-            wanted.setdefault(frozenset(), ())
-    rows = {
-        key: solve_contexts(model, exos, {index[n]: x for n, x in settings})
-        for key, settings in wanted.items()
-    }
+            key, settings = frozenset(), ()
+        else:
+            continue
+        if key not in rows:
+            rows[key] = solve_contexts(model, exos, {index[n]: x for n, x in settings})
     return (holds(formula, index, _Worlds(rows, k)) for k in range(len(exos)))
 
 
@@ -208,10 +212,11 @@ def eval_formula(
 ) -> bool:
     """Decide whether the formula holds in the model under the context."""
     validate_formula(model, formula)
-    return next(_verdicts(model, formula, [context_values(model, context)]))
+    return next(_verdicts(model, formula, [context_values(model, context)], {}))
 
 
 def valid_in_model(model: CausalModel, formula: CausalFormula) -> bool:
     """True when the formula holds in every context of the model."""
     validate_formula(model, formula)
-    return all(_verdicts(model, formula, list(itertools.product(*model._runtime().exo_ranges))))
+    exos = list(itertools.product(*model._runtime().exo_ranges))
+    return all(_verdicts(model, formula, exos, {}))

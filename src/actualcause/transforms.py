@@ -8,9 +8,7 @@ equations abnormal.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -51,7 +49,6 @@ from .model import (
     context_values,
     disj,
     make_model,
-    solve_contexts,
     solve_values,
 )
 
@@ -235,55 +232,40 @@ class AgreementReport:
     value_extension: bool | None = None
 
 
-def _draw(rng: random.Random, rt, depth: int, events_only: bool = False):
-    """A random formula over a model runtime's endogenous variables, as a
-    recipe for `_build` (a nested tuple: a node class, then its fields), and
-    the set of the settings its events are read under, `()` outside any
-    prefix.  With `events_only`, a combination of events with no prefix."""
+def random_causal_formula(rng: random.Random, model: CausalModel, depth: int = 3):
+    """A random causal formula over the model's endogenous variables: one
+    or two atoms, each a combination of events nested at most `depth` deep
+    under a prefix of at most 3 distinct settings or none, negated or
+    joined by a connective.  It calls `rng`'s `random`, `randrange`,
+    `choice` and `sample` in a fixed order, so a seed names the same
+    formulas from one version to the next; the tests' `STREAM_DIGESTS`
+    pins them."""
+    rt = model._runtime()
     names, ranges = rt.endo_names, rt.endo_ranges
-    prefixes = set()
 
     def events(depth):
         roll = rng.random()
         if depth <= 0 or roll < 0.45:
             i = rng.randrange(len(names))
-            return fm.PrimitiveEvent, names[i], rng.choice(ranges[i])
+            return fm.PrimitiveEvent(names[i], rng.choice(ranges[i]))
         if roll < 0.6:
-            return fm.Not, events(depth - 1)
-        return fm.And if roll < 0.8 else fm.Or, events(depth - 1), events(depth - 1)
+            return fm.Not(events(depth - 1))
+        return (fm.And if roll < 0.8 else fm.Or)(events(depth - 1), events(depth - 1))
 
     def atom():
         body = events(depth)
         k = rng.randrange(min(3, len(names)) + 1)
         if k == 0:
-            prefixes.add(())
             return body
         chosen = sorted(rng.sample(range(len(names)), k))
-        settings = tuple([(names[i], rng.choice(ranges[i])) for i in chosen])
-        prefixes.add(settings)
-        return fm.Held, settings, body
+        return fm.Held(tuple([(names[i], rng.choice(ranges[i])) for i in chosen]), body)
 
-    if events_only:
-        return events(depth), {()}
     roll = rng.random()
     if roll < 0.6:
-        return atom(), prefixes
+        return atom()
     if roll < 0.75:
-        return (fm.Not, atom()), prefixes
-    return (fm.And if roll < 0.9 else fm.Or, atom(), atom()), prefixes
-
-
-def _build(recipe) -> fm.CausalFormula:
-    """The formula a `_draw` recipe describes."""
-    kind, *fields = recipe
-    if kind is fm.Held:
-        return kind(fields[0], _build(fields[1]))
-    return kind(*fields) if kind is fm.PrimitiveEvent else kind(*map(_build, fields))
-
-
-def random_causal_formula(rng: random.Random, model: CausalModel, depth: int = 3):
-    """A random causal formula over the model's endogenous variables."""
-    return _build(_draw(rng, model._runtime(), depth)[0])
+        return fm.Not(atom())
+    return (fm.And if roll < 0.9 else fm.Or)(atom(), atom())
 
 
 def check_formula_agreement(
@@ -303,65 +285,33 @@ def check_formula_agreement(
     formula has one truth value in both models wherever the two worlds of
     each of its prefixes agree on the base variables.  Once
     `is_conservative_extension` accepts, no such worlds differ (proof in
-    `is_conservative_extension_extended`), so no prefix would flag a
-    context, and the same report is returned with nothing drawn.  A pair
-    refused only under 4 or more set base variables is drawn and agrees.
+    `is_conservative_extension_extended`), so every formula would agree,
+    and the same report is returned with nothing drawn.  A pair refused
+    only under 4 or more set base variables is drawn and agrees.
 
-    Each distinct prefix is solved in every context of both models, by one
-    `solve_contexts` call per model, into a mask of the contexts where they
-    differ.  A formula is evaluated only in the contexts its prefixes flag,
-    in order, which finds the same first disagreement.  It is decided from
-    the rows the masks solved (through `formula._Worlds`), since a context
-    one prefix flags also reads the formula's other prefixes there.
-
-    The prefixes come from the draw (`_draw`), and a formula's tree is
-    built only when they flag a context.  It is never validated: it is
-    drawn from the base's own names and ranges, which the extension shares,
-    its `Held` settings are distinct, and nothing nests, so
-    `validate_formula` cannot fail on it.
+    Each drawn formula is decided in both models by `formula._verdicts`,
+    context by context in order, and the first context where the two
+    verdicts differ is reported.  One mapping of rows per model serves
+    every draw, so each distinct prefix is solved once per model, in every
+    context.  A drawn formula is never validated: it uses the base's own
+    names and ranges, which the extension shares, its `Held` settings are
+    distinct, and nothing nests, so `validate_formula` cannot fail on it.
     """
     _check_count(samples, 1, "the sample count must be a positive integer, not {}")
     _check_count(seed, 0, "the seed must be a nonnegative integer, not {}")
     if is_conservative_extension(extension, base).is_conservative:
         return AgreementReport(True, samples)
     rng = random.Random(seed)
-    base_rt, ext_rt = base._runtime(), extension._runtime()
     base_exos, ext_exos = zip(*_context_pairs(extension, base))
-    to_ext = [ext_rt.endo_index[n] for n in base_rt.endo_names]
-    # an itemgetter of one index gives a value, not a 1-tuple
-    project = operator.itemgetter(*to_ext) if len(to_ext) > 1 else lambda row: (row[to_ext[0]],)
-    base_rows, ext_rows = {}, {}  # set of settings -> each model's rows
-
-    @functools.cache
-    def differing(settings: tuple) -> int:
-        """Bit k set: the worlds differ in context k."""
-        key = frozenset(settings)
-        in_base = base_rows[key] = solve_contexts(
-            base, base_exos, {base_rt.endo_index[n]: x for n, x in settings})
-        in_ext = ext_rows[key] = solve_contexts(
-            extension, ext_exos, {ext_rt.endo_index[n]: x for n, x in settings})
-        mask = 0
-        for k, (world, other) in enumerate(zip(in_base, in_ext)):
-            if world != project(other):
-                mask |= 1 << k
-        return mask
-
+    base_rows, ext_rows = {}, {}  # set of settings -> each model's worlds
     for _ in range(samples):
-        recipe, prefixes = _draw(rng, base_rt, 3)
-        flagged = 0
-        for settings in prefixes:
-            flagged |= differing(settings)
-        if not flagged:
-            continue
-        candidate = _build(recipe)
-        for k, exo_base in enumerate(base_exos):
-            if not flagged >> k & 1:
-                continue
-            in_base = fm.holds(candidate, base_rt.endo_index, fm._Worlds(base_rows, k))
-            in_ext = fm.holds(candidate, ext_rt.endo_index, fm._Worlds(ext_rows, k))
-            if in_base != in_ext:
-                context = dict(zip(base_rt.exo_names, exo_base))
-                return AgreementReport(False, samples, candidate, context, in_base, in_ext)
+        candidate = random_causal_formula(rng, base)
+        in_base = fm._verdicts(base, candidate, base_exos, base_rows)
+        in_ext = fm._verdicts(extension, candidate, ext_exos, ext_rows)
+        for exo, value_base, value_ext in zip(base_exos, in_base, in_ext):
+            if value_base != value_ext:
+                context = dict(zip(base.exogenous_names, exo))
+                return AgreementReport(False, samples, candidate, context, value_base, value_ext)
     return AgreementReport(True, samples)
 
 

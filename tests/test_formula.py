@@ -21,7 +21,7 @@ from actualcause.formula import (
     validate_formula,
 )
 from actualcause.dsl import parse_formula, print_formula
-from actualcause.model import Const, Var, make_model
+from actualcause.model import Var, make_model
 from actualcause.transforms import (
     check_formula_agreement,
     is_conservative_extension,
@@ -39,11 +39,19 @@ from oracle import (
 
 
 def random_event_formula(rng, model, depth=3):
-    """A random intervention-free boolean combination of events, drawn by
-    `transforms._draw` from the generator's stream as `random_causal_formula`
-    draws a causal formula; `STREAM_DIGESTS` pins what each seed names."""
-    recipe, _ = transforms._draw(rng, model._runtime(), depth, events_only=True)
-    return transforms._build(recipe)
+    """A random intervention-free boolean combination of events, drawn as
+    `random_causal_formula` draws each atom's body: the same `random`,
+    `randrange` and `choice` calls in the same order.  `STREAM_DIGESTS`
+    pins what each seed names."""
+    names = model.endogenous_names
+    roll = rng.random()
+    if depth <= 0 or roll < 0.45:
+        i = rng.randrange(len(names))
+        return PrimitiveEvent(names[i], rng.choice(model.range_of(names[i])))
+    if roll < 0.6:
+        return Not(random_event_formula(rng, model, depth - 1))
+    left = random_event_formula(rng, model, depth - 1)
+    return (And if roll < 0.8 else Or)(left, random_event_formula(rng, model, depth - 1))
 
 
 def test_hopkins_counterfactual(hopkins):
@@ -250,8 +258,9 @@ def agreement_solves(solved_rows, monkeypatch):
     check accepts, nothing and no draw, and on one it refuses the rows
     `_agreement_rows` names, each once.  It returns the report's `agrees`,
     or `ValueOutOfRange` where both checks raise it."""
-    drawn, real_draw = [], transforms._draw
-    monkeypatch.setattr(transforms, "_draw", lambda *args: drawn.append(args) or real_draw(*args))
+    drawn, real_draw = [], transforms.random_causal_formula
+    monkeypatch.setattr(transforms, "random_causal_formula",
+                        lambda *args: drawn.append(args) or real_draw(*args))
 
     def outcome(check):
         try:
@@ -282,8 +291,8 @@ def agreement_solves(solved_rows, monkeypatch):
 
 
 def test_agreement_solves_each_world_once_on_disagreeing_pairs(agreement_solves, doc):
-    # the masks keep the worlds they solve, so evaluating a flagged formula
-    # solves none of them again, in the contexts its other prefixes flag too
+    # the rows of each model serve every drawn formula, so a prefix that
+    # several formulas share is solved once in each context
     pairs = [(doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model)] * 10
     for seed in range(30):
         base, extension = random_extension_pair(random.Random(8000 + seed), "rewired")
@@ -317,8 +326,8 @@ def _agreement_rows(extension, base, samples, seed):
 
 def test_agreement_solves_the_rows_of_the_drawn_prefixes(agreement_solves):
     """Agreement solves the plain check's rows, and on a pair that check
-    refuses the rows `_agreement_rows` names and nothing more to decide a
-    flagged formula, on pairs of every kind, each once; a pair with a model
+    refuses the rows `_agreement_rows` names and nothing more to decide the
+    drawn formulas, on pairs of every kind, each once; a pair with a model
     that is not total is refused before any solve."""
     outcomes = set()
     for seed in range(60):
@@ -330,19 +339,15 @@ def test_agreement_solves_the_rows_of_the_drawn_prefixes(agreement_solves):
     assert outcomes == {True, False, ValueOutOfRange}
 
 
-def test_drawn_formulas_validate_and_show_their_prefixes(doc):
-    # formula agreement takes the prefixes of a drawn formula from the draw
-    # and never validates the formula: every drawn formula must be valid,
-    # and the prefixes the draw collects those an independent walk finds
+def test_drawn_formulas_validate(doc):
+    # formula agreement never validates a drawn formula before
+    # `formula._verdicts` decides it, so every drawn formula must be valid
     rng = random.Random(12)
     for name in model_names():
         model = doc(name).model
         for depth in range(4):
             for _ in range(25):
-                recipe, prefixes = transforms._draw(rng, model._runtime(), depth)
-                phi = transforms._build(recipe)
-                validate_formula(model, phi)
-                assert prefixes == settings_read(phi), (name, phi)
+                validate_formula(model, random_causal_formula(rng, model, depth))
 
 
 # SHA-256 of the printed first 50 formulas of `random.Random(seed)` at each
@@ -376,76 +381,6 @@ def test_each_seed_draws_the_pinned_formulas(doc, draw):
                 for _ in range(50):
                     digest.update(print_formula(draw(rng, model, depth)).encode() + b"\n")
         assert digest.hexdigest() == STREAM_DIGESTS[draw.__name__, name], name
-
-
-def _reference_draw(rng, model, depth, events_only=False):
-    """`transforms._draw` by `random.Random`'s own methods, the calls it
-    made before it took its bounded integers from `getrandbits`."""
-    names = model.endogenous_names
-    ranges = [model.range_of(n) for n in names]
-    prefixes = set()
-
-    def events(depth):
-        roll = rng.random()
-        if depth <= 0 or roll < 0.45:
-            i = rng.randrange(len(names))
-            return PrimitiveEvent, names[i], rng.choice(ranges[i])
-        if roll < 0.6:
-            return Not, events(depth - 1)
-        return And if roll < 0.8 else Or, events(depth - 1), events(depth - 1)
-
-    def atom():
-        body = events(depth)
-        k = rng.randrange(0, min(3, len(names)) + 1)
-        if k == 0:
-            prefixes.add(())
-            return body
-        chosen = sorted(rng.sample(range(len(names)), k))
-        settings = tuple([(names[i], rng.choice(ranges[i])) for i in chosen])
-        prefixes.add(settings)
-        return Held, settings, body
-
-    if events_only:
-        return events(depth), {()}
-    roll = rng.random()
-    if roll < 0.6:
-        return atom(), prefixes
-    if roll < 0.75:
-        return (Not, atom()), prefixes
-    return (And if roll < 0.9 else Or, atom(), atom()), prefixes
-
-
-class _FlippedBits(random.Random):
-    """A generator with its own `getrandbits`, which `randrange`, `choice`
-    and `sample` then draw from."""
-
-    def getrandbits(self, k):
-        return super().getrandbits(k) ^ ((1 << k) - 1)
-
-
-def _wide_model(n):
-    """A chain of `n` variables whose ranges hold one to five values, so
-    that each width of rejection sampling is drawn."""
-    ranges = {f"X{i}": tuple(range(i % 5 + 1)) for i in range(n)}
-    equations = {f"X{i}": Var("U") if i % 5 else Const(0) for i in range(n)}
-    return make_model({"U": (0, 1)}, ranges, equations)
-
-
-def test_the_draw_replays_the_random_methods(doc):
-    """`_draw` takes the same stream as `random.Random`'s `random`,
-    `randrange`, `choice` and `sample` calls, over every bundled model and
-    chains of 21 and 22 variables, on both sides of `sample`'s switch from
-    a pool to a set; so does a subclass with its own `getrandbits`."""
-    models = [doc(name).model for name in model_names()] + [_wide_model(21), _wide_model(22)]
-    for model in models:
-        rt = model._runtime()
-        for kind in (random.Random, _FlippedBits):
-            for seed in range(50):
-                depth, got, want = seed % 4, kind(seed), kind(seed)
-                for events_only in (False, True, False):
-                    drawn = transforms._draw(got, rt, depth, events_only)
-                    assert drawn == _reference_draw(want, model, depth, events_only)
-                    assert got.getstate() == want.getstate(), (model, kind, seed)
 
 
 def _right_chain(kind, operands):

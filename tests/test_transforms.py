@@ -58,7 +58,6 @@ from oracle import (
     random_extension_pair,
     random_context,
     random_multivalued_model,
-    settings_read,
 )
 
 
@@ -124,6 +123,13 @@ def test_conservativity_reads_contexts_in_each_models_exogenous_order():
         ce = report.counterexample
         assert list(ce.context.items()) == [("U", 0), ("V", 1)]
         assert (ce.variable, ce.value_base, ce.value_extension) == ("A", 0, 1)
+    # agreement projects each context into the extension's order too
+    assert check_formula_agreement(swapped, base, samples=50, seed=0).agrees
+    report = check_formula_agreement(other, base, samples=50, seed=0)
+    assert report == _looped_agreement(other, base, 50, 0)
+    assert not report.agrees and report.context == {"U": 0, "V": 1}
+    assert report.formula == PrimitiveEvent("A", 1)
+    assert (report.value_base, report.value_extension) == (False, True)
 
 
 def test_formula_agreement_on_conservative_pairs(doc):
@@ -183,8 +189,9 @@ def test_formula_agreement_draws_on_a_pair_refused_only_under_four_settings(monk
                 for ctx in base.contexts():
                     world = naive_solve(extension, ctx, setting)
                     assert {n: world[n] for n in names} == naive_solve(base, ctx, setting)
-    drawn, real_draw = [], transforms._draw
-    monkeypatch.setattr(transforms, "_draw", lambda *args: drawn.append(args) or real_draw(*args))
+    drawn, real_draw = [], transforms.random_causal_formula
+    monkeypatch.setattr(transforms, "random_causal_formula",
+                        lambda *args: drawn.append(args) or real_draw(*args))
     for seed in range(5):
         drawn.clear()
         assert check_formula_agreement(extension, base, samples=200, seed=seed).agrees, seed
@@ -379,7 +386,7 @@ def _outcome(check, *args):
 
 def _looped_agreement(extension, base, samples, seed):
     """Every formula evaluated by `eval_formula` in both models in every
-    context, with no masks."""
+    context, each from scratch, with no rows shared between formulas."""
     return _naive_agreement(extension, base, samples, seed, holds=eval_formula)
 
 
@@ -477,77 +484,29 @@ def test_a_refused_extension_disagrees_on_its_counterexample_formula():
     assert refused >= 60, refused
 
 
-def test_agreement_decides_only_the_flagged_formulas(doc, monkeypatch):
-    """A formula is built, and decided in each model, only when the two
-    worlds of one of its prefixes differ in some context: on a conservative
-    pair, never."""
-    cheat, detailed = doc("rock_throwing_cheat").model, doc("rock_throwing_detailed").model
-    # each formula `fm.holds` is called on, with the model whose variables
-    # index it; a call made inside another decides a subformula and is not
-    # counted
-    owner = {id(m._runtime().endo_index): m for m in (cheat, detailed)}
-    decided, holding, real_holds = [], [0], fm.holds
-
-    def holds(formula, index, world):
-        if not holding[0]:
-            decided.append((owner.get(id(index), index), formula))
-        holding[0] += 1
-        try:
-            return real_holds(formula, index, world)
-        finally:
-            holding[0] -= 1
-
-    monkeypatch.setattr(fm, "holds", holds)
-    # the formulas built from a recipe; a call made inside another builds
-    # a subformula and is not counted
-    built, depth, real_build = [], [0], transforms._build
-
-    def build(recipe):
-        depth[0] += 1
-        formula = real_build(recipe)
-        depth[0] -= 1
-        if not depth[0]:
-            built.append(formula)
-        return formula
-
-    monkeypatch.setattr(transforms, "_build", build)
+def test_agreement_draws_and_decides_nothing_on_an_accepted_pair(doc, monkeypatch):
+    """On a pair the plain check accepts, no formula is drawn, and none is
+    decided in either model."""
+    decided, real_holds = [], fm.holds
+    monkeypatch.setattr(fm, "holds", lambda *args: decided.append(args) or real_holds(*args))
+    drawn, real_draw = [], transforms.random_causal_formula
+    monkeypatch.setattr(transforms, "random_causal_formula",
+                        lambda *args: drawn.append(args) or real_draw(*args))
+    detailed = doc("rock_throwing_detailed").model
     report = check_formula_agreement(
         detailed, doc("rock_throwing_naive").model, samples=50, seed=3
     )
-    assert report.agrees and decided == [] and built == []
-    # a base of one variable, whose worlds are compared as 1-tuples
+    assert report.agrees and decided == [] and drawn == []
+    # a base of one variable
     one = md.make_model({"U": (0, 1)}, {"A": (0, 1)}, {"A": md.Var("U")})
     wider = md.make_model({"U": (0, 1)}, {"N": (0, 1), "A": (0, 1)},
                           {"N": md.Var("U"), "A": md.Var("N")})
     assert check_formula_agreement(wider, one, samples=50, seed=3).agrees
-    assert decided == [] and built == []
-
-    report = check_formula_agreement(cheat, detailed, samples=200, seed=7)
-    assert not report.agrees
-    built_by_check = list(built)
-    names = detailed.endogenous_names
-
-    def differs(settings):
-        return any(
-            {n: naive_solve(cheat, ctx, dict(settings))[n] for n in names}
-            != naive_solve(detailed, ctx, dict(settings))
-            for ctx in detailed.contexts()
-        )
-
-    rng, flagged, candidate = random.Random(7), [], None
-    while candidate != report.formula:
-        candidate = random_causal_formula(rng, detailed)
-        if any(map(differs, settings_read(candidate))):
-            flagged.append(candidate)
-    assert len(flagged) >= 2
-    # each flagged context decides the formula in the base, then in the
-    # extension; the formulas come one after another, in draw order
-    assert [m for m, _ in decided] == [detailed, cheat] * (len(decided) // 2)
-    in_base, in_ext = [f for _, f in decided[::2]], [f for _, f in decided[1::2]]
-    assert in_base == in_ext
-    assert [next(run) for _, run in itertools.groupby(in_base, key=id)] == flagged
-    # only the flagged formulas are built, in draw order
-    assert built_by_check == flagged
+    assert decided == [] and drawn == []
+    # a refused pair draws and decides, so the counters see both
+    cheat = doc("rock_throwing_cheat").model
+    assert not check_formula_agreement(cheat, detailed, samples=200, seed=7).agrees
+    assert decided and drawn
 
 
 def test_conservativity_enumerates_only_the_settings_that_matter(doc, solved_rows):
