@@ -438,10 +438,11 @@ class _Query:
         self.phi_actual = self.phi_ok(self.actual)
         # the variables that can change the effect: its own and their ancestors
         self.anc, self.desc = self.rt.closures()
-        self.phi_anc = 0
+        self.phi_anc = self.phi_mask = 0
         phi_vars = formula_variables(phi)
         for name in phi_vars:
             self.phi_anc |= self.anc[self.rt.endo_index[name]]
+            self.phi_mask |= 1 << self.rt.endo_index[name]
         # the variables the search may not swap (see `search`), or None
         # when it may swap none
         self.fixed = None
@@ -467,7 +468,8 @@ class _Query:
         bound.phi_ok, bound.budget, bound.rt = self.phi_ok, self.budget, self.rt
         bound.exo, bound.actual, bound.phi_actual = self.exo, self.actual, self.phi_actual
         bound.actual_world, bound.memo = self.actual_world, self.memo
-        bound.phi_anc, bound.anc, bound.desc = self.phi_anc, self.anc, self.desc
+        bound.phi_anc, bound.phi_mask = self.phi_anc, self.phi_mask
+        bound.anc, bound.desc = self.anc, self.desc
         bound.fixed = self.fixed
         bound.cause = _normalize_cause(self.base, cause)
         bound.cause_idx = tuple([self.rt.endo_index[n] for n, _ in bound.cause])
@@ -543,10 +545,16 @@ class _Query:
           desc(M) too and, by induction along the dependency order, keep
           their actual values;
         - a variable outside anc(φ) cannot change the variables of φ, so
-          it cannot change φ.
+          it cannot change φ;
+        - a reset set holding every variable of φ in desc(M) leaves φ at
+          its actual outcome, with no solve: φ's other variables lie
+          outside desc(M) and keep their actual values as above, and the
+          reset ones are put back to theirs.  So no solve is made when M
+          is empty or φ lies outside desc(M); when φ holds in the actual
+          world and one variable of φ lies in desc(M), the pool loses it;
+          when φ fails there, the first such set refutes.
 
-        When M is empty the restore world is the actual world and no solve
-        is made.  φ's outcome is memoized on the bound query per restore
+        φ's outcome is memoized on the bound query per restore
         intervention (the W' items and the reset set), so contingencies
         sharing a W' reuse it.  Under UPDATED/EXTENDED the first failing
         restore intervention (W' = w', reset set Z') is also kept as a
@@ -569,14 +577,24 @@ class _Query:
             for i, value in items:
                 if value != actual[i]:
                     moved |= desc[i]
-            if not moved:
+            reach = self.phi_mask & moved
+            if not reach:
                 if not self.phi_actual:
                     return self._refuted(items, ())
                 continue
             pool_mask = moved & resettable
+            if reach & ~pool_mask:
+                reach = 0  # some of it lies in W or X: no reset set holds it
+            elif self.phi_actual and not reach & (reach - 1):
+                pool_mask &= ~reach
+                reach = 0
             pool = [i for i in range(pool_mask.bit_length()) if pool_mask >> i & 1]
             for k in range(len(pool) + 1):
                 for reset in itertools.combinations(pool, k):
+                    if reach and reach & ~sum([1 << i for i in reset]) == 0:
+                        if self.phi_actual:
+                            continue
+                        return self._refuted(items, reset)
                     key = (items, reset)
                     ok = outcomes.get(key)
                     if ok is None:

@@ -32,7 +32,7 @@ from actualcause.errors import (
     NoWitness,
     SearchBudgetExceeded,
 )
-from actualcause.formula import And, Held, Or, PrimitiveEvent
+from actualcause.formula import And, Held, Or, PrimitiveEvent, formula_variables
 from actualcause.model import Case, Cmp, Const, Sum, Var, World, make_model, solve
 from actualcause.transforms import build_stability_model
 from oracle import (
@@ -219,12 +219,15 @@ def test_find_all_causes_respects_minimality(doc):
 
 
 def test_budget_exhaustion_is_an_error(doc):
+    # one solve short of the first witness: the cap is read off the query,
+    # so a cut in its solves cannot turn the error into a truncated verdict
     plurality = doc("livengood_5_2_0")
+    query = (plurality.model, plurality.context("u"), {"V1": 0}, PrimitiveEvent("O", 0))
+    first = SearchBudget()
+    assert is_actual_cause(*query, budget=first, find_all_witnesses=False).is_cause
+    assert first.used > 1
     with pytest.raises(SearchBudgetExceeded):
-        is_actual_cause(
-            plurality.model, plurality.context("u"), {"V1": 0},
-            PrimitiveEvent("O", 0), budget=SearchBudget(5),
-        )
+        is_actual_cause(*query, budget=SearchBudget(first.used - 1))
 
 
 def test_budget_truncates_after_first_witness(rt_naive):
@@ -610,6 +613,133 @@ def test_restore_check_of_a_moved_cause_matches_literal_check():
                     assert got == want, (model, ctx, cause, phi, witness, variant)
                     checked += 1
     assert checked > 200
+
+
+# -- AC2(b) reset sets that hold every moved variable of the effect -----------
+#
+# A reset set Z' holding every variable of φ in desc(M) leaves φ at its actual
+# outcome, so the engine decides it with no solve: true when φ holds in the
+# actual world, a refutation when it does not.  The effects below read two or
+# three variables, which the cause or the contingency may hold.
+
+def _reads(expr):
+    """The variables an equation reads."""
+    if isinstance(expr, Var):
+        return {expr.name}
+    if isinstance(expr, tuple):
+        return set().union(*map(_reads, expr))
+    if is_dataclass(expr):
+        return set().union(*(_reads(getattr(expr, f.name)) for f in fields(expr)))
+    return set()
+
+
+def _descendants(model, roots):
+    """`roots` and every endogenous variable downstream of one of them."""
+    out = set(roots)
+    for name in model.endogenous_names:
+        if _reads(model.equation_of(name)) & out:
+            out.add(name)
+    return out
+
+
+def _effect_case(rng):
+    """A random multi-valued model, context, actual world and an effect
+    that reads two or three of its variables, with their names."""
+    model = random_multivalued_model(rng)
+    ctx = random_context(rng, model)
+    names = model.endogenous_names
+    chosen = rng.sample(names, min(len(names), rng.choice((2, 3))))
+    while True:
+        phi = random_effect(rng, model, chosen, depth=3)
+        read = formula_variables(phi)
+        if len(read) >= 2:
+            return model, ctx, solve(model, ctx), phi, read
+
+
+def test_restore_sets_holding_the_moved_effect_match_reference():
+    rng = random.Random(4048)
+    seen = Counter()
+    for _ in range(50):
+        model, ctx, world, phi, read = _effect_case(rng)
+        names = model.endogenous_names
+        holds = event_holds(world, phi)
+        causes = [{n: world[n]} for n in names]
+        moved = rng.choice(names)
+        causes.append({moved: rng.choice([v for v in model.range_of(moved)
+                                          if v != world[moved]])})
+        for cause in causes:
+            kinds = {"φ false"} if not holds else set()
+            if read & set(cause):
+                kinds.add("cause holds φ")
+            for variant, original in (("original", True), ("updated", False)):
+                mine = _triples(find_witnesses(model, ctx, cause, phi, variant))
+                assert mine == naive_witnesses(model, ctx, cause, phi, original), (
+                    model, ctx, cause, phi, variant)
+            others = [n for n in names if n not in cause]
+            for size in range(min(2, len(others)) + 1):
+                for contingency in itertools.combinations(others, size):
+                    w_values = tuple(rng.choice(model.range_of(n)) for n in contingency)
+                    witness = Witness(contingency, w_values, tuple(world[n] for n in cause))
+                    for variant, original in (("original", True), ("updated", False)):
+                        got = check_ac2b(model, ctx, cause, phi, witness, variant)
+                        want = naive_restore_holds(model, ctx, cause, phi, contingency,
+                                                   w_values, original)
+                        assert got == want, (model, ctx, cause, phi, witness, variant)
+                    seen.update(kinds | ({"W holds φ"} if read & set(contingency) else set()))
+    assert set(seen) == {"cause holds φ", "W holds φ", "φ false"}, seen
+    assert min(seen.values()) > 50, seen
+
+
+def test_a_reset_set_holding_part_of_the_moved_effect_is_solved():
+    # C = 1 moves A and B, both read by φ; φ holds with nothing reset and
+    # with both reset, but fails with A alone reset, since B follows A
+    model = make_model({"U": (0, 1)}, {"C": (0, 1), "A": (0, 1), "B": (0, 1)},
+                       {"C": Var("U"), "A": Var("C"), "B": Cmp("=", Var("A"), Var("C"))})
+    phi = Or(PrimitiveEvent("B", 1), And(PrimitiveEvent("A", 1), PrimitiveEvent("B", 0)))
+    witness = Witness((), (), (0,))
+    assert not naive_restore_holds(model, {"U": 0}, {"C": 1}, phi, (), (), False)
+    assert not check_ac2b(model, {"U": 0}, {"C": 1}, phi, witness)
+
+
+def test_no_restore_solve_resets_every_moved_effect_variable(doc, monkeypatch):
+    # every AC2(b) solve leaves some variable of φ in desc(M) unreset, M being
+    # the cause and contingency variables forced off their actual values
+    restoring, checked, current = [], [0], {}
+    real_ac2b, real_solve = causality._Query.ac2b, causality.solve_values
+
+    def ac2b(self, w_idx, w_vals):
+        restoring.append({self.rt.endo_names[i] for i in w_idx + self.cause_idx})
+        try:
+            return real_ac2b(self, w_idx, w_vals)
+        finally:
+            restoring.pop()
+
+    def solve_values(model, exo, interventions=None):
+        if restoring:
+            fixed, world = restoring[-1], current["world"]
+            forced = {model.endogenous_names[i]: v for i, v in interventions.items()}
+            moved = {n for n in fixed if n in forced and forced[n] != world[n]}
+            reach = current["read"] & _descendants(model, moved)
+            assert reach and not reach <= set(forced) - fixed, (model, forced, reach)
+            checked[0] += 1
+        return real_solve(model, exo, interventions)
+
+    monkeypatch.setattr(causality._Query, "ac2b", ac2b)
+    monkeypatch.setattr(causality, "solve_values", solve_values)
+    rng = random.Random(4049)
+    queries = []
+    for _ in range(40):
+        model, ctx, world, phi, read = _effect_case(rng)
+        queries += [(model, ctx, {n: world[n]}, phi) for n in model.endogenous_names]
+    for name, ctx, cause, effect in (("hopkins_pearl", "u", {"A": 1}, D1),
+                                     ("glymour_mechanisms", "u", {"A4": 0}, PrimitiveEvent("O", 1)),
+                                     ("livengood_5_2_0", "u", {"V1": 0}, PrimitiveEvent("O", 0))):
+        queries.append((doc(name).model, doc(name).context(ctx), cause, effect))
+    for model, ctx, cause, phi in queries:
+        current.update(world=solve(model, ctx), read=formula_variables(phi))
+        for variant in ("original", "updated"):
+            find_witnesses(model, ctx, cause, phi, variant)
+    assert checked[0] > 1000, checked
 
 
 def test_certifying_the_stated_plurality_witness_is_cheap(doc, monkeypatch):

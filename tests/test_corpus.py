@@ -107,7 +107,7 @@ def test_the_plurality_case_is_decided_by_search_within_its_bound():
                               budget=budget, find_all_witnesses=False)
     assert verdict.is_cause and verdict.search_complete
     assert verdict.witnesses == (stated.witness,)
-    assert budget.used == 1368
+    assert budget.used == 859
 
 
 def _searched_solves(find_all_witnesses: bool) -> dict[str, int]:
@@ -133,10 +133,10 @@ def test_searched_cases_make_exactly_the_pinned_solves():
     # where every verdict stays the same
     first = _searched_solves(find_all_witnesses=False)
     assert len(first) == 66
-    assert sum(first.values()) == 2280
+    assert sum(first.values()) == 1992
     assert (first["liv_norm_jack"], first["glymour_mech_a4"], first["weslake_two_a"]) == (
-        321, 148, 145)
-    assert sum(_searched_solves(find_all_witnesses=True).values()) == 7569
+        230, 144, 141)
+    assert sum(_searched_solves(find_all_witnesses=True).values()) == 6394
 
 
 def test_searched_cases_start_exactly_the_pinned_value_scans(monkeypatch):
@@ -150,7 +150,7 @@ def test_searched_cases_start_exactly_the_pinned_value_scans(monkeypatch):
         return real(self, *args)
 
     monkeypatch.setattr(causality._Query, "_unrefuted", counted)
-    for find_all_witnesses, solves, started in ((False, 2280, 649), (True, 7569, 1915)):
+    for find_all_witnesses, solves, started in ((False, 1992, 649), (True, 6394, 1915)):
         scans[0] = 0
         assert sum(_searched_solves(find_all_witnesses).values()) == solves
         assert scans[0] == started
