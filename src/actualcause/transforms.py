@@ -163,6 +163,14 @@ def is_conservative_extension(
     nothing more is solved once the first context has failed.  A refused
     pair may therefore enumerate the whole plan rather than stop at its
     first failure; that costs no more than an accepted pair of the same models.
+
+    An X whose extension equation equals (`==`) its base one is skipped.
+    That equation reads only base names, which the extension keeps with
+    their ranges and the same exogenous signature (checked first); so under
+    any setting of the other base variables, in a shared context, X reads
+    the same inputs in both models and takes the same value.  It is never a
+    counterexample, and both runtimes, with their totality checks, are
+    built before the loop, so reports and errors are as without the skip.
     """
     _require_models(CausalModel, extension, base)
     if dict(extension.signature.exogenous) != dict(base.signature.exogenous):
@@ -191,6 +199,9 @@ def is_conservative_extension(
     first = None  # its counterexample
     base_solve, ext_solve = base_rt.solve, ext_rt.solve
     for x_name in base_names:
+        x_base, x_ext = base_rt.endo_index[x_name], ext_rt.endo_index[x_name]
+        if base_rt.exprs[x_base] == ext_rt.exprs[x_ext]:
+            continue
         reads = reach(x_name).union(base_rt.deps[x_name], base_rt.exo_deps[x_name])
         # X's contexts, before the first failure's
         contexts = [c for c in _context_pairs(extension, base, reads)
@@ -202,7 +213,6 @@ def is_conservative_extension(
         ext_idx = [ext_rt.endo_index[n] for n in others]
         ranges = [base_rt.endo_ranges[i] if n in reads else base_rt.endo_ranges[i][:1]
                   for n, i in zip(others, base_idx)]
-        x_base, x_ext = base_rt.endo_index[x_name], ext_rt.endo_index[x_name]
         base_iv, ext_iv = {}, {}  # the setting, updated in place
         base_get, ext_get = base_iv.get, ext_iv.get
         for setting in itertools.product(*ranges):

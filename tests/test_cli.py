@@ -90,6 +90,14 @@ def test_conservative_exit_codes(capsys):
     assert code == 1 and "counterexample" in out
 
 
+def test_conservative_decides_an_unchanged_full_size_vote(capsys):
+    """The 19-voter model against itself, each file parsed on its own: no
+    base equation changes, so the check needs no solve and answers."""
+    vote = str(model_path("livengood_17_2_0"))
+    code, out, _ = run(capsys, "conservative", "-m1", vote, "-m2", vote)
+    assert code == 0 and out.splitlines() == ["conservative: true"]
+
+
 def test_ce_command(capsys):
     code, out, _ = run(capsys, "ce",
                        "-m1", str(model_path("scanner_vote")), "-m2", SCANNER)
