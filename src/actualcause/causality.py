@@ -376,16 +376,17 @@ def _swaps(readers, a: str, b: str) -> bool:
 
 def _orbits(rt, fixed: frozenset[str], exo: tuple[int, ...], cause: tuple[int, ...]) -> tuple:
     """The classes of the interchangeable variables outside `fixed` and
-    the indices `cause` that the context `exo` cannot tell apart, their
-    set tests and each member's predecessor in its class, as
-    `_Query.search` reads them (`classes`, `orbits`, `floor`).  The kept
-    members of one class of the model whose private parents the context
-    gives the same values form a class: the swap of any two of them fixes
-    the context.  A bucket left with fewer than two members is passed over
-    before any equation is compared, so a query whose cause or effect
-    leaves one member of each bucket builds no class of the model."""
+    the indices `cause` that the context `exo` cannot tell apart, each
+    member's predecessor in its class and each member's class, as
+    `_Query.search` and `_Query.ac2b` read them (`classes`, `floor`,
+    `class_of`).  The kept members of one class of the model whose private
+    parents the context gives the same values form a class: the swap of
+    any two of them fixes the context.  A bucket left with fewer than two
+    members is passed over before any equation is compared, so a query
+    whose cause or effect leaves one member of each bucket builds no class
+    of the model."""
     names = rt.endo_names
-    classes, tests, floor = [], [], {}
+    classes, floor, class_of = [], {}, {}
     for k, bucket in enumerate(rt.buckets):
         if sum(i not in cause and names[i] not in fixed for i in bucket) < 2:
             continue
@@ -397,14 +398,10 @@ def _orbits(rt, fixed: frozenset[str], exo: tuple[int, ...], cause: tuple[int, .
             for members in split.values():
                 if len(members) < 2:
                     continue
-                prefix, prefixes = 0, {0}
-                for i in members:
-                    prefix |= 1 << i
-                    prefixes.add(prefix)
+                class_of.update(dict.fromkeys(members, len(classes)))
                 classes.append(tuple(members))
-                tests.append((prefix, frozenset(prefixes)))
                 floor.update(zip(members[1:], members))
-    return tuple(classes), tuple(tests), floor or ()
+    return tuple(classes), floor or (), class_of
 
 
 class _Query:
@@ -492,10 +489,11 @@ class _Query:
                 bound.x_moved_desc |= self.desc[i]
         bound.restore_memo = {}
         bound.nogoods, bound.learned, bound.dead = {}, 0, []
-        # the classes whose members the search may swap, their set tests and
-        # each member's predecessor in its class (see `search`)
-        bound.classes, bound.orbits, bound.floor = (
-            ((), (), ()) if self.fixed is None
+        # the classes whose members the search may swap, each member's
+        # predecessor in its class (see `search`) and each member's class
+        # (see `ac2b`)
+        bound.classes, bound.floor, bound.class_of = (
+            ((), (), {}) if self.fixed is None
             else _orbits(self.rt, self.fixed, self.exo, bound.cause_idx))
         return bound
 
@@ -559,6 +557,18 @@ class _Query:
         sharing a W' reuse it.  Under UPDATED/EXTENDED the first failing
         restore intervention (W' = w', reset set Z') is also kept as a
         nogood; `search` skips every later contingency it refutes.
+
+        W' ranges over one subset per orbit.  Let a and b be members of W
+        in one class of `classes` holding one value in w.  Their swap σ
+        fixes the context, X, x, φ's value and the actual world (see
+        `search`) and maps W onto itself.  Z' lies outside W ∪ X, so σ maps
+        each restore intervention (W' = w', Z') onto (σW' = w', σZ'),
+        another choice for W, with the same φ outcome.  So W' passes exactly
+        when σW' does, and only the W' that hold, with each position, the
+        previous one of its class and value in W (`prev`) are tried: the
+        lex-leaders, in their old relative order.  The first failing W' of
+        the full order is one of them, since its leader fails too and comes
+        no later; so the verdict and the nogood stay as they are.
         """
         actual, desc, outcomes = self.actual, self.desc, self.restore_memo
         resettable = self.resettable
@@ -567,10 +577,17 @@ class _Query:
         if self.variant is RuleVariant.ORIGINAL:
             w_subsets: Iterable[tuple[int, ...]] = (tuple(range(len(w_idx))),)
         else:
-            w_subsets = itertools.chain.from_iterable(
-                itertools.combinations(range(len(w_idx)), k)
-                for k in range(len(w_idx) + 1)
-            )
+            # each position's previous one of its class and value in W
+            prev, last, class_of = {}, {}, self.class_of
+            for pos, i in enumerate(w_idx):
+                if i in class_of:
+                    key = class_of[i], w_vals[pos]
+                    if key in last:
+                        prev[pos] = last[key]
+                    last[key] = pos
+            subsets = (functools.partial(_closed_combinations, range(len(w_idx)), prev)
+                       if prev else functools.partial(itertools.combinations, range(len(w_idx))))
+            w_subsets = itertools.chain.from_iterable(map(subsets, range(len(w_idx) + 1)))
         for chosen in w_subsets:
             items = tuple([(w_idx[pos], w_vals[pos]) for pos in chosen])
             moved = self.x_moved_desc
@@ -779,8 +796,12 @@ class _Query:
         non-decreasing values.  Each orbit has exactly one, and it comes
         first in canonical order: moving a member onto an earlier member
         outside W gives a smaller set, and swapping the values of two
-        members out of order gives a smaller tuple.  The scan skips, by
-        mask, every other set before its range is built (`orbits`), and
+        members out of order gives a smaller tuple: it is the orbit's
+        lex-leader.  A set is orbit-minimal exactly when it holds the
+        predecessor (`floor`) of each class member it holds.  A
+        first-witness scan builds only those sets (`_closed_combinations`);
+        an every-witness scan, which places copies in the others, skips
+        them by that test before their ranges are built.
         `_unrefuted` cuts every value prefix that decreases in a class
         (`floor`).  The canonical first witness is orbit-minimal, because
         its smallest image is also a witness, and it is found as before; a
@@ -804,16 +825,20 @@ class _Query:
         # contingency set mask -> (its items, D, alternate values) per
         # contingency with witnesses
         found: dict[int, list[tuple[dict[int, int], int, list[tuple[int, ...]]]]] = {}
-        orbits = self.orbits
+        floor = self.floor
+        # a first-witness scan builds only the orbit-minimal sets; an
+        # every-witness scan visits the others too, for their copies
+        sets = (functools.partial(_closed_combinations, self.non_cause, floor)
+                if floor and not find_all
+                else functools.partial(itertools.combinations, self.non_cause))
         try:
             for size in range(len(self.non_cause) + 1):
-                for w_idx in itertools.combinations(self.non_cause, size):
+                for w_idx in sets(size):
                     w_mask = 0
                     for i in w_idx:
                         w_mask |= 1 << i
-                    scanned = not orbits or _orbit_minimal(orbits, w_mask)
-                    if not (scanned or find_all):
-                        continue
+                    scanned = not (floor and find_all) or all(
+                        w_mask >> floor[i] & 1 for i in w_idx if i in floor)
                     scanned = scanned and not _covers(self.dead, w_mask)
                     # the witnesses placed without a solve: those of the no-op
                     # contingencies of W, and the images in W of witnesses found
@@ -855,7 +880,7 @@ class _Query:
                         if len(witnesses) > first:
                             hits = [w.alt for w in witnesses[first:]]
                             states = [(w_idx, w_vals)]
-                            if orbits:
+                            if floor:
                                 states += self._images(w_idx, w_vals)
                             for s_idx, s_vals in states:
                                 s_mask, d_mask = 0, x_desc
@@ -968,13 +993,20 @@ class _Query:
                     q = _resume_at(tests, values)
 
 
-def _orbit_minimal(orbits, w_mask: int) -> bool:
-    """Whether the members of every class in the contingency set with bit
-    mask `w_mask` form a prefix of the class (see `_Query.search`)."""
-    for class_mask, prefixes in orbits:
-        if w_mask & class_mask not in prefixes:
-            return False
-    return True
+def _closed_combinations(pool, floor, size: int, start: int = 0, held: tuple = ()):
+    """The `size`-subsets of `pool` that hold `floor[m]` for every member m
+    they hold with an entry in `floor`, in the order of
+    `itertools.combinations(pool, size)`.  Each entry precedes its member in
+    `pool`, so it is decided before the member is tried; the subsets are
+    exactly those of `combinations` that pass the test, and none of the
+    others is built."""
+    if len(held) == size:
+        yield held
+        return
+    for j in range(start, len(pool) - size + len(held) + 1):
+        m = pool[j]
+        if m not in floor or floor[m] in held:
+            yield from _closed_combinations(pool, floor, size, j + 1, held + (m,))
 
 
 def _covers(dead, w_mask: int) -> bool:

@@ -2,9 +2,9 @@
 
 Every case names a model file, a declared context, a query and the verdict
 the engine must reproduce.  The full-size plurality case checks one stated
-witness instead of searching, a check of a few hundred solves under the
-run's budget.  A plain search decides it too, in 859 solves, because it
-scans one member per orbit of the seventeen interchangeable voters.
+witness instead of searching, a check of ten solves under the run's
+budget.  A plain search decides it too, in 365 solves, because it scans
+one member per orbit of the seventeen interchangeable voters.
 """
 
 from __future__ import annotations

@@ -35,13 +35,17 @@ def solved_rows(monkeypatch):
     runtime's `solve` makes them: it returns one list that gains one
     (model, context, sorted interventions) entry per run.  The
     interventions are read, as the run starts, from the mapping whose
-    `get` the run was handed."""
-    def watch(*models):
+    `get` the run was handed.  With `cap`, a run past the first `cap`
+    raises at once, so a check that should make few runs fails instead of
+    making every run of a large plan."""
+    def watch(*models, cap=None):
         rows = []
         for model in models:
             rt = model._runtime()
 
             def counted(exo, get, model=model, real=rt.solve):
+                if cap is not None and len(rows) >= cap:
+                    raise AssertionError(f"more than {cap} solver runs")
                 rows.append((model, exo, tuple(sorted(get.__self__.items()))))
                 return real(exo, get)
 

@@ -1193,6 +1193,162 @@ def test_a_reader_or_a_range_of_one_member_only_keeps_them_apart():
                     naive_witnesses(model, ctx, cause, phi, original))
 
 
+def test_closed_combinations_are_the_combinations_that_hold_their_floors():
+    # on random pools, some of them ranges, and random floors, each entry
+    # an earlier member of the pool
+    rng = random.Random(4052)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        pool = range(n) if rng.random() < 0.3 else tuple(sorted(rng.sample(range(30), n)))
+        floor = {m: rng.choice(pool[:k]) for k, m in enumerate(pool)
+                 if k and rng.random() < 0.5}
+        for size in range(n + 2):
+            want = [c for c in itertools.combinations(pool, size)
+                    if all(floor[m] in c for m in c if m in floor)]
+            got = list(causality._closed_combinations(pool, floor, size))
+            assert got == want, (pool, floor, size)
+
+
+# -- one restore subset per orbit ------------------------------------------------
+#
+# AC2(b) tries, of the W' ⊆ W that differ only by a swap of members of one
+# class holding one value in w, the first alone.  The restore clause, the
+# witness lists and the failing clause must stay as the literal definition
+# gives them, and two members holding different values must never merge.
+
+def _merged(query, w_idx, w_vals) -> int:
+    """The positions of W that hold the class and the value of an earlier one."""
+    seen, merged = set(), 0
+    for i, v in zip(w_idx, w_vals):
+        for k, members in enumerate(query.classes):
+            if i in members:
+                merged += (k, v) in seen
+                seen.add((k, v))
+    return merged
+
+
+def test_restore_subsets_one_per_orbit_match_reference(monkeypatch):
+    fired, path = Counter(), ["scan"]
+    real = causality._Query.ac2b
+
+    def ac2b(self, w_idx, w_vals):
+        if self.variant is not RuleVariant.ORIGINAL and _merged(self, w_idx, w_vals):
+            fired[path[0]] += 1
+        return real(self, w_idx, w_vals)
+
+    monkeypatch.setattr(causality._Query, "ac2b", ac2b)
+    rng = random.Random(4053)
+    for _ in range(32):
+        model, members = random_symmetric_model(rng)
+        ctx = random_context(rng, model)
+        if "P1" in ctx:  # one value for every private parent: the members form a class
+            ctx.update((f"P{j}", ctx["P1"]) for j in range(1, len(members) + 1))
+        world, actual = solve(model, ctx), naive_solve(model, ctx)
+        phi = random_effect(rng, model, rng.choice((["T"], ["T", "O"])))
+        read = rng.choice(((), ("A",), ("O",)))
+        table = {values: rng.randint(0, 2)
+                 for values in itertools.product(*(model.range_of(n) for n in read))}
+
+        def rank(w, read=read, table=table):
+            return table[tuple(w[n] for n in read)]
+
+        order = NormalityOrder(rank_fn=rank)
+        order._reads = frozenset(read)
+        moved = [v for v in model.range_of("A") if v != world["A"]]
+        causes = [{"A": world["A"]}, {"A": moved[0]}]
+        if len(members) == 3:
+            causes.append({members[0]: world[members[0]]})
+        for cause in causes:
+            rest = [n for n in model.endogenous_names if n not in cause]
+            kept = [n for n in members if n in rest]
+            ac1 = all(actual[n] == v for n, v in cause.items()) and event_holds(actual, phi)
+            for variant in ("original", "updated", "extended"):
+                subject = ExtendedCausalModel(model, order) if variant == "extended" else model
+                original = variant == "original"
+                ranked = rank if variant == "extended" else None
+                path[0] = "scan"
+                # ORIGINAL restores W whole, so the rule never fires in its
+                # scans; `test_orbit_scans_match_reference` covers them
+                want, deepest = [], "AC1"
+                if ac1 and not original:
+                    want, deepest = _reference_scan(model, ctx, cause, phi, original, ranked)
+                reason = None if want else deepest
+                for find_all in () if original else (True, False):
+                    verdict = is_actual_cause(subject, ctx, cause, phi, variant,
+                                              find_all_witnesses=find_all)
+                    listed = want if find_all else want[:1]
+                    case = (model, ctx, cause, phi, variant, read, find_all)
+                    assert verdict.failure_reason == reason, case
+                    assert _triples(verdict.witnesses) == listed, case
+                # stated contingencies holding two members or more at one value
+                path[0] = "check"
+                for _ in range(2):
+                    chosen = set(rng.sample(kept, 2)) | set(rng.sample(rest, rng.randint(0, 2)))
+                    contingency = tuple(n for n in rest if n in chosen)
+                    shared = rng.choice(model.range_of(kept[0]))
+                    w_values = tuple(shared if n in kept else rng.choice(model.range_of(n))
+                                     for n in contingency)
+                    witness = Witness(contingency, w_values, tuple(cause.values()))
+                    assert check_ac2b(subject, ctx, cause, phi, witness, variant) == (
+                        naive_restore_holds(model, ctx, cause, phi, contingency, w_values,
+                                            original)), (model, ctx, cause, phi, witness)
+    assert fired["scan"] >= 20 and fired["check"] >= 20, fired
+
+
+def test_members_holding_different_values_are_not_merged():
+    # S1 and S2 are a class, and O fails exactly when S1 + S2 = 3.  For
+    # W = {S1 = 0, S2 = 1} with X = 1, so S = (2, 2) outside W, restoring S2
+    # alone gives (2, 1) and fails, while restoring S1 alone gives (0, 2)
+    # and holds: the two singletons are no swap of each other
+    model = make_model(
+        {"U": (0, 1)},
+        {"X": (0, 1), "S1": (0, 1, 2), "S2": (0, 1, 2), "O": (0, 1)},
+        {"X": Var("U"),
+         "S1": Case(((Cmp("=", Var("X"), Const(1)), Const(2)),), Const(0)),
+         "S2": Case(((Cmp("=", Var("X"), Const(1)), Const(2)),), Const(0)),
+         "O": Cmp("!=", Sum((Var("S1"), Var("S2"))), Const(3))})
+    ctx, cause, phi = {"U": 1}, {"X": 1}, PrimitiveEvent("O", 1)
+    query = causality._Query(model, ctx, phi, "updated", None).bind(cause)
+    assert query.classes == ((1, 2),)
+    for w_values, restored in (((0, 1), False), ((1, 0), False), ((0, 0), True), ((0, 2), True)):
+        witness = Witness(("S1", "S2"), w_values, (0,))
+        assert naive_restore_holds(model, ctx, cause, phi, ("S1", "S2"), w_values, False) == (
+            restored)
+        assert check_ac2b(model, ctx, cause, phi, witness) == restored, w_values
+        assert check_ac2b(model, ctx, cause, phi, witness, "original") == (
+            naive_restore_holds(model, ctx, cause, phi, ("S1", "S2"), w_values, True))
+    for original in (True, False):
+        variant = "original" if original else "updated"
+        assert _triples(find_witnesses(model, ctx, cause, phi, variant)) == (
+            naive_witnesses(model, ctx, cause, phi, original))
+
+
+def test_members_of_different_classes_are_not_merged():
+    # {S1, S2} and {R1, R2} are two classes of one bucket: O reads all four
+    # alike, but S's equations give 2 where R's give 1.  O fails exactly
+    # when the four sum to 5.  For W = {S1 = 0, R1 = 0}, restoring R1 alone
+    # sums to 5 and fails, while S1 alone, or both, holds: one value in two
+    # classes is no swap
+    arm = Cmp("=", Var("X"), Const(1))
+    model = make_model(
+        {"U": (0, 1)},
+        {"X": (0, 1), **{n: (0, 1, 2) for n in ("S1", "S2", "R1", "R2")}, "O": (0, 1)},
+        {"X": Var("U"),
+         **{n: Case(((arm, Const(2)),), Const(0)) for n in ("S1", "S2")},
+         **{n: Case(((arm, Const(1)),), Const(0)) for n in ("R1", "R2")},
+         "O": Cmp("!=", Sum(tuple(Var(n) for n in ("S1", "S2", "R1", "R2"))), Const(5))})
+    ctx, cause, phi = {"U": 1}, {"X": 1}, PrimitiveEvent("O", 1)
+    query = causality._Query(model, ctx, phi, "updated", None).bind(cause)
+    assert query.classes == ((1, 2), (3, 4))
+    witness = Witness(("S1", "R1"), (0, 0), (0,))
+    assert not naive_restore_holds(model, ctx, cause, phi, ("S1", "R1"), (0, 0), False)
+    assert not check_ac2b(model, ctx, cause, phi, witness)
+    for original in (True, False):
+        variant = "original" if original else "updated"
+        assert _triples(find_witnesses(model, ctx, cause, phi, variant)) == (
+            naive_witnesses(model, ctx, cause, phi, original))
+
+
 def test_a_rank_table_records_the_variables_it_reads(doc):
     assert doc("livengood_normality").order()._reads == {"Jack", "Jill"}
     assert doc("bogus_prevention").order()._reads is not None
@@ -1355,3 +1511,63 @@ def test_renaming_or_reordering_declarations_changes_no_verdict():
                             ), case
                         kinds[want.failure_reason] += 1
     assert set(kinds) == {None, "AC1", "AC2(a)", "AC2(a+)", "AC2(b)", "AC2(b')", "AC3"}, kinds
+
+
+def _mapped_back(witness, back, endo, cause_names):
+    """A witness of a redeclared model in the terms of the model it came
+    from: names mapped by `back`, items in that model's declaration order,
+    and alternate values in the order of `cause_names` there."""
+    items = sorted(zip((back[n] for n in witness.vars), witness.values),
+                   key=lambda item: endo.index(item[0]))
+    alt = dict(zip(cause_names, witness.alt))
+    return Witness(tuple(n for n, _ in items), tuple(v for _, v in items),
+                   tuple(alt[n] for n in sorted(alt, key=lambda n: endo.index(back[n]))))
+
+
+def test_permuting_the_voters_of_the_full_size_vote_changes_no_verdict(doc):
+    # The oracle cannot reach the 19-voter vote.  Renaming its voters keeps
+    # every verdict as it was, names aside.  Declaring them in another order
+    # keeps each verdict and failing clause, and the first witness found,
+    # mapped back, is a witness of the vote itself with the values of its
+    # own first witness, those of an image of it.
+    plurality = doc("livengood_17_2_0")
+    model, ctx = plurality.model, plurality.context("u")
+    exo, endo = model.exogenous_names, model.endogenous_names
+    rng = random.Random(1416)
+    same = {n: n for n in exo + endo}
+    fresh = dict(same)
+    for i, j in enumerate(rng.sample(range(1, 20), 19), 1):
+        fresh[f"V{i}"], fresh[f"UV{i}"] = f"V{j}", f"UV{j}"
+    order = rng.sample(range(1, 20), 19)
+    stated = Witness(tuple(f"V{i}" for i in range(1, 9)), (2,) * 8, (2,))
+    for names, exo_order, endo_order in (
+        (fresh, exo, endo),
+        (same, [f"UV{i}" for i in order], [f"V{i}" for i in order] + ["O"]),
+    ):
+        other = _redeclared(model, names, exo_order, endo_order)
+        back = {v: k for k, v in names.items()}
+        other_ctx = {names[n]: v for n, v in ctx.items()}
+        phi = PrimitiveEvent("O", 0)
+        assert check_ac2b(other, other_ctx, {names["V18"]: 1}, phi, Witness(
+            tuple(n for n in endo_order if back[n] in stated.vars), stated.values, stated.alt))
+        for cause in ({"V18": 1}, {"V1": 0}, {"V1": 0, "V2": 0}, {"V18": 1, "V19": 1}):
+            other_cause = {names[n]: v for n, v in cause.items()}
+            cause_names = [n for n in endo_order if n in other_cause]
+            for variant in ("original", "updated"):
+                want = is_actual_cause(model, ctx, cause, phi, variant, find_all_witnesses=False)
+                got = is_actual_cause(other, other_ctx, other_cause, phi, variant,
+                                      find_all_witnesses=False)
+                case = (names is fresh, cause, variant)
+                assert (got.is_cause, got.failure_reason, got.search_complete) == (
+                    want.is_cause, want.failure_reason, want.search_complete), case
+                assert (got.ac3_violation is None) == (want.ac3_violation is None), case
+                (first,), (found,) = want.witnesses, got.witnesses
+                mapped = _mapped_back(found, back, endo, cause_names)
+                if names is fresh:
+                    assert mapped == first, case
+                    assert got.ac3_violation == (want.ac3_violation and tuple(
+                        (names[n], v) for n, v in want.ac3_violation)), case
+                else:
+                    assert sorted(mapped.values) == sorted(first.values), case
+                    assert check_ac2a(model, ctx, cause, phi, mapped, variant), case
+                    assert check_ac2b(model, ctx, cause, phi, mapped, variant), case

@@ -649,7 +649,7 @@ def test_an_unchanged_full_size_vote_is_decided_without_a_solve(solved_rows):
         {**dict(base.signature.endogenous), "N": (0, 1, 2, 3), "M": (0, 1)},
         {**dict(extension.equations), "N": md.Var("O"),
          "M": md.Cmp("=", md.Var("N"), md.Var("UV1"))})
-    calls = solved_rows(base, extension, wider)
+    calls = solved_rows(base, extension, wider, cap=0)
     assert is_conservative_extension(extension, base) == ExtensionReport(True)
     assert is_conservative_extension(wider, base) == ExtensionReport(True)
     assert calls == []
